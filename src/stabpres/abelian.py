@@ -1,16 +1,21 @@
 """Integer linear algebra and the abelianized side of the theorem.
 
 Everything here runs over Python's arbitrary-precision integers; no
-float ever appears.  `smith_normal_form` verifies its own postcondition
+float ever appears.  One elimination computes every Smith form:
+`invariant_factors` keeps only its diagonal, and `smith_normal_form`
+also tracks the transforms and verifies its own postcondition
 (U*M*V == S, U and V unimodular, diagonal divisibility chain) on every
 call.  On top of it:
 
   homology_invariants      simplicial H1/H2 from boundary matrices
   group_abelianization     G/[G,G] by brute-force commutator closure
-  presentation_abelianization   coker of the relator exponent matrix
+  presentation_abelianization   coker of the relator exponent matrix,
+                           after contracting generator identifications
+  AbelianizedWords         stabilizer words mapped into that cokernel
   colimit_H1               the edge-identified direct sum of stabilizer
                            H1's over the quotient 1-skeleton
-  is_two_connected         pi1 trivial (coset enumeration) and H2 = 0
+  is_simply_connected      pi1 trivial (coset enumeration)
+  is_two_connected         pi1 trivial and H2 = 0
 
 The headline identity the package certifies on the abelian side is
 colimit_H1(A, Q) == group_abelianization(G).
@@ -21,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .actions import edge_stabilizer, stabilizer, transporter
+from .actions import close_under_product, edge_stabilizer, stabilizer, transporter
 from .complexes import simplex
 from .errors import PreconditionUnvalidated
 from .presentation import GenSymbol, pi1_presentation, todd_coxeter
@@ -77,54 +82,61 @@ def det_bareiss(M):
 _BAREISS_LIMIT = 80
 
 
-def smith_normal_form(M):
-    """Diagonalize M over Z: returns (S, U, V) with U*M*V == S, U and V
-    unimodular, and S's diagonal a divisibility chain d1 | d2 | ...
+def _smith(M, track):
+    """The Smith elimination: returns (S, U, V, det_u, det_v).
 
-    The postcondition is asserted before returning.  Determinants of the
-    transforms are tracked through the elementary operations and, for
-    matrices small enough for fraction-free elimination to stay cheap,
-    recomputed independently.
+    S is M diagonalized over Z with a nonnegative divisibility chain on
+    its diagonal.  With track, U and V are the unimodular transforms with
+    U*M*V == S and det_u, det_v their determinants as tracked through the
+    elementary operations; without it U and V are None.  Rows and columns
+    before the pivot are already finished (zero off the diagonal), so the
+    operations on S skip them.
     """
     m = len(M)
     n = len(M[0]) if m else 0
     A = [list(r) for r in M]
-    U = _eye(m)
-    V = _eye(n)
+    U = _eye(m) if track else None
+    V = _eye(n) if track else None
     det_u = 1
     det_v = 1
+    t = 0
 
     def row_swap(a, b):
         nonlocal det_u
         if a != b:
             A[a], A[b] = A[b], A[a]
-            U[a], U[b] = U[b], U[a]
+            if track:
+                U[a], U[b] = U[b], U[a]
             det_u = -det_u
 
     def col_swap(a, b):
         nonlocal det_v
         if a != b:
-            for row in A:
+            for i in range(t, m):
+                row = A[i]
                 row[a], row[b] = row[b], row[a]
-            for row in V:
-                row[a], row[b] = row[b], row[a]
+            if track:
+                for row in V:
+                    row[a], row[b] = row[b], row[a]
             det_v = -det_v
 
     def row_add(dst, src, c):
         Ad, As = A[dst], A[src]
-        for j in range(n):
+        for j in range(t, n):
             Ad[j] += c * As[j]
-        Ud, Us = U[dst], U[src]
-        for j in range(m):
-            Ud[j] += c * Us[j]
+        if track:
+            Ud, Us = U[dst], U[src]
+            for j in range(m):
+                Ud[j] += c * Us[j]
 
     def col_add(dst, src, c):
-        for row in A:
+        for i in range(t, m):
+            row = A[i]
             row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
+        if track:
+            for row in V:
+                row[dst] += c * row[src]
 
-    t = 0
     while t < min(m, n):
         piv = None
         best = None
@@ -141,35 +153,40 @@ def smith_normal_form(M):
         col_swap(t, piv[1])
         while True:
             # shrink until the pivot exactly divides its row and column
+            p = A[t][t]
             for i in range(t + 1, m):
-                if A[i][t]:
-                    row_add(i, t, -(A[i][t] // A[t][t]))
+                q = A[i][t] // p
+                if q:
+                    row_add(i, t, -q)
+            At = A[t]
             for j in range(t + 1, n):
-                if A[t][j]:
-                    col_add(j, t, -(A[t][j] // A[t][t]))
+                q = At[j] // p
+                if q:
+                    col_add(j, t, -q)
             residue = None
             for i in range(t + 1, m):
                 if A[i][t]:
-                    residue = ("row", i)
+                    residue = i
                     break
-            if residue is None:
-                for j in range(t + 1, n):
-                    if A[t][j]:
-                        residue = ("col", j)
-                        break
             if residue is not None:
-                kind, idx = residue
-                if kind == "row":
-                    row_swap(t, idx)
-                else:
-                    col_swap(t, idx)
+                row_swap(t, residue)
                 continue
-            # pivot must divide the rest of the submatrix for the chain
+            for j in range(t + 1, n):
+                if At[j]:
+                    residue = j
+                    break
+            if residue is not None:
+                col_swap(t, residue)
+                continue
+            # pivot must divide the rest of the submatrix for the chain;
+            # a unit always does
+            if p == 1 or p == -1:
+                break
             witness = None
             for i in range(t + 1, m):
                 Ai = A[i]
                 for j in range(t + 1, n):
-                    if Ai[j] % A[t][t]:
+                    if Ai[j] % p:
                         witness = i
                         break
                 if witness is not None:
@@ -181,7 +198,21 @@ def smith_normal_form(M):
             row_add(t, t, -2)  # negate the row: A[t] + (-2)A[t] = -A[t]
             det_u = -det_u
         t += 1
+    return A, U, V, det_u, det_v
 
+
+def smith_normal_form(M):
+    """Diagonalize M over Z: returns (S, U, V) with U*M*V == S, U and V
+    unimodular, and S's diagonal a divisibility chain d1 | d2 | ...
+
+    The postcondition is asserted before returning.  Determinants of the
+    transforms are tracked through the elementary operations and, for
+    matrices small enough for fraction-free elimination to stay cheap,
+    recomputed independently.
+    """
+    m = len(M)
+    n = len(M[0]) if m else 0
+    A, U, V, det_u, det_v = _smith(M, track=True)
     for i in range(m):
         for j in range(n):
             if i != j:
@@ -199,77 +230,9 @@ def smith_normal_form(M):
 
 
 def invariant_factors(M):
-    """Diagonal of the Smith form only (no transforms; same elimination)."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    A = [list(r) for r in M]
-    diag = []
-    t = 0
-    while t < min(m, n):
-        piv = None
-        best = None
-        for i in range(t, m):
-            Ai = A[i]
-            for j in range(t, n):
-                a = Ai[j]
-                if a and (best is None or abs(a) < best):
-                    best = abs(a)
-                    piv = (i, j)
-        if piv is None:
-            break
-        A[t], A[piv[0]] = A[piv[0]], A[t]
-        if piv[1] != t:
-            for row in A:
-                row[t], row[piv[1]] = row[piv[1]], row[t]
-        while True:
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    if q:
-                        Ai, At = A[i], A[t]
-                        for j in range(t, n):
-                            Ai[j] -= q * At[j]
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    if q:
-                        for row in A:
-                            row[j] -= q * row[t]
-            residue = None
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    residue = ("row", i)
-                    break
-            if residue is None:
-                for j in range(t + 1, n):
-                    if A[t][j]:
-                        residue = ("col", j)
-                        break
-            if residue is not None:
-                kind, idx = residue
-                if kind == "row":
-                    A[t], A[idx] = A[idx], A[t]
-                else:
-                    for row in A:
-                        row[t], row[idx] = row[idx], row[t]
-                continue
-            witness = None
-            for i in range(t + 1, m):
-                Ai = A[i]
-                for j in range(t + 1, n):
-                    if Ai[j] % A[t][t]:
-                        witness = i
-                        break
-                if witness is not None:
-                    break
-            if witness is None:
-                break
-            At, Aw = A[t], A[witness]
-            for j in range(n):
-                At[j] += Aw[j]
-        diag.append(abs(A[t][t]))
-        t += 1
-    return diag
+    """The nonzero diagonal of the Smith form (no transforms tracked)."""
+    S = _smith(M, track=False)[0]
+    return [row[i] for i, row in enumerate(S) if i < len(row) and row[i]]
 
 
 @dataclass(frozen=True)
@@ -377,7 +340,7 @@ def group_abelianization(G):
         gi = g.inverse()
         for h in elements:
             commutators.add(g * h * gi * h.inverse())
-    derived = _close(commutators, G)
+    derived = set(close_under_product(G.domain, commutators))
     reps = []
     seen = set()
     for g in elements:
@@ -442,30 +405,14 @@ def _prime_factors(n):
     return out
 
 
-def _close(perms, G):
-    identity = G.identity
-    out = {identity}
-    frontier = [identity]
-    gens = list(perms)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = g * p
-                if q not in out:
-                    out.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return out
+def _contracted_relations(P):
+    """The relator exponent matrix with its trivial part contracted.
 
-
-def presentation_abelianization(P):
-    """Invariants of the presented group's abelianization.
-
-    The relator exponent matrix is contracted first: rows of the shape
-    e_i - e_j just identify generators (union-find), and duplicate rows
-    collapse; the contraction is an isomorphism of the cokernel.  Needed
-    because the conjugation family is quadratic in the generator count.
+    Rows of the shape e_i - e_j just identify generators (union-find),
+    and duplicate rows collapse; the contraction is an isomorphism of the
+    cokernel.  Needed because the conjugation family is quadratic in the
+    generator count.  Returns (rows, column, width): the sorted distinct
+    nonzero rows, the column of each generator, and the column count.
     """
     n = len(P.generators)
     index = P.gen_index
@@ -497,45 +444,50 @@ def presentation_abelianization(P):
 
     classes = sorted({find(i) for i in range(n)})
     col_of = {c: j for j, c in enumerate(classes)}
+    column = [col_of[find(i)] for i in range(n)]
     dedup = set()
     for vec in rest:
         row = [0] * len(classes)
         for i, c in vec.items():
-            row[col_of[find(i)]] += c
+            row[column[i]] += c
         if any(row):
             dedup.add(tuple(row))
-    rows = sorted(dedup)
-    return AbelianInvariants.from_relation_matrix([list(r) for r in rows], len(classes))
+    return [list(r) for r in sorted(dedup)], column, len(classes)
+
+
+def presentation_abelianization(P):
+    """Invariants of the presented group's abelianization: the cokernel
+    of the contracted relator exponent matrix."""
+    rows, _, width = _contracted_relations(P)
+    return AbelianInvariants.from_relation_matrix(rows, width)
 
 
 class AbelianizedWords:
     """Canonical images of stabilizer words in the presented group's
-    abelianization; two words agree there iff their images are equal."""
+    abelianization; two words agree there iff their images are equal.
+
+    Images are coordinates in the Smith basis of the contracted relator
+    matrix, each reduced modulo its invariant factor.
+    """
 
     def __init__(self, P):
         self.P = P
-        rows = []
-        index = P.gen_index
-        for r in P.relators:
-            vec = [0] * len(P.generators)
-            for s, e in r.word:
-                vec[index[s]] += e
-            rows.append(vec)
+        rows, self.column, width = _contracted_relations(P)
         if rows:
             S, _, V = smith_normal_form(rows)
             self.V = V
-            self.diag = [S[i][i] for i in range(min(len(rows), len(P.generators)))]
+            self.diag = [S[i][i] for i in range(min(len(rows), width))]
         else:
-            self.V = _eye(len(P.generators))
+            self.V = _eye(width)
             self.diag = []
 
     def exponent_vector(self, word):
-        vec = [0] * len(self.P.generators)
+        vec = [0] * len(self.V)
         for letter in word.letters:
             if letter.element.is_identity():
                 continue
             sym = GenSymbol(letter.element, letter.vertex)
-            vec[self.P.gen_index[sym]] += 1
+            vec[self.column[self.P.gen_index[sym]]] += 1
         return vec
 
     def image(self, word):
@@ -615,12 +567,11 @@ class TwoConnectedResult:
         return self.verdict == "yes"
 
 
-def is_two_connected(K, bound=PI1_BOUND):
-    """Is the complex connected with pi1 = 1 and H2 = 0?
+def is_simply_connected(K, bound=PI1_BOUND):
+    """Is the complex nonempty and connected with pi1 = 1?
 
     pi1 is checked by coset enumeration on the edge-path presentation
-    (Unknown if it exhausts the bound); H2 = 0 via Hurewicz stands in
-    for pi2 once pi1 is trivial.
+    (Unknown if it exhausts the bound).
     """
     if not K.vertices:
         return TwoConnectedResult("no", "empty complex")
@@ -632,19 +583,18 @@ def is_two_connected(K, bound=PI1_BOUND):
         return TwoConnectedResult("unknown", f"pi1 enumeration exhausted {bound} cosets")
     if T.order != 1:
         return TwoConnectedResult("no", f"pi1 has order {T.order}")
-    h2 = homology_invariants(K, 2)
-    if h2.rank != 0 or h2.torsion:
-        return TwoConnectedResult("no", f"H2 = {h2}")
     return TwoConnectedResult("yes")
 
 
-def is_simply_connected(K, bound=PI1_BOUND):
-    if not K.is_connected():
-        return TwoConnectedResult("no", "not connected")
-    P = pi1_presentation(K, min(K.vertices))
-    T = todd_coxeter(P, max_cosets=bound)
-    if T.status != "complete":
-        return TwoConnectedResult("unknown", f"pi1 enumeration exhausted {bound} cosets")
-    if T.order != 1:
-        return TwoConnectedResult("no", f"pi1 has order {T.order}")
+def is_two_connected(K, bound=PI1_BOUND):
+    """Is the complex simply connected with H2 = 0?
+
+    H2 = 0 via Hurewicz stands in for pi2 once pi1 is trivial.
+    """
+    verdict = is_simply_connected(K, bound)
+    if not verdict:
+        return verdict
+    h2 = homology_invariants(K, 2)
+    if h2.rank != 0 or h2.torsion:
+        return TwoConnectedResult("no", f"H2 = {h2}")
     return TwoConnectedResult("yes")

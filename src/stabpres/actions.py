@@ -22,6 +22,7 @@ from functools import cached_property
 
 from .complexes import (
     SimplicialComplex,
+    barycenter_name,
     barycentric_subdivision,
     complex_from_json_obj,
     simplex,
@@ -213,9 +214,6 @@ class GroupAction:
     validated_without_rotations: bool = False
     subdivisions: int = 0
 
-    def act(self, g, s):
-        return g.apply(s)
-
 
 def validate_simplicial_action(K, generators, cap=GROUP_CAP):
     """Check each generator is a simplicial automorphism; enumerate the group."""
@@ -306,79 +304,58 @@ def all_transporters(A, subgroup, x, y):
     return tuple(g for g in subgroup if g(x) == y)
 
 
-def _orbit_defect(A):
-    """Witness string if simplex orbits fail to form a simplicial quotient."""
-    proj = {}
-    for v in A.complex.sorted_vertices:
-        proj[v] = min(orbit_of_vertex(A, v))
-    by_image = {}
-    for s in list(A.complex.sorted_edges) + list(A.complex.sorted_triangles):
-        img = tuple(sorted({proj[v] for v in s}))
-        if len(img) < len(s):
-            return f"orbit of {s} maps to degenerate vertex set {img}"
-        by_image.setdefault(img, []).append(s)
-    for img, pre in by_image.items():
-        orbit = set(orbit_of_simplex(A, pre[0]))
-        extra = [s for s in pre if s not in orbit]
-        if extra:
-            return f"distinct orbits of {pre[0]} and {extra[0]} share vertex set {img}"
-    return None
-
-
 def refine_action_tracked(A, max_subdivisions=2):
-    """Subdivide (at most twice) until the action is without rotations and
-    simplex orbits form a simplicial quotient.
+    """Subdivide (at most max_subdivisions times) until the action is
+    without rotations and simplex orbits form a simplicial quotient.
 
     Returns (refined action, lift) where lift sends any element of the
     original group to the induced element of the refined group.
     """
     if not A.validated_simplicial:
         raise PreconditionUnvalidated("run validate_simplicial_action first")
-    stages = []  # (complex, barycenter names, subdivided complex)
+    stages = []  # (complex, its subdivision), one per round
     current = A
-    for round_ in range(max_subdivisions + 1):
-        ok, _ = check_without_rotations(current)
-        if ok and _orbit_defect(current) is None:
+    while True:
+        ok, witness = check_without_rotations(current)
+        if ok:
             refined = replace(current, validated_without_rotations=True)
+            try:
+                build_quotient(refined)
+            except OrbitCollision as exc:
+                detail = exc.witness
+            else:
+                break
+        else:
+            g, s = witness
+            detail = f"{g.cycle_string()} rotates simplex {simplex_string(s)}"
+        if len(stages) == max_subdivisions:
+            raise RefinementFailed(detail, max_subdivisions)
+        subdivided = subdivide_action(current)
+        stages.append((current.complex, subdivided.complex))
+        current = subdivided
 
-            def lift(g, _stages=tuple(stages)):
-                for K, names, sd in _stages:
-                    mapping = {names[s]: names[g.apply(s)] for s in K.simplices()}
-                    g = Permutation.from_mapping(sd.sorted_vertices, mapping)
-                return g
+    def lift(g):
+        for K, sd in stages:
+            g = _induced_on_subdivision(K, sd, g)
+        return g
 
-            return refined, lift
-        if round_ == max_subdivisions:
-            break
-        sd, names = barycentric_subdivision(current.complex)
-        stages.append((current.complex, names, sd))
-        gens = []
-        for g in current.group.generators:
-            mapping = {names[s]: names[g.apply(s)] for s in current.complex.simplices()}
-            gens.append(Permutation.from_mapping(sd.sorted_vertices, mapping))
-        nxt = validate_simplicial_action(sd, gens, cap=current.group.cap)
-        current = replace(nxt, subdivisions=current.subdivisions + 1)
-    ok, witness = check_without_rotations(current)
-    if ok:
-        detail = _orbit_defect(current)
-    else:
-        g, s = witness
-        detail = f"{g.cycle_string()} rotates simplex {simplex_string(s)}"
-    raise RefinementFailed(detail)
+    return refined, lift
 
 
 def refine_action(A, max_subdivisions=2):
     return refine_action_tracked(A, max_subdivisions)[0]
 
 
+def _induced_on_subdivision(K, sd, g):
+    """The permutation of Sd(K)'s barycenters induced by g acting on K."""
+    mapping = {barycenter_name(s): barycenter_name(g.apply(s)) for s in K.simplices()}
+    return Permutation.from_mapping(sd.sorted_vertices, mapping)
+
+
 def subdivide_action(A):
     """Barycentric subdivision of the complex with the induced action."""
-    sd, names = barycentric_subdivision(A.complex)
-    domain = sd.sorted_vertices
-    gens = []
-    for g in A.group.generators:
-        mapping = {names[s]: names[g.apply(s)] for s in A.complex.simplices()}
-        gens.append(Permutation.from_mapping(domain, mapping))
+    sd, _ = barycentric_subdivision(A.complex)
+    gens = [_induced_on_subdivision(A.complex, sd, g) for g in A.group.generators]
     refined = validate_simplicial_action(sd, gens, cap=A.group.cap)
     return replace(refined, subdivisions=A.subdivisions + 1)
 
@@ -466,12 +443,16 @@ def action_to_json_obj(A):
     }
 
 
-def load_action(path, cap=GROUP_CAP):
+def _read_json(path):
+    """Parse a JSON file; unreadable files and bad JSON are MalformedInput."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"bad JSON in {path}: {exc}") from exc
-    return action_from_json_obj(obj, cap)
+
+
+def load_action(path, cap=GROUP_CAP):
+    return action_from_json_obj(_read_json(path), cap)

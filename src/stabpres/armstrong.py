@@ -123,14 +123,6 @@ class LiftedMoveLog:
     lifted_paths: tuple  # EdgePath per state, aligned with base replay
     steps: tuple  # LiftStep per move
 
-    @property
-    def pivots(self):
-        return tuple((s.pivot, s.swing) for s in self.steps if s.kind == BACK)
-
-    @property
-    def apexes(self):
-        return tuple(s.apex_lift for s in self.steps if s.kind == TRI)
-
 
 def find_path(K, u, w, seed=0):
     """Breadth-first shortest path; canonical tie-break, seed shuffles it."""

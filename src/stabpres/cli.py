@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .abelian import (
     colimit_H1,
@@ -32,6 +33,8 @@ from .abelian import (
 )
 from .actions import (
     Permutation,
+    _read_json,
+    action_from_json_obj,
     build_quotient,
     check_without_rotations,
     load_action,
@@ -104,18 +107,24 @@ def _fail(code, kind, detail):
     raise _Failure(code, kind, detail)
 
 
-def _load(path):
-    return load_action(path)
-
-
 def _refined(path):
-    A = _load(path)
+    A = load_action(path)
     refined, lift = refine_action_tracked(A)
     return A, refined, lift, build_quotient(refined)
 
 
-def _invariants_report(inv):
-    return inv.to_json_obj()
+def _require_hypotheses(K, quotient, bound):
+    """Fail unless K is simply connected and the quotient 2-connected;
+    an exhausted pi1 enumeration is a resource failure."""
+    for kind, check, complex_ in (
+        ("simply_connected", is_simply_connected, K),
+        ("two_connected", is_two_connected, quotient),
+    ):
+        result = check(complex_, bound=bound)
+        if result.verdict == "unknown":
+            _fail(EXIT_RESOURCE, kind, result.witness)
+        if result.verdict == "no":
+            _fail(EXIT_INVALID, kind, result.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +132,7 @@ def _invariants_report(inv):
 
 
 def _cmd_validate(args):
-    A = _load(args.action)
+    A = load_action(args.action)
     ok, witness = check_without_rotations(A)
     if not ok:
         g, s = witness
@@ -132,18 +141,9 @@ def _cmd_validate(args):
             "rotation",
             f"{g.cycle_string()} rotates simplex {simplex_string(s)}",
         )
-    A = mark_without_rotations(A)
+    A = replace(A, validated_without_rotations=True)
     Q = build_quotient(A)  # OrbitCollision propagates as exit 1
-    sc = is_simply_connected(A.complex, bound=args.max_cosets)
-    if sc.verdict == "unknown":
-        _fail(EXIT_RESOURCE, "simply_connected", sc.witness)
-    if sc.verdict == "no":
-        _fail(EXIT_INVALID, "simply_connected", sc.witness)
-    tc = is_two_connected(Q.quotient, bound=args.max_cosets)
-    if tc.verdict == "unknown":
-        _fail(EXIT_RESOURCE, "two_connected", tc.witness)
-    if tc.verdict == "no":
-        _fail(EXIT_INVALID, "two_connected", tc.witness)
+    _require_hypotheses(A.complex, Q.quotient, args.max_cosets)
     nv, ne, nt = A.complex.counts()
     qv, qe, qt = Q.quotient.counts()
     report = {
@@ -172,7 +172,7 @@ def _cmd_validate(args):
 
 def _cmd_quotient(args):
     if args.raw:
-        A = mark_without_rotations(_load(args.action))
+        A = mark_without_rotations(load_action(args.action))
         subdivisions = 0
         Q = build_quotient(A)
     else:
@@ -202,7 +202,7 @@ def _cmd_present(args):
 
 
 def _cmd_express(args):
-    A0 = _load(args.action)
+    A0 = load_action(args.action)
     try:
         cycles = parse_cycles(args.element)
         g0 = Permutation.from_cycles(A0.complex.sorted_vertices, cycles)
@@ -241,16 +241,7 @@ def _cmd_express(args):
 
 def _cmd_verify(args):
     _, A, _, Q = _refined(args.action)
-    sc = is_simply_connected(A.complex, bound=args.max_cosets)
-    if sc.verdict == "unknown":
-        _fail(EXIT_RESOURCE, "simply_connected", sc.witness)
-    if sc.verdict == "no":
-        _fail(EXIT_INVALID, "simply_connected", sc.witness)
-    tc2 = is_two_connected(Q.quotient, bound=args.max_cosets)
-    if tc2.verdict == "unknown":
-        _fail(EXIT_RESOURCE, "two_connected", tc2.witness)
-    if tc2.verdict == "no":
-        _fail(EXIT_INVALID, "two_connected", tc2.witness)
+    _require_hypotheses(A.complex, Q.quotient, args.max_cosets)
     P = build_presentation(A, Q)
     T = todd_coxeter(P, max_cosets=args.max_cosets)
     if T.status != "complete":
@@ -285,8 +276,8 @@ def _cmd_abelianize(args):
     col = colimit_H1(A, Q)
     match = gab == col
     report = {
-        "colimit_H1": _invariants_report(col),
-        "group_abelianization": _invariants_report(gab),
+        "colimit_H1": col.to_json_obj(),
+        "group_abelianization": gab.to_json_obj(),
         "match": match,
     }
     lines = [
@@ -306,19 +297,13 @@ def _cmd_abelianize(args):
 
 
 def _cmd_homology(args):
-    try:
-        with open(args.path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise MalformedInput(f"cannot read {args.path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"bad JSON in {args.path}: {exc}") from exc
+    obj = _read_json(args.path)
     if isinstance(obj, dict) and "generators" in obj:
-        K = load_action(args.path).complex
+        K = action_from_json_obj(obj).complex
     else:
         K = complex_from_json_obj(obj)
     inv = homology_invariants(K, args.k)
-    report = {"degree": args.k, "invariants": _invariants_report(inv)}
+    report = {"degree": args.k, "invariants": inv.to_json_obj()}
     _emit(report, args.format, [f"H_{args.k} = {inv}"])
     return EXIT_OK
 

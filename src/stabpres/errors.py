@@ -68,8 +68,9 @@ class UnknownVertex(StabpresError):
 
 
 class RefinementFailed(StabpresError):
-    def __init__(self, detail):
-        super().__init__(f"action still violates quotient hypotheses after 2 subdivisions: {detail}")
+    def __init__(self, detail, subdivisions):
+        rounds = f"{subdivisions} subdivision{'' if subdivisions == 1 else 's'}"
+        super().__init__(f"action still violates quotient hypotheses after {rounds}: {detail}")
 
 
 class OrbitCollision(StabpresError):

@@ -248,9 +248,11 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     """Enumerate cosets of the trivial subgroup in the presented group.
 
     Returns a CosetTable with status "complete" (order = group order) or
-    "exhausted" (more than max_cosets would be needed).  Completion is
-    re-verified before returning: every relator closes at every coset and
-    every generator column is a permutation.
+    "exhausted" (more than max_cosets would be needed).  One pass
+    (HLT: scan every relator at each live coset, then fill its row)
+    finishes the table; the standardized table is then checked once
+    before returning: every generator column is a permutation and every
+    relator closes at every coset.
     """
     m = len(P.generators)
     index = P.gen_index
@@ -361,55 +363,13 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
                         break
         alpha += 1
 
-    def is_closed():
-        # table complete on live cosets and every relator closes everywhere
-        for k in range(len(table)):
-            if rep(k) != k:
-                continue
-            row = table[k]
-            if any(row[x] == -1 or rep(row[x]) != row[x] for x in range(width)):
-                return False
-            for w in rels:
-                c = k
-                for letter in w:
-                    c = table[c][letter]
-                    if c == -1:
-                        return False
-                    c = rep(c)
-                if c != k:
-                    return False
-        return True
-
-    # repair sweep: coincidence bookkeeping can leave a merged coset with
-    # unscanned relators; rescan until the table provably closes
-    while not exhausted and not is_closed():
-        for k in range(len(table)):
-            if rep(k) == k:
-                table[k] = [-1 if c == -1 else rep(c) for c in table[k]]
-        alpha = 0
-        while alpha < len(table) and not exhausted:
-            if rep(alpha) != alpha:
-                alpha += 1
-                continue
-            for w in rels:
-                if not scan_and_fill(alpha, w):
-                    break
-                if rep(alpha) != alpha:
-                    break
-            if rep(alpha) == alpha and not exhausted:
-                for x in range(width):
-                    if table[alpha][x] == -1:
-                        if define(alpha, x) == -1:
-                            break
-            alpha += 1
-
     if exhausted:
         return CosetTable(P.generators, (), "exhausted", bound=max_cosets)
 
     live = [k for k in range(len(table)) if rep(k) == k]
     renumber = {k: i for i, k in enumerate(live)}
     final = tuple(
-        tuple(renumber[rep(table[k][x])] for x in range(width)) for k in live
+        tuple(-1 if c == -1 else renumber[rep(c)] for c in table[k]) for k in live
     )
     n = len(live)
     for row in final:
@@ -561,7 +521,3 @@ def pi1_presentation(K, basepoint):
             seen.add(key)
             relators.append(Relator(tuple(word), "tri"))
     return Presentation(generators, tuple(relators))
-
-
-def stabilizer_word_coset(T, word):
-    return word_to_coset(T, word)

@@ -259,6 +259,20 @@ def test_abelianized_images_respect_multiplication(f2):
             assert words.image(expr[g] * expr[h]) == words.image(expr[g * h])
 
 
+def test_abelianized_words_octahedral(f3):
+    A, Q, P = f3.action, f3.quotient, f3.presentation
+    words = AbelianizedWords(P)
+    basepoint = min(A.complex.vertices)
+    expr = {g: armstrong_express(A, Q, basepoint, g) for g in A.group.elements}
+    assert len(expr) == 48
+    assert len({words.image(w) for w in expr.values()}) == 4  # Z/2 + Z/2
+    rng = random.Random(7)
+    elements = A.group.elements
+    for _ in range(40):
+        g, h = rng.choice(elements), rng.choice(elements)
+        assert words.image(expr[g] * expr[h]) == words.image(expr[g * h])
+
+
 # -- the colimit comparison ---------------------------------------------
 
 
@@ -304,6 +318,10 @@ def test_two_connected_verdicts():
 
 
 def test_simply_connected_verdicts():
+    from stabpres.complexes import SimplicialComplex
+
+    empty = is_simply_connected(SimplicialComplex(frozenset(), frozenset(), frozenset()))
+    assert empty.verdict == "no" and empty.witness == "empty complex"
     assert is_simply_connected(solid_triangle()).verdict == "yes"
     assert is_simply_connected(octahedron_boundary()).verdict == "yes"
     assert is_simply_connected(cycle_complex(6), bound=50).verdict == "unknown"

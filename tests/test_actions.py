@@ -31,6 +31,7 @@ from stabpres.errors import (
     NotSimplicial,
     OrbitCollision,
     PreconditionUnvalidated,
+    RefinementFailed,
     UnknownVertex,
 )
 from stabpres.fixtures import (
@@ -216,6 +217,31 @@ def test_refinement_tracks_element_lift():
             assert lg(v) == g(v)
     a, b = A.group.generators
     assert lift(a * b) == lift(a) * lift(b)
+
+
+@pytest.mark.parametrize(
+    "build, rounds, witness",
+    [
+        (f4_rotation, 0, "(1 2 3) rotates simplex {1,2,3}"),
+        (
+            f4_rotation,
+            1,
+            "distinct orbits of ('1', 'b(1,2)') and ('1', 'b(1,3)') "
+            "share vertex set ('1', 'b(1,2)')",
+        ),
+        (
+            f5_antipodal,
+            0,
+            "distinct orbits of ('m1', 'm2') and ('m1', 'p2') share vertex set ('m1', 'm2')",
+        ),
+    ],
+)
+def test_refinement_failure_reports_rounds_and_witness(build, rounds, witness):
+    with pytest.raises(RefinementFailed) as exc:
+        refine_action(build(), max_subdivisions=rounds)
+    head, _, detail = str(exc.value).partition(": ")
+    assert head.endswith(f"after {rounds} subdivision{'' if rounds == 1 else 's'}")
+    assert detail == witness
 
 
 def test_subdivide_action_once():
