@@ -25,12 +25,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .actions import (
-    Permutation,
-    all_transporters,
-    stabilizer,
-    transporter,
-)
+from .actions import Permutation, all_transporters, stabilizer
 from .complexes import EdgePath, simplex
 from .errors import (
     Disconnected,
@@ -40,7 +35,7 @@ from .errors import (
     PreconditionUnvalidated,
     UnknownVertex,
 )
-from .homotopy import BACK, TRI, MoveLog, contract_loop
+from .homotopy import TRI, contract_loop
 
 
 @dataclass(frozen=True)
@@ -109,21 +104,6 @@ def psi_evaluate(word, identity=None):
     return result
 
 
-@dataclass(frozen=True)
-class LiftStep:
-    kind: str
-    pivot: object  # the swing vertex (BACK) or None (TRI)
-    swing: Permutation  # identity for TRI steps
-    apex_lift: object = None  # the chosen apex upstairs (TRI) or None
-
-
-@dataclass(frozen=True)
-class LiftedMoveLog:
-    base: MoveLog
-    lifted_paths: tuple  # EdgePath per state, aligned with base replay
-    steps: tuple  # LiftStep per move
-
-
 def find_path(K, u, w, seed=0):
     """Breadth-first shortest path; canonical tie-break, seed shuffles it."""
     for v in (u, w):
@@ -157,13 +137,12 @@ def find_path(K, u, w, seed=0):
     raise Disconnected(u, w)
 
 
-def lift_and_swing(A, Q, state, move, rng=None):
-    """Extend a lifted log by one base move; canonical choices unless rng."""
-    lifted = state.lifted_paths[-1].vertices
-    base_states = state.base.replay(Q.quotient)
-    k = len(state.steps)
-    base_before = base_states[k].vertices
-    assert Q.project_path(lifted) == base_before, "lift out of sync with base loop"
+def _lift_move(A, Q, lifted, move, rng):
+    """Lift one base move onto the lifted path; canonical choices unless rng.
+
+    Returns the new lifted path and, for a backtrack delete, the
+    (pivot, swing) pair; a triangle insert swings nothing.
+    """
     i = move.pos
     if move.kind == TRI:
         x1, x2 = lifted[i], lifted[i + 1]
@@ -175,31 +154,14 @@ def lift_and_swing(A, Q, state, move, rng=None):
         if not candidates:
             raise LiftFailed(f"no apex over {move.apex!r} joins {x1!r}-{x2!r}")
         apex = rng.choice(sorted(candidates)) if rng else min(candidates)
-        new_lifted = lifted[: i + 1] + (apex,) + lifted[i + 1 :]
-        step = LiftStep(TRI, None, A.group.identity, apex)
-    else:
-        x1, pivot, x1p = lifted[i], lifted[i + 1], lifted[i + 2]
-        stab = stabilizer(A, pivot)
-        if rng:
-            options = all_transporters(A, stab, x1p, x1)
-            h = rng.choice(list(options)) if options else None
-        elif x1 == x1p:
-            h = A.group.identity
-        else:
-            h = transporter(A, stab, x1p, x1)
-        if h is None:
-            raise LiftFailed(f"no pivot stabilizer sends {x1p!r} to {x1!r}")
-        new_lifted = lifted[: i + 1] + tuple(h(v) for v in lifted[i + 3 :])
-        step = LiftStep(BACK, pivot, h)
-    new_path = EdgePath(new_lifted)
-    assert Q.project_path(new_lifted) == base_states[k + 1].vertices, (
-        "projected lift disagrees with base loop after move"
-    )
-    return LiftedMoveLog(
-        state.base,
-        state.lifted_paths + (new_path,),
-        state.steps + (step,),
-    )
+        return lifted[: i + 1] + (apex,) + lifted[i + 1 :], None
+    x1, pivot, x1p = lifted[i], lifted[i + 1], lifted[i + 2]
+    # the stabilizer lists the identity first, so x1 == x1p swings by it
+    options = all_transporters(A, stabilizer(A, pivot), x1p, x1)
+    if not options:
+        raise LiftFailed(f"no pivot stabilizer sends {x1p!r} to {x1!r}")
+    h = rng.choice(options) if rng else options[0]
+    return lifted[: i + 1] + tuple(h(v) for v in lifted[i + 3 :]), (pivot, h)
 
 
 def armstrong_express(A, Q, basepoint, g, seed=0, budget=None):
@@ -224,19 +186,20 @@ def armstrong_express(A, Q, basepoint, g, seed=0, budget=None):
     log = contract_loop(
         Q.quotient, base_loop, Q.projection[basepoint], budget=budget, seed=contraction_seed
     )
-    state = LiftedMoveLog(log, (path,), ())
-    for move in log.moves:
-        state = lift_and_swing(A, Q, state, move, rng=rng)
-
-    final = state.lifted_paths[-1].vertices
-    assert final == (basepoint,), f"lifted contraction ended at {final}"
-
     letters = []
     composite = g
-    for step in state.steps:
-        if not step.swing.is_identity():
-            letters.append(StabilizerLetter(step.swing.inverse(), step.pivot))
-        composite = step.swing * composite
+    lifted = path.vertices
+    for move, after in zip(log.moves, log.replay(Q.quotient)[1:]):
+        lifted, swing = _lift_move(A, Q, lifted, move, rng)
+        assert Q.project_path(lifted) == after.vertices, (
+            "projected lift disagrees with base loop after move"
+        )
+        if swing is not None:
+            pivot, h = swing
+            if not h.is_identity():
+                letters.append(StabilizerLetter(h.inverse(), pivot))
+            composite = h * composite
+    assert lifted == (basepoint,), f"lifted contraction ended at {lifted}"
     assert composite(basepoint) == basepoint, "endpoint recurrence broke"
     # closing letter: composite is h_{n-1}...h_1*g, the inverse of the final
     # swing; its own inverse is the final h, so the letter element is composite

@@ -128,14 +128,15 @@ def default_budget(loop_len):
     return 6 * loop_len + 16
 
 
-def contract_loop(K, loop, basepoint, budget=None, seed=0, max_len=None):
+def contract_loop(K, loop, basepoint, budget=None, seed=0):
     """Find a move log taking the loop to the constant loop at its basepoint.
 
     Iterative-deepening search over move sequences; moves are tried in
     canonical order (backtrack deletes by position, then triangle inserts
     by position and apex) unless a nonzero seed shuffles candidate order.
-    The returned log is replay-verified.  Raises BudgetExhausted when no
-    log of length <= budget exists within the loop-length cap.
+    Triangle inserts are tried only on loops of at most 3 * len(loop) + 8
+    vertices.  The returned log is replay-verified.  Raises BudgetExhausted
+    when no log of length <= budget exists under that cap.
     """
     if not isinstance(loop, EdgePath):
         loop = validate_path(K, loop)
@@ -145,8 +146,7 @@ def contract_loop(K, loop, basepoint, budget=None, seed=0, max_len=None):
         raise IllegalMove(f"not a loop based at {basepoint!r}")
     if budget is None:
         budget = default_budget(len(loop))
-    if max_len is None:
-        max_len = 3 * len(loop) + 8
+    max_len = 3 * len(loop) + 8
     rng = random.Random(seed) if seed else None
     apexes = K.edge_apexes
     target = (basepoint,)
@@ -236,11 +236,11 @@ class DiscCollapse:
     boundary_log: MoveLog
 
 
-def random_nondegenerate_disc(n, seed, max_n=MAX_DISC_BOUNDARY):
+def random_nondegenerate_disc(n, seed):
     """A random triangulated n-gon (no interior vertices) with its boundary
     loop; deterministic per seed."""
-    if not 3 <= n <= max_n:
-        raise BadSize(n, 3, max_n)
+    if not 3 <= n <= MAX_DISC_BOUNDARY:
+        raise BadSize(n, 3, MAX_DISC_BOUNDARY)
     rng = random.Random(seed)
     names = [f"d{i:02d}" for i in range(n)]
     edges = {simplex((names[i], names[(i + 1) % n])) for i in range(n)}

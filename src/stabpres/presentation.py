@@ -7,13 +7,15 @@ Relators come in three families:
   edge  g@u . g@w^-1                   (u-w an edge, g fixing both ends)
   conj  g@v . h@w . g@v^-1 . (ghg^-1)@g(w)^-1   (all ordered vertex pairs)
 
-Every relator evaluates to the identity under psi (asserted during
-generation).  `todd_coxeter` enumerates cosets of the trivial subgroup
-relator-first (scan-and-fill with full coincidence processing, lowest
-undefined entry defined first); a Complete(n) table certifies the
-presented group has order n.  `verify_theorem` combines that with an
-exhaustive surjectivity check to certify the presented group is the
-acting group.
+Every relator evaluates to the identity under psi by construction;
+`verify_theorem` psi-checks each relator once, for any presentation it
+is given.  Both builders share one relator normaliser, so the enumerator
+scans relators as given.  `todd_coxeter` enumerates cosets of the
+trivial subgroup relator-first (scan-and-fill with full coincidence
+processing, lowest undefined entry defined first); a Complete(n) table
+certifies the presented group has order n.  `verify_theorem` combines
+that with an exhaustive surjectivity check to certify the presented
+group is the acting group.
 
 `pi1_presentation` is the classical edge-path presentation of the
 fundamental group (generators: edges off a spanning tree; relators:
@@ -136,15 +138,31 @@ def _canonical_cyclic_key(word, index):
     return best if best is not None else ()
 
 
+def _distinct_relators(tagged_words, generators):
+    """The one relator normaliser: freely reduce each (word, tag) and keep it
+    unless it cyclically reduces to the empty word or repeats a kept
+    relator up to rotation and inversion."""
+    index = {s: i for i, s in enumerate(generators)}
+    relators = []
+    seen = set()
+    for word, tag in tagged_words:
+        word = free_reduce(word)
+        key = _canonical_cyclic_key(cyclic_reduce(word), index)
+        if key and key not in seen:
+            seen.add(key)
+            relators.append(Relator(word, tag))
+    return tuple(relators)
+
+
 def build_presentation(A, Q):
     """Assemble the stabilizer presentation for a validated action.
 
     Relators are freely reduced; duplicates (and relators reducing to the
-    empty word) are dropped after canonical cyclic reduction.
+    empty word) are dropped after canonical cyclic reduction.  Relators
+    are not evaluated here: `verify_theorem` psi-checks each one once.
     """
     if not (A.validated_simplicial and A.validated_without_rotations):
         raise PreconditionUnvalidated("action must be validated without rotations")
-    identity = A.group.identity
     sym_of = {}
     generators = []
     stab = {}
@@ -157,63 +175,44 @@ def build_presentation(A, Q):
             sym_of[(v, g)] = s
             generators.append(s)
     generators = tuple(generators)
-    index = {s: i for i, s in enumerate(generators)}
 
-    relators = []
-    seen = set()
+    def tagged_words():
+        for v in A.complex.sorted_vertices:
+            nonid = [g for g in stab[v] if not g.is_identity()]
+            for g, h in product(nonid, nonid):
+                k = g * h
+                word = [(sym_of[(v, g)], 1), (sym_of[(v, h)], 1)]
+                if not k.is_identity():
+                    word.append((sym_of[(v, k)], -1))
+                yield word, "mult"
 
-    def emit(word, tag):
-        word = free_reduce(word)
-        # psi sends every relator to the identity; hard assertion, since a
-        # failure here means the construction itself is wrong
-        acc = identity
-        for s, e in word:
-            acc = acc * (s.element if e > 0 else s.element.inverse())
-        assert acc == identity, f"relator {tag} does not evaluate to identity"
-        key = _canonical_cyclic_key(cyclic_reduce(word), index)
-        if not key or key in seen:
-            return
-        seen.add(key)
-        relators.append(Relator(word, tag))
+        for u, w in A.complex.sorted_edges:
+            for g in edge_stabilizer(A, (u, w)):
+                if g.is_identity():
+                    continue
+                # legal precisely because pointwise = setwise stabilizers here
+                yield [(sym_of[(u, g)], 1), (sym_of[(w, g)], -1)], "edge"
 
-    for v in A.complex.sorted_vertices:
-        nonid = [g for g in stab[v] if not g.is_identity()]
-        for g, h in product(nonid, nonid):
-            k = g * h
-            word = [(sym_of[(v, g)], 1), (sym_of[(v, h)], 1)]
-            if not k.is_identity():
-                word.append((sym_of[(v, k)], -1))
-            emit(word, "mult")
-
-    for u, w in A.complex.sorted_edges:
-        for g in edge_stabilizer(A, (u, w)):
-            if g.is_identity():
-                continue
-            # legal precisely because pointwise = setwise stabilizers here
-            emit([(sym_of[(u, g)], 1), (sym_of[(w, g)], -1)], "edge")
-
-    for v in A.complex.sorted_vertices:
-        nonid_v = [g for g in stab[v] if not g.is_identity()]
-        for g in nonid_v:
-            ginv = g.inverse()
-            for w in A.complex.sorted_vertices:
-                gw = g(w)
-                for h in stab[w]:
-                    if h.is_identity():
-                        continue
-                    k = g * h * ginv
-                    assert k(gw) == gw, "conjugate misses the translated vertex"
-                    emit(
-                        [
+        for v in A.complex.sorted_vertices:
+            nonid_v = [g for g in stab[v] if not g.is_identity()]
+            for g in nonid_v:
+                ginv = g.inverse()
+                for w in A.complex.sorted_vertices:
+                    gw = g(w)
+                    for h in stab[w]:
+                        if h.is_identity():
+                            continue
+                        k = g * h * ginv
+                        assert k(gw) == gw, "conjugate misses the translated vertex"
+                        word = [
                             (sym_of[(v, g)], 1),
                             (sym_of[(w, h)], 1),
                             (sym_of[(v, g)], -1),
                             (sym_of[(gw, k)], -1),
-                        ],
-                        "conj",
-                    )
+                        ]
+                        yield word, "conj"
 
-    return Presentation(generators, tuple(relators))
+    return Presentation(generators, _distinct_relators(tagged_words(), generators))
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +255,7 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     """
     m = len(P.generators)
     index = P.gen_index
-    rels = []
-    seen = set()
-    for r in P.relators:
-        letters = tuple(2 * index[s] + (0 if e > 0 else 1) for s, e in r.word)
-        if letters and letters not in seen:
-            seen.add(letters)
-            rels.append(letters)
+    rels = [tuple(2 * index[s] + (0 if e > 0 else 1) for s, e in r.word) for r in P.relators]
     width = 2 * m
 
     table = [[-1] * width]
@@ -431,10 +424,11 @@ def verify_theorem(A, Q, P, T):
     """
     identity = A.group.identity
     checks = []
+    inverse = {s: s.element.inverse() for s in P.generators}
     for r in P.relators:
         acc = identity
         for s, e in r.word:
-            acc = acc * (s.element if e > 0 else s.element.inverse())
+            acc = acc * (s.element if e > 0 else inverse[s])
         if acc != identity:
             raise CertificateFailed(
                 "relators_psi_identity", f"{r.tag} relator evaluates to {acc.cycle_string()}"
@@ -502,7 +496,6 @@ def pi1_presentation(K, basepoint):
             symbols[e] = s
             generators.append(s)
     generators = tuple(generators)
-    index = {s: i for i, s in enumerate(generators)}
 
     def step(u, w):
         e = simplex((u, w))
@@ -510,14 +503,8 @@ def pi1_presentation(K, basepoint):
             return None
         return (symbols[e], 1 if (u, w) == e else -1)
 
-    relators = []
-    seen = set()
-    for t in K.sorted_triangles:
-        a, b, c = t
-        word = [s for s in (step(a, b), step(b, c), step(c, a)) if s is not None]
-        word = free_reduce(word)
-        key = _canonical_cyclic_key(cyclic_reduce(word), index)
-        if key and key not in seen:
-            seen.add(key)
-            relators.append(Relator(tuple(word), "tri"))
-    return Presentation(generators, tuple(relators))
+    words = (
+        ([s for s in (step(a, b), step(b, c), step(c, a)) if s is not None], "tri")
+        for a, b, c in K.sorted_triangles
+    )
+    return Presentation(generators, _distinct_relators(words, generators))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from stabpres import armstrong, homotopy
 from stabpres.actions import Permutation, refine_action, build_quotient
 from stabpres.armstrong import (
     StabilizerLetter,
@@ -161,3 +162,30 @@ def test_express_is_homomorphic_on_cosets(f2):
         for h in elems:
             combined = words[g] * words[h]
             assert coset(combined) == coset(words[g * h])
+
+
+def test_express_replays_the_contraction_log_once(f3, monkeypatch):
+    """contract_loop replay-checks its log and the lift replays it once more:
+    at most two apply_move calls per move, whatever the log length."""
+    calls = []
+    logs = []
+    apply_move, contract_loop = homotopy.apply_move, armstrong.contract_loop
+
+    def counting_apply_move(*args):
+        calls.append(args)
+        return apply_move(*args)
+
+    def recording_contract_loop(*args, **kwargs):
+        logs.append(contract_loop(*args, **kwargs))
+        return logs[-1]
+
+    monkeypatch.setattr(homotopy, "apply_move", counting_apply_move)
+    monkeypatch.setattr(armstrong, "contract_loop", recording_contract_loop)
+    A, Q = f3.action, f3.quotient
+    basepoint = min(A.complex.vertices)
+    for g in A.group.elements:
+        calls.clear()
+        word = armstrong_express(A, Q, basepoint, g)
+        assert psi_evaluate(word, A.group.identity) == g
+        assert len(calls) <= 2 * len(logs[-1].moves)
+    assert max(len(log.moves) for log in logs) >= 3

@@ -290,23 +290,38 @@ def test_env_budget(fixture_dir, capsys, monkeypatch):
 # sha256 digests of the JSON reports (stdout, or stderr for the failing
 # validate runs), pinned so that refactors can be checked for unchanged
 # output mechanically.
-_DIGESTS = [
-    ("present", "f1", 0, "out", "2e79e87e80760752ba86459f0485a30a16b325eaaca2f2197848dafa2cbfaec6"),
-    ("verify", "f1", 0, "out", "7b43c88fb00fd043b497fbfd8b9539cecac8f1e3ca48bd9a396d9e979b9aaa1f"),
-    ("quotient", "f1", 0, "out", "1c728ed3ba2740e69d449239e94559dc76893050717b221df2a7b7064533f1b3"),
-    ("abelianize", "f1", 0, "out", "3991ea18801ecd12d27e06337c067006707ba26b29e4d1a389dbff55e5e96e9b"),
-    ("present", "f2", 0, "out", "9208e4f76ecca6670179b6b39ec27080e47f8383a79a8fb103ca62b42caec544"),
-    ("verify", "f2", 0, "out", "ee4dd21c22c3a12f0b4d37f3d7433231cfb5d3e84d86f927bb47f535f83315b6"),
-    ("quotient", "f2", 0, "out", "75d713ba7eb838dd082ce4ecab5facdb5b8497eb0e49b3cc750a5158cac25528"),
-    ("abelianize", "f2", 0, "out", "3991ea18801ecd12d27e06337c067006707ba26b29e4d1a389dbff55e5e96e9b"),
-    ("validate", "f4", 1, "err", "61bd74765549395388a4b8d3ebd86581ca845d76b99f47739842df0a11c5c0a1"),
-    ("validate", "f5", 1, "err", "179a2cb040cc8ca2baa231a33f494d3679c73ec86104892462a3edf63e753fdb"),
+_DIGESTS = [  # command, fixture, extra arguments, exit code, stream, sha256
+    ("present", "f1", (), 0, "out", "2e79e87e80760752ba86459f0485a30a16b325eaaca2f2197848dafa2cbfaec6"),
+    ("verify", "f1", (), 0, "out", "7b43c88fb00fd043b497fbfd8b9539cecac8f1e3ca48bd9a396d9e979b9aaa1f"),
+    ("quotient", "f1", (), 0, "out", "1c728ed3ba2740e69d449239e94559dc76893050717b221df2a7b7064533f1b3"),
+    ("abelianize", "f1", (), 0, "out", "3991ea18801ecd12d27e06337c067006707ba26b29e4d1a389dbff55e5e96e9b"),
+    ("present", "f2", (), 0, "out", "9208e4f76ecca6670179b6b39ec27080e47f8383a79a8fb103ca62b42caec544"),
+    ("verify", "f2", (), 0, "out", "ee4dd21c22c3a12f0b4d37f3d7433231cfb5d3e84d86f927bb47f535f83315b6"),
+    ("quotient", "f2", (), 0, "out", "75d713ba7eb838dd082ce4ecab5facdb5b8497eb0e49b3cc750a5158cac25528"),
+    ("abelianize", "f2", (), 0, "out", "3991ea18801ecd12d27e06337c067006707ba26b29e4d1a389dbff55e5e96e9b"),
+    ("validate", "f4", (), 1, "err", "61bd74765549395388a4b8d3ebd86581ca845d76b99f47739842df0a11c5c0a1"),
+    ("validate", "f5", (), 1, "err", "179a2cb040cc8ca2baa231a33f494d3679c73ec86104892462a3edf63e753fdb"),
+    ("express", "f1", ("-g", "(a b)"), 0, "out", "b676dbe0b638d04c55e2d7f0bdb6abd4ae72b9153a166c6e508c7926eca95dd0"),
+    ("express", "f2", ("-g", "(1 2)"), 0, "out", "9eeee08d7a9f7655a184c56b186bbe6043dcb69c5a3ca62752c93bbe685c6e3b"),
+    ("express", "f3", ("-g", "(p1 p2 m1 m2)", "--seed", "0"), 0, "out", "c2434a7d0ed849db2bea2926228aad39dfcc184d733acd623f4717d85ecd00c9"),
+    ("express", "f3", ("-g", "(p1 p2 m1 m2)", "--seed", "3"), 0, "out", "2a42ed0140d5201ad4d6fa5b90a6988165b5d4a9c700052b86bc88a90eec9d72"),
 ]
 
 
-@pytest.mark.parametrize("command, fixture, exit_code, stream, digest", _DIGESTS)
-def test_json_output_digest(fixture_dir, capsys, clean_env, command, fixture, exit_code, stream, digest):
-    code, out, err = run(capsys, command, str(fixture_dir / f"{fixture}.json"), "--format", "json")
+def _digest_id(row):
+    command, fixture, _extra, exit_code, stream, digest = row
+    return f"{command}-{fixture}-{exit_code}-{stream}-{digest}"
+
+
+@pytest.mark.parametrize(
+    "command, fixture, extra, exit_code, stream, digest", _DIGESTS, ids=map(_digest_id, _DIGESTS)
+)
+def test_json_output_digest(
+    fixture_dir, capsys, clean_env, command, fixture, extra, exit_code, stream, digest
+):
+    code, out, err = run(
+        capsys, command, str(fixture_dir / f"{fixture}.json"), *extra, "--format", "json"
+    )
     reported, silent = (out, err) if stream == "out" else (err, out)
     assert code == exit_code and silent == ""
     assert hashlib.sha256(reported.encode()).hexdigest() == digest

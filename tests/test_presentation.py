@@ -258,3 +258,11 @@ def test_pi1_requires_connected():
     K = SimplicialComplex(frozenset({"a", "b"}), frozenset(), frozenset())
     with pytest.raises(Disconnected):
         pi1_presentation(K, "a")
+
+
+def test_tc_accepts_repeated_and_empty_relators(f1):
+    # the builders never emit either; the enumerator scans relators as given
+    P = f1.presentation
+    padded = Presentation(P.generators, P.relators + (P.relators[0], Relator((), "mult")))
+    T = todd_coxeter(padded)
+    assert (T.status, T.order) == ("complete", 2)
