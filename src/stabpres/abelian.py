@@ -23,7 +23,6 @@ colimit_H1(A, Q) == group_abelianization(G).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .actions import close_under_product, edge_stabilizer, stabilizer, transporter
@@ -277,9 +276,6 @@ class AbelianInvariants:
 
     def to_json_obj(self):
         return {"rank": self.rank, "torsion": list(self.torsion)}
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
 def boundary_matrices(K):

@@ -21,7 +21,6 @@ pivot vertices, form a word whose evaluation is exactly g.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
@@ -68,9 +67,6 @@ class StabilizerWord:
 
     def to_json_obj(self):
         return [l.to_json_obj() for l in self.letters]
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2)
 
     def __str__(self):
         return " . ".join(f"{l.element.cycle_string()}@{l.vertex}" for l in self.letters) or "1"

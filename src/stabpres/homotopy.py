@@ -21,7 +21,6 @@ per-step deletions and the induced boundary MoveLog.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
@@ -80,9 +79,6 @@ class MoveLog:
             "moves": [m.to_json_obj() for m in self.moves],
         }
 
-    def to_json(self):
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2)
-
 
 def move_log_from_json_obj(obj, K):
     try:
@@ -129,19 +125,20 @@ def default_budget(loop_len):
 
 
 def contract_loop(K, loop, basepoint, budget=None, seed=0):
-    """Find a move log taking the loop to the constant loop at its basepoint.
+    """Find a move log taking an EdgePath loop to the constant loop at its
+    basepoint.
 
-    Iterative-deepening search over move sequences; moves are tried in
-    canonical order (backtrack deletes by position, then triangle inserts
-    by position and apex) unless a nonzero seed shuffles candidate order.
-    Triangle inserts are tried only on loops of at most 3 * len(loop) + 8
-    vertices.  The returned log is replay-verified.  Raises BudgetExhausted
-    when no log of length <= budget exists under that cap.
+    Iterative-deepening depth-first search over loops as vertex tuples,
+    with a fresh memo of the best remaining depth per loop at each depth
+    limit.  Each loop's successors are (move, next loop) pairs of plain
+    tuples in canonical order (backtrack deletes by position, then
+    triangle inserts by position and apex) unless a nonzero seed shuffles
+    them; `Move`s are built only for the returned log.  Triangle inserts
+    are tried only on loops of at most 3 * len(loop) + 8 vertices.  The
+    returned log is replay-verified.  Raises BudgetExhausted when no log
+    of length <= budget exists under that cap.
     """
-    if not isinstance(loop, EdgePath):
-        loop = validate_path(K, loop)
-    else:
-        validate_path(K, loop.vertices)
+    start = validate_path(K, loop.vertices).vertices
     if not loop.is_loop() or loop.start != basepoint:
         raise IllegalMove(f"not a loop based at {basepoint!r}")
     if budget is None:
@@ -150,56 +147,45 @@ def contract_loop(K, loop, basepoint, budget=None, seed=0):
     rng = random.Random(seed) if seed else None
     apexes = K.edge_apexes
     target = (basepoint,)
-    start = tuple(loop.vertices)
 
-    def candidates(state):
-        out = []
+    def successors(state):
         n = len(state)
-        for i in range(n - 2):
-            if state[i] == state[i + 2] and state[i + 1] != basepoint:
-                out.append(Move(BACK, i))
+        out = [
+            ((BACK, i), state[: i + 1] + state[i + 3 :])
+            for i in range(n - 2)
+            if state[i] == state[i + 2] and state[i + 1] != basepoint
+        ]
         if n <= max_len:  # n-1 edges now, +1 after an insert
             for i in range(n - 1):
-                e = simplex((state[i], state[i + 1]))
-                for y in apexes.get(e, ()):
-                    out.append(Move(TRI, i, y))
+                a, b = state[i], state[i + 1]
+                head, tail = state[: i + 1], state[i + 1 :]
+                for y in apexes[(a, b) if a < b else (b, a)]:
+                    out.append(((TRI, i, y), head + (y,) + tail))
         if rng is not None:
             rng.shuffle(out)
         return out
 
-    def child(state, m):
-        i = m.pos
-        if m.kind == BACK:
-            return state[: i + 1] + state[i + 3 :]
-        return state[: i + 1] + (m.apex,) + state[i + 1 :]
+    def dfs(state, remaining, visited):
+        if state == target:
+            return []
+        # each backtrack delete removes 2 of the len(state)-1 edges, so even
+        # an all-delete finish needs ceil((n-1)/2) == n//2 moves
+        if len(state) // 2 > remaining or visited.get(state, -1) >= remaining:
+            return None
+        visited[state] = remaining
+        for move, nxt in successors(state):
+            found = dfs(nxt, remaining - 1, visited)
+            if found is not None:
+                return [move] + found
+        return None
 
     for limit in range(budget + 1):
-        visited = {}
-        found = _dfs(start, target, limit, candidates, child, visited)
+        found = dfs(start, limit, {})
         if found is not None:
-            log = MoveLog(loop, tuple(found))
-            states = log.replay(K)
-            assert states[-1].vertices == target, "contraction replay failed"
+            log = MoveLog(loop, tuple(Move(*m) for m in found))
+            assert log.final_loop(K).vertices == target, "contraction replay failed"
             return log
     raise BudgetExhausted(budget)
-
-
-def _dfs(state, target, remaining, candidates, child, visited):
-    if state == target:
-        return []
-    # each backtrack delete removes 2 edges; a perfect all-delete finish
-    # still needs ceil(length/2) moves
-    lb = (len(state)) // 2  # len(state)-1 edges; ceil((n-1)/2) == n//2
-    if lb > remaining:
-        return None
-    if visited.get(state, -1) >= remaining:
-        return None
-    visited[state] = remaining
-    for m in candidates(state):
-        sub = _dfs(child(state, m), target, remaining - 1, candidates, child, visited)
-        if sub is not None:
-            return [m] + sub
-    return None
 
 
 # ---------------------------------------------------------------------------

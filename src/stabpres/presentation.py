@@ -118,10 +118,16 @@ def free_reduce(word):
 
 
 def cyclic_reduce(word):
-    word = list(free_reduce(word))
-    while len(word) >= 2 and word[0][0] == word[-1][0] and word[0][1] == -word[-1][1]:
-        word = word[1:-1]
-    return tuple(word)
+    return _strip_cancelling_ends(free_reduce(word))
+
+
+def _strip_cancelling_ends(word):
+    """The cyclic reduction of a freely reduced word."""
+    lo, hi = 0, len(word) - 1
+    while lo < hi and word[lo][0] == word[hi][0] and word[lo][1] == -word[hi][1]:
+        lo += 1
+        hi -= 1
+    return word[lo : hi + 1]
 
 
 def _canonical_cyclic_key(word, index):
@@ -147,7 +153,7 @@ def _distinct_relators(tagged_words, generators):
     seen = set()
     for word, tag in tagged_words:
         word = free_reduce(word)
-        key = _canonical_cyclic_key(cyclic_reduce(word), index)
+        key = _canonical_cyclic_key(_strip_cancelling_ends(word), index)
         if key and key not in seen:
             seen.add(key)
             relators.append(Relator(word, tag))
@@ -243,6 +249,10 @@ class CosetTable:
         return coset
 
 
+class _CosetBoundHit(Exception):
+    """Raised by `todd_coxeter`'s define step when max_cosets is reached."""
+
+
 def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     """Enumerate cosets of the trivial subgroup in the presented group.
 
@@ -269,19 +279,14 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
             parent[k], k = r, parent[k]
         return r
 
-    exhausted = False
-
     def define(alpha, x):
-        nonlocal exhausted
         if len(table) >= max_cosets:
-            exhausted = True
-            return -1
+            raise _CosetBoundHit
         beta = len(table)
         table.append([-1] * width)
         parent.append(beta)
         table[alpha][x] = beta
         table[beta][x ^ 1] = alpha
-        return beta
 
     def merge(a, b, queue):
         a, b = rep(a), rep(b)
@@ -325,38 +330,35 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
             if i > j:
                 if f != b:
                     coincidence(f, b)
-                return True
+                return
             while j >= i and table[b][word[j] ^ 1] != -1:
                 b = table[b][word[j] ^ 1]
                 j -= 1
             if j < i:
                 coincidence(f, b)
-                return True
+                return
             if j == i:
                 table[f][word[i]] = b
                 table[b][word[i] ^ 1] = f
-                return True
-            if define(f, word[i]) == -1:
-                return False
+                return
+            define(f, word[i])
 
     alpha = 0
-    while alpha < len(table) and not exhausted:
-        if rep(alpha) != alpha:
-            alpha += 1
-            continue
-        for w in rels:
-            if not scan_and_fill(alpha, w):
-                break
+    try:
+        while alpha < len(table):
             if rep(alpha) != alpha:
-                break
-        if rep(alpha) == alpha and not exhausted:
-            for x in range(width):
-                if table[alpha][x] == -1:
-                    if define(alpha, x) == -1:
-                        break
-        alpha += 1
-
-    if exhausted:
+                alpha += 1
+                continue
+            for w in rels:
+                scan_and_fill(alpha, w)
+                if rep(alpha) != alpha:
+                    break
+            if rep(alpha) == alpha:
+                for x in range(width):
+                    if table[alpha][x] == -1:
+                        define(alpha, x)
+            alpha += 1
+    except _CosetBoundHit:
         return CosetTable(P.generators, (), "exhausted", bound=max_cosets)
 
     live = [k for k in range(len(table)) if rep(k) == k]

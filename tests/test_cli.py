@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from stabpres.cli import main
-from stabpres.fixtures import octahedron_boundary
+from stabpres.fixtures import octahedron_boundary, write_fixtures
+
+COMMITTED_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def run(capsys, *argv):
@@ -45,6 +48,13 @@ def test_express_flip(fixture_dir, capsys, clean_env):
     assert "word: (a b)@m" in out
     assert "psi(word): (a b)" in out
     assert "psi check: ok" in out
+
+
+def test_committed_fixtures_match_builders(tmp_path):
+    # the README examples and the benchmark read the committed files, while
+    # the suite regenerates its own; the two must not drift apart
+    for path in write_fixtures(tmp_path):
+        assert path.read_bytes() == (COMMITTED_FIXTURES / path.name).read_bytes()
 
 
 # -- validate -----------------------------------------------------------
@@ -265,6 +275,31 @@ def test_error_reports_are_json_when_requested(fixture_dir, capsys, clean_env):
     obj = json.loads(err)
     assert obj["error"] == "rotation" and obj["exit"] == 1
     assert "rotates simplex {1,2,3}" in obj["detail"]
+
+
+def test_verify_rejects_quotient_not_two_connected(fixture_dir, capsys, clean_env):
+    # the antipodal quotient is the projective plane
+    code, out, err = run(
+        capsys, "verify", str(fixture_dir / "f5.json"), "--format", "json"
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "detail": "pi1 has order 2",
+        "error": "two_connected",
+        "exit": 1,
+    }
+
+
+def test_verify_exhausted_pi1_is_a_resource_failure(fixture_dir, capsys, clean_env):
+    code, out, err = run(
+        capsys, "verify", str(fixture_dir / "f3.json"), "--max-cosets", "1", "--format", "json"
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "detail": "pi1 enumeration exhausted 1 cosets",
+        "error": "simply_connected",
+        "exit": 2,
+    }
 
 
 def test_env_max_cosets(fixture_dir, capsys, monkeypatch):

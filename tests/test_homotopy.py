@@ -1,5 +1,8 @@
 """Loop contraction moves and the disc collapse calculus."""
 
+import hashlib
+import json
+
 import pytest
 
 from stabpres.complexes import EdgePath, validate_complex, validate_path
@@ -101,6 +104,18 @@ def test_contract_respects_budget():
     assert default_budget(3) == 34
 
 
+def _log_digest(log):
+    return hashlib.sha256(json.dumps(log.to_json_obj(), sort_keys=True).encode()).hexdigest()
+
+
+SEEDED_LOG_DIGESTS = {
+    1: "cfee1f6e7729a56be927ad97561dccb17b431ccef54d826b9b09b91b73defc6a",
+    2: "cfee1f6e7729a56be927ad97561dccb17b431ccef54d826b9b09b91b73defc6a",
+    3: "b13193588e3604cd42e0f67da14fd09304cbe40d5cc1f32e0b0ea549e8fe3263",
+    4: "2af2235b8bd2a962557caca7faa746d29b95695807736d9e73b9ae0b96f19996",
+}
+
+
 def test_contract_is_deterministic_per_seed():
     K = solid_triangle()
     loop = validate_path(K, ["1", "2", "1", "3", "2", "3", "1"])
@@ -110,6 +125,39 @@ def test_contract_is_deterministic_per_seed():
     for seed in range(5):
         log = contract_loop(K, loop, "1", seed=seed)
         assert log.final_loop(K).vertices == ("1",)
+        if seed in SEEDED_LOG_DIGESTS:
+            assert _log_digest(log) == SEEDED_LOG_DIGESTS[seed]
+
+
+# sha256 of each unseeded disc-boundary log, pinned so that changes to the
+# search can be checked for unchanged logs mechanically
+DISC_LOG_DIGESTS = {
+    (4, 0): "17521905f5f9ab9a38c2f4fbbd4a0df363f8d17b6370273b4036f0f3e3f2a26a",
+    (4, 1): "63a2ee2801dc5ed16c9d339570ae78481c76342c0de941c5e5ff04101011b3af",
+    (4, 2): "63a2ee2801dc5ed16c9d339570ae78481c76342c0de941c5e5ff04101011b3af",
+    (4, 3): "63a2ee2801dc5ed16c9d339570ae78481c76342c0de941c5e5ff04101011b3af",
+    (5, 0): "c53e5b6ef54549937811fc84e76d48983e29c81f9ee309a6959cee9518bec57b",
+    (5, 1): "665f63ab6969f1c4218786883f66a95c937b0c6c11c898ebad2b01df12bcaa33",
+    (5, 2): "665f63ab6969f1c4218786883f66a95c937b0c6c11c898ebad2b01df12bcaa33",
+    (5, 3): "665f63ab6969f1c4218786883f66a95c937b0c6c11c898ebad2b01df12bcaa33",
+    (6, 0): "de5cf9de1095f310a06035b8e5e21241ae5c24c683c12c2cc3f6d9e3229c8feb",
+    (6, 1): "247d73886aaa1c07a32c50d3cd1a384b37765d569d7cc88786411a1db9c04f38",
+    (6, 2): "2fbe9896c09ab17f7c8753b09697f203db36df64eddf8103cdc2c180247b975b",
+    (6, 3): "247d73886aaa1c07a32c50d3cd1a384b37765d569d7cc88786411a1db9c04f38",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(DISC_LOG_DIGESTS))
+def test_contract_disc_boundary_is_shortest(n, seed):
+    # the n-2 triangle boundaries form a basis of the disc's cycle space, so
+    # a log needs at least n-2 inserts, and 2 * back - tri == n gives 2n-3;
+    # these searches also reach the memo prune
+    disc = random_nondegenerate_disc(n, seed)
+    log = contract_loop(disc.complex, disc.boundary, disc.basepoint)
+    assert log.final_loop(disc.complex).vertices == (disc.basepoint,)
+    assert len(log.moves) == 2 * n - 3
+    assert len(collapse_disc(disc).boundary_log.moves) == 2 * n - 3
+    assert _log_digest(log) == DISC_LOG_DIGESTS[(n, seed)]
 
 
 def test_contract_hexagon_loop_fails_fast():
