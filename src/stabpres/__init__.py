@@ -109,7 +109,6 @@ from .homotopy import (
 )
 from .presentation import (
     CosetTable,
-    GenSymbol,
     Presentation,
     Relator,
     TheoremCertificate,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .actions import close_under_product, edge_stabilizer, stabilizer, transporter
 from .complexes import simplex
 from .errors import PreconditionUnvalidated
-from .presentation import GenSymbol, pi1_presentation, todd_coxeter
+from .presentation import pi1_presentation, todd_coxeter
 
 PI1_BOUND = 10_000
 
@@ -479,11 +479,8 @@ class AbelianizedWords:
 
     def exponent_vector(self, word):
         vec = [0] * len(self.V)
-        for letter in word.letters:
-            if letter.element.is_identity():
-                continue
-            sym = GenSymbol(letter.element, letter.vertex)
-            vec[self.column[self.P.gen_index[sym]]] += 1
+        for letter in word.normalize().letters:
+            vec[self.column[self.P.gen_index[letter]]] += 1
         return vec
 
     def image(self, word):

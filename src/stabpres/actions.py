@@ -1,10 +1,13 @@
 """Finite permutation groups acting simplicially on a complex.
 
-Permutations are immutable maps on the complex's vertex set.  Groups are
+Permutations are immutable maps on the complex's sorted vertex tuple,
+stored as index tuples: position i holds the position of the image of
+vertex i, and one vertex-to-position dict is shared by all products.
+This module is the only one that knows that format.  Groups are
 enumerated exhaustively (everything here is desk scale; the cap guards
 against runaway input).  The canonical order on group elements is the
-lexicographic order of image tuples over the sorted vertex list; the
-identity always sorts first under it.
+lexicographic order of index tuples, which is the order of image-name
+tuples over the sorted vertex list; the identity always sorts first.
 
 The quotient of an action is the complex whose simplices are the orbits.
 That only makes sense when the action is "without rotations" (a setwise
@@ -42,26 +45,29 @@ GROUP_CAP = 100_000
 
 
 class Permutation:
-    """A bijection of a fixed vertex domain, stored as an image tuple."""
+    """A bijection of a sorted vertex domain: `perm[i]` is the position of
+    the image of `domain[i]`, and the vertex-to-position dict `index` is
+    shared by reference with every product and inverse."""
 
-    __slots__ = ("domain", "images", "_map", "_hash")
+    __slots__ = ("domain", "index", "perm", "_hash")
 
-    def __init__(self, domain, images):
+    def __init__(self, domain, index, perm):
         self.domain = domain
-        self.images = images
-        self._map = dict(zip(domain, images))
-        self._hash = hash((domain, images))
+        self.index = index
+        self.perm = perm
+        self._hash = hash(perm)
 
     @classmethod
     def identity(cls, domain):
-        return cls(domain, domain)
+        return cls.from_mapping(domain, {})
 
     @classmethod
     def from_mapping(cls, domain, mapping):
         images = tuple(mapping.get(v, v) for v in domain)
         if sorted(images) != list(domain):
             raise NotABijection(f"images {images} do not permute the domain")
-        return cls(domain, images)
+        index = {v: i for i, v in enumerate(domain)}
+        return cls(domain, index, tuple(map(index.__getitem__, images)))
 
     @classmethod
     def from_cycles(cls, domain, cycles):
@@ -80,55 +86,58 @@ class Permutation:
         return cls.from_mapping(domain, mapping)
 
     def __call__(self, v):
-        return self._map[v]
+        try:
+            return self.domain[self.perm[self.index[v]]]
+        except (KeyError, TypeError):
+            raise UnknownVertex(v) from None
 
     def apply(self, s):
         """Image of a simplex (sorted tuple in, sorted tuple out)."""
-        return simplex(self._map[v] for v in s)
+        d, p, index = self.domain, self.perm, self.index
+        return simplex(d[p[index[v]]] for v in s)
 
     def __mul__(self, other):
         # (a * b)(x) = a(b(x)): right factor acts first.
-        return Permutation(self.domain, tuple(self._map[v] for v in other.images))
+        perm = tuple(map(self.perm.__getitem__, other.perm))
+        return Permutation(self.domain, self.index, perm)
 
     def inverse(self):
-        inv = {w: v for v, w in self._map.items()}
-        return Permutation(self.domain, tuple(inv[v] for v in self.domain))
+        p = self.perm
+        inv = tuple(sorted(range(len(p)), key=p.__getitem__))
+        return Permutation(self.domain, self.index, inv)
 
     def is_identity(self):
-        return self.images == self.domain
+        return self.perm == tuple(range(len(self.perm)))
 
     def cycles(self):
         """Disjoint cycles (fixed points omitted), canonically ordered."""
+        d, p = self.domain, self.perm
         seen = set()
         out = []
-        for v in self.domain:
-            if v in seen or self._map[v] == v:
+        for i in range(len(p)):
+            if i in seen or p[i] == i:
                 continue
-            cyc = [v]
-            seen.add(v)
-            w = self._map[v]
-            while w != v:
-                cyc.append(w)
-                seen.add(w)
-                w = self._map[w]
+            cyc = []
+            j = i
+            while j not in seen:
+                seen.add(j)
+                cyc.append(d[j])
+                j = p[j]
             out.append(tuple(cyc))
         return out
 
     def cycle_string(self):
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycs)
+        return "".join("(" + " ".join(str(v) for v in c) + ")" for c in self.cycles()) or "()"
 
     def __eq__(self, other):
         return (
             isinstance(other, Permutation)
+            and self.perm == other.perm
             and self.domain == other.domain
-            and self.images == other.images
         )
 
     def __lt__(self, other):
-        return self.images < other.images
+        return self.perm < other.perm
 
     def __hash__(self):
         return self._hash
@@ -174,7 +183,7 @@ def close_under_product(domain, perms, cap=GROUP_CAP):
                     elements.add(q)
                     nxt.append(q)
         frontier = nxt
-    return tuple(sorted(elements, key=lambda p: p.images))
+    return tuple(sorted(elements))
 
 
 class PermGroup:
@@ -218,13 +227,10 @@ class GroupAction:
 def validate_simplicial_action(K, generators, cap=GROUP_CAP):
     """Check each generator is a simplicial automorphism; enumerate the group."""
     domain = K.sorted_vertices
-    perms = []
-    for g in generators:
-        if not isinstance(g, Permutation):
-            g = Permutation.from_mapping(domain, g)
+    perms = list(generators)
+    for g in perms:
         if g.domain != domain:
             raise NotABijection("generator domain differs from complex vertices")
-        perms.append(g)
     for g in perms:
         for e in K.sorted_edges:
             if g.apply(e) not in K.edges:

@@ -5,13 +5,14 @@ basepoint v:
 
   1. take any edge path in the complex from v to g(v);
   2. project it to a loop in the quotient and contract that loop by
-     elementary moves (`homotopy.contract_loop`);
-  3. lift each move back upstairs.  A triangle insert lifts to a choice
-     of apex over the inserted vertex (contributing nothing).  A
-     backtrack delete has a lifted window x1 - p - x1' with both edges
-     in one orbit; swinging around the pivot p by the stabilizer element
-     h with h(x1') = x1 replaces the tail of the lifted path by its
-     h-image and deletes the window.
+     elementary moves (`homotopy.search_contraction`);
+  3. replay the log once and lift each move back upstairs, checking that
+     each lifted path projects onto the replayed loop.  A triangle
+     insert lifts to a choice of apex over the inserted vertex
+     (contributing nothing).  A backtrack delete has a lifted window
+     x1 - p - x1' with both edges in one orbit; swinging around the
+     pivot p by the stabilizer element h with h(x1') = x1 replaces the
+     tail of the lifted path by its h-image and deletes the window.
 
 The lifted path shrinks with the loop and ends back at the basepoint,
 so the recorded swing elements compose against g to a final basepoint
@@ -34,12 +35,13 @@ from .errors import (
     PreconditionUnvalidated,
     UnknownVertex,
 )
-from .homotopy import TRI, contract_loop
+from .homotopy import TRI, search_contraction
 
 
 @dataclass(frozen=True)
 class StabilizerLetter:
-    """One word letter: a group element tagged with a vertex it fixes."""
+    """A group element tagged with a vertex it fixes: a word letter, and a
+    generator `g@v` of the stabilizer presentation."""
 
     element: Permutation
     vertex: object
@@ -47,6 +49,10 @@ class StabilizerLetter:
     def __post_init__(self):
         if self.element(self.vertex) != self.vertex:
             raise LetterInvariantViolated(self.element.cycle_string(), self.vertex)
+
+    @property
+    def name(self):
+        return f"{self.element.cycle_string()}@{self.vertex}"
 
     def to_json_obj(self):
         return {
@@ -69,7 +75,7 @@ class StabilizerWord:
         return [l.to_json_obj() for l in self.letters]
 
     def __str__(self):
-        return " . ".join(f"{l.element.cycle_string()}@{l.vertex}" for l in self.letters) or "1"
+        return " . ".join(l.name for l in self.letters) or "1"
 
 
 def word_from_json_obj(obj, A):
@@ -179,7 +185,7 @@ def armstrong_express(A, Q, basepoint, g, seed=0, budget=None):
 
     path = find_path(A.complex, basepoint, g(basepoint), seed=path_seed)
     base_loop = EdgePath(Q.project_path(path.vertices))
-    log = contract_loop(
+    log = search_contraction(
         Q.quotient, base_loop, Q.projection[basepoint], budget=budget, seed=contraction_seed
     )
     letters = []

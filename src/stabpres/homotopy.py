@@ -11,8 +11,9 @@ These are the boundary traces of the two collapses of a disc spanning
 the loop (a two-dimensional collapse pushes a boundary edge across its
 triangle; a one-dimensional collapse retracts a boundary spur), so a
 loop contracts to the constant loop exactly when it spans a disc.
-`contract_loop` finds a move log by iterative-deepening search and
-replay-verifies it before returning; no disc is ever constructed.
+`search_contraction` finds a move log by iterative-deepening search and
+`contract_loop` replay-verifies it before returning; no disc is ever
+constructed.
 
 `collapse_disc` is the disc side of the same calculus: it collapses an
 explicit (possibly degenerate) disc to its basepoint, emitting both the
@@ -91,7 +92,7 @@ def move_log_from_json_obj(obj, K):
                 moves.append(Move(BACK, int(m["pos"])))
             else:
                 raise MalformedInput(f"unknown move kind {m['kind']!r}")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad move log: {exc}") from exc
     return MoveLog(initial, tuple(moves))
 
@@ -125,6 +126,13 @@ def default_budget(loop_len):
 
 
 def contract_loop(K, loop, basepoint, budget=None, seed=0):
+    """`search_contraction`'s move log, replay-verified before it is returned."""
+    log = search_contraction(K, loop, basepoint, budget, seed)
+    assert log.final_loop(K).vertices == (basepoint,), "contraction replay failed"
+    return log
+
+
+def search_contraction(K, loop, basepoint, budget=None, seed=0):
     """Find a move log taking an EdgePath loop to the constant loop at its
     basepoint.
 
@@ -135,8 +143,9 @@ def contract_loop(K, loop, basepoint, budget=None, seed=0):
     triangle inserts by position and apex) unless a nonzero seed shuffles
     them; `Move`s are built only for the returned log.  Triangle inserts
     are tried only on loops of at most 3 * len(loop) + 8 vertices.  The
-    returned log is replay-verified.  Raises BudgetExhausted when no log
-    of length <= budget exists under that cap.
+    log is not replayed here: callers replay it once (`contract_loop`,
+    `armstrong_express`).  Raises BudgetExhausted when no log of length
+    <= budget exists under that cap.
     """
     start = validate_path(K, loop.vertices).vertices
     if not loop.is_loop() or loop.start != basepoint:
@@ -182,9 +191,7 @@ def contract_loop(K, loop, basepoint, budget=None, seed=0):
     for limit in range(budget + 1):
         found = dfs(start, limit, {})
         if found is not None:
-            log = MoveLog(loop, tuple(Move(*m) for m in found))
-            assert log.final_loop(K).vertices == target, "contraction replay failed"
-            return log
+            return MoveLog(loop, tuple(Move(*m) for m in found))
     raise BudgetExhausted(budget)
 
 

@@ -1,6 +1,8 @@
 """The canonical presentation of an acting group, and coset enumeration.
 
-Generators: one symbol per (vertex v, nonidentity element g fixing v).
+Generators: one `StabilizerLetter` g@v per vertex v and nonidentity
+element g fixing v, the letter type of the expression words, so words
+trace through coset tables and abelianized images letter by letter.
 Relators come in three families:
 
   mult  g@v . h@v . (gh)@v^-1          (per-vertex multiplication tables)
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .armstrong import armstrong_express, psi_evaluate
+from .armstrong import StabilizerLetter, armstrong_express, psi_evaluate
 from .complexes import simplex
 from .errors import (
     CertificateFailed,
@@ -40,18 +42,6 @@ from .errors import (
 from .actions import edge_stabilizer, stabilizer
 
 DEFAULT_MAX_COSETS = 10**6
-
-
-@dataclass(frozen=True)
-class GenSymbol:
-    """A presentation generator: a stabilizer element tagged with its vertex."""
-
-    element: object
-    vertex: object
-
-    @property
-    def name(self):
-        return f"{self.element.cycle_string()}@{self.vertex}"
 
 
 @dataclass(frozen=True)
@@ -177,7 +167,7 @@ def build_presentation(A, Q):
         for g in stab[v]:
             if g.is_identity():
                 continue
-            s = GenSymbol(g, v)
+            s = StabilizerLetter(g, v)
             sym_of[(v, g)] = s
             generators.append(s)
     generators = tuple(generators)
@@ -385,16 +375,7 @@ def word_to_coset(T, w):
     """Trace a stabilizer word from coset 0; identity letters contribute nothing."""
     if T.status != "complete":
         raise PreconditionUnvalidated("coset table is not complete")
-    coset = 0
-    for letter in w.letters:
-        if letter.element.is_identity():
-            continue
-        sym = GenSymbol(letter.element, letter.vertex)
-        i = T.gen_index.get(sym)
-        if i is None:
-            raise UnknownSymbol(sym)
-        coset = T.table[coset][2 * i]
-    return coset
+    return T.trace(0, ((letter, 1) for letter in w.normalize().letters))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Group actions on complexes: validation, orbits, refinement, quotients."""
 
+import random
+
 import pytest
 
 from stabpres.actions import (
@@ -69,6 +71,37 @@ def test_permutation_basics():
     assert g.cycle_string() == "(a b)"
     assert e.cycle_string() == "()"
     assert Permutation.from_mapping(dom, {"a": "b", "b": "a", "m": "m"}) == g
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_permutation_matches_name_dict_reference(seed):
+    # names built in numeric order sort as v1, v10, v11, v12, v2, ...
+    names = [f"v{i}" for i in range(1, 13)]
+    dom = tuple(sorted(names))
+    assert list(dom) != names
+    rng = random.Random(seed)
+    support = rng.sample(names, 6)  # keeps the closure at most 6! = 720
+    maps = []
+    for _ in range(3):
+        images = support[:]
+        rng.shuffle(images)
+        maps.append(dict(zip(support, images)))
+    perms = [Permutation.from_mapping(dom, m) for m in maps]
+
+    def as_dict(p):
+        return {v: p(v) for v in names}
+
+    refs = [{v: m.get(v, v) for v in names} for m in maps]
+    for f, p in zip(refs, perms):
+        assert as_dict(p) == f
+        assert as_dict(p.inverse()) == {w: v for v, w in f.items()}
+        assert Permutation.from_cycles(dom, p.cycles()) == p
+        for g, q in zip(refs, perms):
+            assert as_dict(p * q) == {v: f[g[v]] for v in names}
+    elements = close_under_product(dom, perms[:2])
+    assert elements[0].is_identity()
+    assert len(set(elements)) == len(elements) <= 720
+    assert list(elements) == sorted(elements, key=lambda p: tuple(p(v) for v in dom))
 
 
 def test_permutation_rejects_nonbijection():

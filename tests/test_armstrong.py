@@ -79,6 +79,9 @@ def test_word_json_round_trip():
         word_from_json_obj({"not": "a list"}, A)
     with pytest.raises(MalformedInput):
         word_from_json_obj([{"element": [["a", "b"]]}], A)  # missing vertex
+    for vertex in ("zz", 7):
+        with pytest.raises(UnknownVertex):
+            word_from_json_obj([{"element": [["a", "b"]], "vertex": vertex}], A)
 
 
 # -- paths --------------------------------------------------------------
@@ -165,27 +168,27 @@ def test_express_is_homomorphic_on_cosets(f2):
 
 
 def test_express_replays_the_contraction_log_once(f3, monkeypatch):
-    """contract_loop replay-checks its log and the lift replays it once more:
-    at most two apply_move calls per move, whatever the log length."""
+    """The lift replays the searched log once: one apply_move call per move,
+    whatever the log length."""
     calls = []
     logs = []
-    apply_move, contract_loop = homotopy.apply_move, armstrong.contract_loop
+    apply_move, search_contraction = homotopy.apply_move, armstrong.search_contraction
 
     def counting_apply_move(*args):
         calls.append(args)
         return apply_move(*args)
 
-    def recording_contract_loop(*args, **kwargs):
-        logs.append(contract_loop(*args, **kwargs))
+    def recording_search_contraction(*args, **kwargs):
+        logs.append(search_contraction(*args, **kwargs))
         return logs[-1]
 
     monkeypatch.setattr(homotopy, "apply_move", counting_apply_move)
-    monkeypatch.setattr(armstrong, "contract_loop", recording_contract_loop)
+    monkeypatch.setattr(armstrong, "search_contraction", recording_search_contraction)
     A, Q = f3.action, f3.quotient
     basepoint = min(A.complex.vertices)
     for g in A.group.elements:
         calls.clear()
         word = armstrong_express(A, Q, basepoint, g)
         assert psi_evaluate(word, A.group.identity) == g
-        assert len(calls) <= 2 * len(logs[-1].moves)
+        assert len(calls) == len(logs[-1].moves)
     assert max(len(log.moves) for log in logs) >= 3

@@ -340,6 +340,11 @@ _DIGESTS = [  # command, fixture, extra arguments, exit code, stream, sha256
     ("express", "f2", ("-g", "(1 2)"), 0, "out", "9eeee08d7a9f7655a184c56b186bbe6043dcb69c5a3ca62752c93bbe685c6e3b"),
     ("express", "f3", ("-g", "(p1 p2 m1 m2)", "--seed", "0"), 0, "out", "c2434a7d0ed849db2bea2926228aad39dfcc184d733acd623f4717d85ecd00c9"),
     ("express", "f3", ("-g", "(p1 p2 m1 m2)", "--seed", "3"), 0, "out", "2a42ed0140d5201ad4d6fa5b90a6988165b5d4a9c700052b86bc88a90eec9d72"),
+    ("present", "f3", (), 0, "out", "16a5e8830dcf4bd987547bfc3091df586abcbe3fe1438c459382223f37c02c18"),
+    ("quotient", "f3", (), 0, "out", "fdc4119d1cd3e1fe6d5af810f1e0723ffb1f16fe62ee37fa8409b66af2fe1794"),
+    ("abelianize", "f3", (), 0, "out", "0b9884072d2ff34fff2c25ffefb71e13004f18cabe82ad04f196678de9861829"),
+    ("homology", "f3", ("-k", "1"), 0, "out", "0edfc096733f0f5134a304449941bb398be0fe3b643a82156eb33241e8262e19"),
+    ("homology", "f3", ("-k", "2"), 0, "out", "22c6e9e29aaef0073744e469dd6397db3768ae2efec019992958c1fa25b163e4"),
 ]
 
 

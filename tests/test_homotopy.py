@@ -6,7 +6,13 @@ import json
 import pytest
 
 from stabpres.complexes import EdgePath, validate_complex, validate_path
-from stabpres.errors import BadSize, BudgetExhausted, IllegalMove, NotCollapsible
+from stabpres.errors import (
+    BadSize,
+    BudgetExhausted,
+    IllegalMove,
+    MalformedInput,
+    NotCollapsible,
+)
 from stabpres.fixtures import cycle_complex, interval_complex, solid_triangle
 from stabpres.homotopy import (
     BACK,
@@ -69,6 +75,14 @@ def test_move_log_json_round_trip():
     assert [s.vertices for s in back.replay(K)] == [s.vertices for s in log.replay(K)]
     assert back.final_loop(K).vertices == ("1",)
     assert back.move_counts() == (1, 2)
+
+
+@pytest.mark.parametrize("pos", [None, "x"])
+def test_move_log_rejects_non_integer_position(pos):
+    K = solid_triangle()
+    obj = {"initial": ["1", "2", "1"], "moves": [{"kind": BACK, "pos": pos}]}
+    with pytest.raises(MalformedInput):
+        move_log_from_json_obj(obj, K)
 
 
 # -- loop contraction ---------------------------------------------------

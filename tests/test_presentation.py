@@ -9,7 +9,6 @@ from stabpres.armstrong import StabilizerLetter, StabilizerWord
 from stabpres.errors import CertificateFailed, Disconnected, UnknownSymbol
 from stabpres.fixtures import cycle_complex, f5_antipodal, solid_triangle
 from stabpres.presentation import (
-    GenSymbol,
     Presentation,
     Relator,
     cyclic_reduce,
