@@ -81,15 +81,21 @@ class MoveLog:
         }
 
 
+def _position(m):
+    if type(m["pos"]) is not int:  # not int(): it truncates 2.5 and accepts true and "0"
+        raise MalformedInput(f"bad move log: position {m['pos']!r} is not an integer")
+    return m["pos"]
+
+
 def move_log_from_json_obj(obj, K):
     try:
         initial = validate_path(K, obj["initial"])
         moves = []
         for m in obj["moves"]:
             if m["kind"] == TRI:
-                moves.append(Move(TRI, int(m["pos"]), m["apex"]))
+                moves.append(Move(TRI, _position(m), m["apex"]))
             elif m["kind"] == BACK:
-                moves.append(Move(BACK, int(m["pos"])))
+                moves.append(Move(BACK, _position(m)))
             else:
                 raise MalformedInput(f"unknown move kind {m['kind']!r}")
     except (KeyError, TypeError, ValueError) as exc:

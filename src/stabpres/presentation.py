@@ -14,8 +14,10 @@ Every relator evaluates to the identity under psi by construction;
 is given.  Both builders share one relator normaliser, so the enumerator
 scans relators as given.  `todd_coxeter` enumerates cosets of the
 trivial subgroup relator-first (scan-and-fill with full coincidence
-processing, lowest undefined entry defined first); a Complete(n) table
-certifies the presented group has order n.  `verify_theorem` combines
+processing, lowest undefined entry defined first) until every live row
+is full, then one closure sweep composes each relator over the generator
+columns: it is both the stopping test and the proof, so a Complete(n)
+table certifies the presented group has order n.  `verify_theorem` combines
 that with an exhaustive surjectivity check to certify the presented
 group is the acting group.
 
@@ -247,11 +249,12 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     """Enumerate cosets of the trivial subgroup in the presented group.
 
     Returns a CosetTable with status "complete" (order = group order) or
-    "exhausted" (more than max_cosets would be needed).  One pass
-    (HLT: scan every relator at each live coset, then fill its row)
-    finishes the table; the standardized table is then checked once
-    before returning: every generator column is a permutation and every
-    relator closes at every coset.
+    "exhausted" (more than max_cosets would be needed).  HLT (scan every
+    relator at each live coset, then fill its row) stops once every live
+    row is full.  One sweep of the standardized table then finishes and
+    proves it: every column is a permutation and every relator, composed
+    over the columns, is the identity; else the coset a relator fails to
+    close at coincides with the one it reaches, and the sweep repeats.
     """
     m = len(P.generators)
     index = P.gen_index
@@ -334,6 +337,7 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
             define(f, word[i])
 
     alpha = 0
+    full = 0  # every live row below `full` is full
     try:
         while alpha < len(table):
             if rep(alpha) != alpha:
@@ -348,27 +352,41 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
                     if table[alpha][x] == -1:
                         define(alpha, x)
             alpha += 1
+            # processed rows stay full under coincidences, so the table is
+            # complete once every live row from alpha on is full
+            full = max(full, alpha)
+            while full < len(table) and (parent[full] != full or -1 not in table[full]):
+                full += 1
+            if full == len(table):
+                break
     except _CosetBoundHit:
         return CosetTable(P.generators, (), "exhausted", bound=max_cosets)
 
-    live = [k for k in range(len(table)) if rep(k) == k]
-    renumber = {k: i for i, k in enumerate(live)}
-    final = tuple(
-        tuple(-1 if c == -1 else renumber[rep(c)] for c in table[k]) for k in live
-    )
-    n = len(live)
-    for row in final:
-        assert all(0 <= c < n for c in row), "dangling coset reference"
-    for x in range(width):
-        col = [row[x] for row in final]
-        assert sorted(col) == list(range(n)), "generator column is not a permutation"
-    for k in range(n):
+    # Definitions and deductions bound the order by n; a complete table on
+    # which every relator closes is a transitive action on n points.
+    while True:
+        live = [k for k in range(len(table)) if rep(k) == k]
+        renumber = {k: i for i, k in enumerate(live)}
+        final = tuple(
+            tuple(-1 if c == -1 else renumber[rep(c)] for c in table[k]) for k in live
+        )
+        n = len(live)
+        for row in final:
+            assert all(0 <= c < n for c in row), "dangling coset reference"
+        identity = list(range(n))
+        cols = [[row[x] for row in final] for x in range(width)]
+        for col in cols:
+            assert sorted(col) == identity, "generator column is not a permutation"
         for w in rels:
-            c = k
+            cur = identity
             for letter in w:
-                c = final[c][letter]
-            assert c == k, "relator fails to close on the finished table"
-    return CosetTable(P.generators, final, "complete", order=n)
+                cur = list(map(cols[letter].__getitem__, cur))
+            if cur != identity:
+                k = next(k for k in identity if cur[k] != k)
+                coincidence(live[cur[k]], live[k])
+                break
+        else:
+            return CosetTable(P.generators, final, "complete", order=n)
 
 
 def word_to_coset(T, w):
@@ -383,10 +401,6 @@ class TheoremCertificate:
     checks: tuple  # of (name, detail) in pass order
     group_order: int
     enumerated_order: int
-
-    @property
-    def ok(self):
-        return True
 
     def to_json_obj(self):
         return {

@@ -37,6 +37,9 @@ from stabpres.presentation import (
     word_to_coset,
 )
 
+# the certificate's checks, in pass order
+CHECKS = ["relators_psi_identity", "enumeration_complete", "order_matches", "psi_surjective"]
+
 
 def _run(number, description, budget_seconds, body):
     start = time.perf_counter()
@@ -64,7 +67,7 @@ def test_criterion_1_flip_end_to_end():
     def body():
         A, Q, P, T = _pipeline(f1_flip, 10**4)
         assert T.status == "complete" and T.order == 2 == A.group.order()
-        assert verify_theorem(A, Q, P, T).ok
+        assert [name for name, _ in verify_theorem(A, Q, P, T).checks] == CHECKS
 
     _run(1, "flip action: Complete(2) = |G|, certificate passes", 1.0, body)
 
@@ -74,7 +77,7 @@ def test_criterion_2_s3_end_to_end():
         A, Q, P, T = _pipeline(f2_s3, 10**4)
         assert len(P.generators) == 11
         assert T.status == "complete" and T.order == 6 == A.group.order()
-        assert verify_theorem(A, Q, P, T).ok
+        assert [name for name, _ in verify_theorem(A, Q, P, T).checks] == CHECKS
 
     _run(2, "S3 on the subdivided triangle: 11 generators, Complete(6)", 5.0, body)
 
@@ -83,7 +86,7 @@ def test_criterion_3_octahedral_end_to_end():
     def body():
         A, Q, P, T = _pipeline(f3_octahedral, 10**5)
         assert T.status == "complete" and T.order == 48 == A.group.order()
-        assert verify_theorem(A, Q, P, T).ok
+        assert [name for name, _ in verify_theorem(A, Q, P, T).checks] == CHECKS
 
     _run(3, "octahedral symmetry: Complete(48) within 1e5 cosets", 60.0, body)
 

@@ -77,7 +77,7 @@ def test_move_log_json_round_trip():
     assert back.move_counts() == (1, 2)
 
 
-@pytest.mark.parametrize("pos", [None, "x"])
+@pytest.mark.parametrize("pos", [None, "x", 2.5, 0.9, True, "0"])
 def test_move_log_rejects_non_integer_position(pos):
     K = solid_triangle()
     obj = {"initial": ["1", "2", "1"], "moves": [{"kind": BACK, "pos": pos}]}
