@@ -44,10 +44,9 @@ from .actions import (
     parse_cycles,
     refine_action,
     refine_action_tracked,
-    simplex_string,
+    rotation_string,
     stabilizer,
     subdivide_action,
-    transporter,
     validate_simplicial_action,
 )
 from .armstrong import (

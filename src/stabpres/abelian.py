@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import close_under_product, edge_stabilizer, stabilizer, transporter
+from .actions import all_transporters, close_under_product, edge_stabilizer, stabilizer
 from .complexes import simplex
 from .errors import PreconditionUnvalidated
 from .presentation import pi1_presentation, todd_coxeter
@@ -511,7 +511,7 @@ def colimit_H1(A, Q):
     blocks = {}
     for qv in Q.quotient.sorted_vertices:
         lift = Q.lifts((qv,))[0][0]
-        elems = [g for g in stabilizer(A, lift) if not g.is_identity()]
+        elems = stabilizer(A, lift)[1:]  # the identity comes first
         blocks[qv] = (lift, elems)
         for g in elems:
             col_of[(qv, g)] = len(columns)
@@ -535,12 +535,8 @@ def colimit_H1(A, Q):
         for x in lifted:
             qv = Q.projection[x]
             canon = blocks[qv][0]
-            t = transporter(A, A.group.elements, x, canon)
-            assert t is not None, "orbit member has no transporter to its rep"
-            ends.append((qv, t))
-        for k in edge_stabilizer(A, lifted):
-            if k.is_identity():
-                continue
+            ends.append((qv, all_transporters(A.group.elements, x, canon)[0]))
+        for k in edge_stabilizer(A, lifted)[1:]:
             row = [0] * len(columns)
             for sign, (qv, t) in zip((1, -1), ends):
                 moved = t * k * t.inverse()

@@ -8,6 +8,11 @@ enumerated exhaustively (everything here is desk scale; the cap guards
 against runaway input).  The canonical order on group elements is the
 lexicographic order of index tuples, which is the order of image-name
 tuples over the sorted vertex list; the identity always sorts first.
+Each group indexes its vertex stabilizers once, in one pass over its
+elements (`PermGroup.stabilizers`); every stabilizer query reads that
+index.  Orbits stay scans of G: their one caller, `build_quotient`, asks
+once per vertex and once per simplex orbit, so an index would add code
+without removing a repeated query.
 
 The quotient of an action is the complex whose simplices are the orbits.
 That only makes sense when the action is "without rotations" (a setwise
@@ -202,9 +207,19 @@ class PermGroup:
     def element_set(self):
         return frozenset(self.elements)
 
-    @property
+    @cached_property
     def identity(self):
         return Permutation.identity(self.domain)
+
+    @cached_property
+    def stabilizers(self):
+        """Vertex -> the elements fixing it, in canonical order (identity first)."""
+        fixers = [[] for _ in self.domain]
+        for g in self.elements:
+            for i, j in enumerate(g.perm):
+                if i == j:
+                    fixers[i].append(g)
+        return dict(zip(self.domain, map(tuple, fixers)))
 
     def order(self):
         return len(self.elements)
@@ -258,17 +273,16 @@ def check_without_rotations(A):
     return True, None
 
 
-def simplex_string(s):
-    return "{" + ",".join(str(v) for v in s) + "}"
+def rotation_string(witness):
+    """Describe a `check_without_rotations` witness (element, simplex)."""
+    g, s = witness
+    return f"{g.cycle_string()} rotates simplex {{{','.join(map(str, s))}}}"
 
 
 def mark_without_rotations(A):
     ok, witness = check_without_rotations(A)
     if not ok:
-        g, s = witness
-        raise PreconditionUnvalidated(
-            f"{g.cycle_string()} rotates simplex {simplex_string(s)}"
-        )
+        raise PreconditionUnvalidated(rotation_string(witness))
     return replace(A, validated_without_rotations=True)
 
 
@@ -287,26 +301,17 @@ def stabilizer(A, v):
     """All elements fixing the vertex, identity first, canonical order."""
     if v not in A.complex.vertices:
         raise UnknownVertex(v)
-    return tuple(g for g in A.group.elements if g(v) == v)
+    return A.group.stabilizers[v]
 
 
 def edge_stabilizer(A, e):
     """Pointwise stabilizer of an edge (= setwise, when without rotations)."""
     u, w = simplex(e)
-    return tuple(g for g in A.group.elements if g(u) == u and g(w) == w)
+    return tuple(g for g in stabilizer(A, u) if g(w) == w)
 
 
-def transporter(A, subgroup, x, y):
-    """First element of the subgroup (canonical order) sending x to y, or None."""
-    for g in subgroup:
-        if g not in A.group.element_set:
-            raise PreconditionUnvalidated(f"{g.cycle_string()} is not a group element")
-        if g(x) == y:
-            return g
-    return None
-
-
-def all_transporters(A, subgroup, x, y):
+def all_transporters(subgroup, x, y):
+    """The elements of the subgroup sending x to y, in the subgroup's order."""
     return tuple(g for g in subgroup if g(x) == y)
 
 
@@ -332,8 +337,7 @@ def refine_action_tracked(A, max_subdivisions=2):
             else:
                 break
         else:
-            g, s = witness
-            detail = f"{g.cycle_string()} rotates simplex {simplex_string(s)}"
+            detail = rotation_string(witness)
         if len(stages) == max_subdivisions:
             raise RefinementFailed(detail, max_subdivisions)
         subdivided = subdivide_action(current)

@@ -159,7 +159,7 @@ def _lift_move(A, Q, lifted, move, rng):
         return lifted[: i + 1] + (apex,) + lifted[i + 1 :], None
     x1, pivot, x1p = lifted[i], lifted[i + 1], lifted[i + 2]
     # the stabilizer lists the identity first, so x1 == x1p swings by it
-    options = all_transporters(A, stabilizer(A, pivot), x1p, x1)
+    options = all_transporters(stabilizer(A, pivot), x1p, x1)
     if not options:
         raise LiftFailed(f"no pivot stabilizer sends {x1p!r} to {x1!r}")
     h = rng.choice(options) if rng else options[0]

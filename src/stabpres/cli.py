@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 validation or certificate failure, 2 resource
 bound hit, 3 malformed input.  With --format json all reports (and
 errors, on stderr) are machine readable; identical inputs and seed give
 byte-identical output.  STABPRES_MAX_COSETS and STABPRES_BUDGET set
-default resource bounds.
+default resource bounds; a coset bound below 1 or a budget below 0 is
+malformed input.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .actions import (
     mark_without_rotations,
     parse_cycles,
     refine_action_tracked,
-    simplex_string,
+    rotation_string,
 )
 from .armstrong import armstrong_express, psi_evaluate
 from .complexes import complex_from_json_obj
@@ -85,14 +86,19 @@ def _exit_code_for(exc):
     return EXIT_INVALID
 
 
-def _env_int(name, fallback):
-    raw = os.environ.get(name)
+def _bound(value, flag, env, fallback, minimum):
+    """A resource bound from its flag, else its environment variable, else
+    the fallback; a bound below its minimum is malformed input."""
+    name, raw = (env, os.environ.get(env)) if value is None else (flag, value)
     if raw is None:
         return fallback
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError as exc:
         raise MalformedInput(f"{name} must be an integer, got {raw!r}") from exc
+    if value < minimum:
+        raise MalformedInput(f"{name} must be at least {minimum}, got {value}")
+    return value
 
 
 def _emit(report, fmt, text_lines):
@@ -135,12 +141,7 @@ def _cmd_validate(args):
     A = load_action(args.action)
     ok, witness = check_without_rotations(A)
     if not ok:
-        g, s = witness
-        _fail(
-            EXIT_INVALID,
-            "rotation",
-            f"{g.cycle_string()} rotates simplex {simplex_string(s)}",
-        )
+        _fail(EXIT_INVALID, "rotation", rotation_string(witness))
     A = replace(A, validated_without_rotations=True)
     Q = build_quotient(A)  # OrbitCollision propagates as exit 1
     _require_hypotheses(A.complex, Q.quotient, args.max_cosets)
@@ -386,10 +387,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     fmt = getattr(args, "format", "text")
     try:
-        if hasattr(args, "max_cosets") and args.max_cosets is None:
-            args.max_cosets = _env_int("STABPRES_MAX_COSETS", DEFAULT_MAX_COSETS)
-        if hasattr(args, "budget") and args.budget is None:
-            args.budget = _env_int("STABPRES_BUDGET", None)
+        if hasattr(args, "max_cosets"):
+            args.max_cosets = _bound(
+                args.max_cosets, "--max-cosets", "STABPRES_MAX_COSETS", DEFAULT_MAX_COSETS, 1
+            )
+        if hasattr(args, "budget"):
+            args.budget = _bound(args.budget, "--budget", "STABPRES_BUDGET", None, 0)
         return _COMMANDS[args.command](args)
     except _Failure as exc:
         _report_error(fmt, exc.kind, exc.detail, exc.code)

@@ -41,7 +41,7 @@ from .errors import (
     PreconditionUnvalidated,
     UnknownSymbol,
 )
-from .actions import edge_stabilizer, stabilizer
+from .actions import edge_stabilizer
 
 DEFAULT_MAX_COSETS = 10**6
 
@@ -163,12 +163,9 @@ def build_presentation(A, Q):
         raise PreconditionUnvalidated("action must be validated without rotations")
     sym_of = {}
     generators = []
-    stab = {}
+    stab = A.group.stabilizers  # each lists the identity first
     for v in A.complex.sorted_vertices:
-        stab[v] = stabilizer(A, v)
-        for g in stab[v]:
-            if g.is_identity():
-                continue
+        for g in stab[v][1:]:
             s = StabilizerLetter(g, v)
             sym_of[(v, g)] = s
             generators.append(s)
@@ -176,7 +173,7 @@ def build_presentation(A, Q):
 
     def tagged_words():
         for v in A.complex.sorted_vertices:
-            nonid = [g for g in stab[v] if not g.is_identity()]
+            nonid = stab[v][1:]
             for g, h in product(nonid, nonid):
                 k = g * h
                 word = [(sym_of[(v, g)], 1), (sym_of[(v, h)], 1)]
@@ -185,21 +182,16 @@ def build_presentation(A, Q):
                 yield word, "mult"
 
         for u, w in A.complex.sorted_edges:
-            for g in edge_stabilizer(A, (u, w)):
-                if g.is_identity():
-                    continue
+            for g in edge_stabilizer(A, (u, w))[1:]:
                 # legal precisely because pointwise = setwise stabilizers here
                 yield [(sym_of[(u, g)], 1), (sym_of[(w, g)], -1)], "edge"
 
         for v in A.complex.sorted_vertices:
-            nonid_v = [g for g in stab[v] if not g.is_identity()]
-            for g in nonid_v:
+            for g in stab[v][1:]:
                 ginv = g.inverse()
                 for w in A.complex.sorted_vertices:
                     gw = g(w)
-                    for h in stab[w]:
-                        if h.is_identity():
-                            continue
+                    for h in stab[w][1:]:
                         k = g * h * ginv
                         assert k(gw) == gw, "conjugate misses the translated vertex"
                         word = [

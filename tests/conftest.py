@@ -1,7 +1,10 @@
 """Shared pipelines: each fixture action is refined, quotiented, presented,
 and enumerated once per session."""
 
+import functools
+import importlib.util
 from collections import namedtuple
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,26 @@ import stabpres as sp
 from stabpres.fixtures import f1_flip, f2_s3, f3_octahedral
 
 Pipeline = namedtuple("Pipeline", "action quotient presentation table")
+
+# the dihedral cones come from the benchmark's own generator, so the tests
+# and the bench label their vertices the same way for the same seed
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+)
+_bench_inputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_bench_inputs)
+
+
+@functools.cache
+def _dihedral_cone(n, seed):
+    return sp.refine_action(sp.action_from_json_obj(_bench_inputs.dihedral_cone_obj(n, seed)))
+
+
+@pytest.fixture(scope="session")
+def dihedral_cone():
+    """(n, seed) -> the refined action of D_n on the cone over an n-gon,
+    its vertex labels shuffled by the seed."""
+    return _dihedral_cone
 
 
 def _pipeline(builder, max_cosets=10**5):

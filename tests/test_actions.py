@@ -23,7 +23,6 @@ from stabpres.actions import (
     refine_action_tracked,
     stabilizer,
     subdivide_action,
-    transporter,
     validate_simplicial_action,
 )
 from stabpres.errors import (
@@ -197,13 +196,10 @@ def test_orbits_and_stabilizers_flip():
 def test_transporter_flip():
     A = f1_flip()
     elems = A.group.elements
-    t = transporter(A, elems, "a", "b")
-    assert t is not None and t("a") == "b"
-    assert transporter(A, elems, "a", "m") is None
-    assert all_transporters(A, elems, "m", "m") == elems
-    outsider = Permutation.from_cycles(A.complex.sorted_vertices, [["a", "m"]])
-    with pytest.raises(PreconditionUnvalidated):
-        transporter(A, (outsider,), "a", "m")
+    (t,) = all_transporters(elems, "a", "b")
+    assert t("a") == "b"
+    assert all_transporters(elems, "a", "m") == ()
+    assert all_transporters(elems, "m", "m") == elems
 
 
 def test_edge_stabilizer_is_intersection():
@@ -211,8 +207,27 @@ def test_edge_stabilizer_is_intersection():
         A = refine_action(build())
         for e in A.complex.sorted_edges:
             u, w = e
-            expect = [g for g in stabilizer(A, u) if g(w) == w]
+            expect = [g for g in A.group.elements if g(u) == u and g(w) == w]
             assert list(edge_stabilizer(A, e)) == expect
+
+
+_ORACLE_ACTIONS = [
+    *((build.__name__, build) for build in (f1_flip, f2_s3, f3_octahedral, f5_antipodal)),
+    *((f"D{n}-cone-seed{seed}", (n, seed)) for n in (4, 6, 16) for seed in (1, 2)),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in _ORACLE_ACTIONS], ids=[i for i, _ in _ORACLE_ACTIONS])
+def test_stabilizers_match_scan_of_group(build, dihedral_cone):
+    # brute-force oracle: filter all of G, which is in canonical order
+    A = dihedral_cone(*build) if isinstance(build, tuple) else refine_action(build())
+    elems = A.group.elements
+    for v in A.complex.sorted_vertices:
+        assert stabilizer(A, v) == tuple(g for g in elems if g(v) == v)
+    for u, w in A.complex.sorted_edges:
+        expect = tuple(g for g in elems if g(u) == u and g(w) == w)
+        assert edge_stabilizer(A, (u, w)) == expect
+        assert edge_stabilizer(A, (w, u)) == expect
 
 
 # -- refinement ---------------------------------------------------------

@@ -1,5 +1,7 @@
 """Expressing group elements as stabilizer words."""
 
+import hashlib
+
 import pytest
 
 from stabpres import armstrong, homotopy
@@ -192,3 +194,18 @@ def test_express_replays_the_contraction_log_once(f3, monkeypatch):
         assert psi_evaluate(word, A.group.identity) == g
         assert len(calls) == len(logs[-1].moves)
     assert max(len(log.moves) for log in logs) >= 3
+
+
+def test_express_word_digest(f3, dihedral_cone):
+    # one sha256 over the words for every element of f3 and of the D16 cone
+    # under seeds 0, 1, 2, 3 and 99; the seeded lift choices depend on the
+    # canonical order of each stabilizer, so this pins that order too
+    digest = hashlib.sha256()
+    A16 = dihedral_cone(16, 1)
+    for A, Q in ((f3.action, f3.quotient), (A16, build_quotient(A16))):
+        basepoint = min(A.complex.vertices)
+        for g in A.group.elements:
+            for seed in (0, 1, 2, 3, 99):
+                word = armstrong_express(A, Q, basepoint, g, seed=seed)
+                digest.update(f"{word}\n".encode())
+    assert digest.hexdigest() == "e316c32694fdf277963db55478b6965cca5c95b4cccde1482cef11a4c741f82c"

@@ -320,6 +320,42 @@ def test_env_budget(fixture_dir, capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "f1", "--max-cosets", "-3"),
+        ("verify", "f1", "--max-cosets", "0"),
+        ("validate", "f1", "--max-cosets", "0"),
+        ("express", "f1", "-g", "()", "--budget", "-1"),
+        ("express", "f1", "-g", "(a b)", "--budget", "-1"),
+    ],
+    ids=" ".join,
+)
+def test_bound_below_minimum_is_malformed(fixture_dir, capsys, clean_env, argv):
+    command, fixture, *extra = argv
+    code, out, err = run(capsys, command, str(fixture_dir / f"{fixture}.json"), *extra)
+    assert code == 3 and out == ""
+    assert "must be at least" in err
+
+
+@pytest.mark.parametrize(
+    "env, value, argv",
+    [
+        ("STABPRES_MAX_COSETS", "0", ("verify", "f1")),
+        ("STABPRES_MAX_COSETS", "-3", ("validate", "f1")),
+        ("STABPRES_BUDGET", "-1", ("express", "f1", "-g", "()")),
+    ],
+)
+def test_env_bound_below_minimum_is_malformed(fixture_dir, capsys, monkeypatch, env, value, argv):
+    monkeypatch.delenv("STABPRES_MAX_COSETS", raising=False)
+    monkeypatch.delenv("STABPRES_BUDGET", raising=False)
+    monkeypatch.setenv(env, value)
+    command, fixture, *extra = argv
+    code, out, err = run(capsys, command, str(fixture_dir / f"{fixture}.json"), *extra)
+    assert code == 3 and out == ""
+    assert f"{env} must be at least" in err
+
+
 # -- byte-identical output ----------------------------------------------
 
 # sha256 digests of the JSON reports (stdout, or stderr for the failing
@@ -340,6 +376,7 @@ _DIGESTS = [  # command, fixture, extra arguments, exit code, stream, sha256
     ("express", "f2", ("-g", "(1 2)"), 0, "out", "9eeee08d7a9f7655a184c56b186bbe6043dcb69c5a3ca62752c93bbe685c6e3b"),
     ("express", "f3", ("-g", "(p1 p2 m1 m2)", "--seed", "0"), 0, "out", "c2434a7d0ed849db2bea2926228aad39dfcc184d733acd623f4717d85ecd00c9"),
     ("express", "f3", ("-g", "(p1 p2 m1 m2)", "--seed", "3"), 0, "out", "2a42ed0140d5201ad4d6fa5b90a6988165b5d4a9c700052b86bc88a90eec9d72"),
+    ("verify", "f3", (), 0, "out", "1be2b442023cf8751c874b0f7ebf4dae9dc9d8da6bd68280988a4ecae9682f3c"),
     ("present", "f3", (), 0, "out", "16a5e8830dcf4bd987547bfc3091df586abcbe3fe1438c459382223f37c02c18"),
     ("quotient", "f3", (), 0, "out", "fdc4119d1cd3e1fe6d5af810f1e0723ffb1f16fe62ee37fa8409b66af2fe1794"),
     ("abelianize", "f3", (), 0, "out", "0b9884072d2ff34fff2c25ffefb71e13004f18cabe82ad04f196678de9861829"),
