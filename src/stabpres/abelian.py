@@ -2,12 +2,15 @@
 
 Everything here runs over Python's arbitrary-precision integers; no
 float ever appears.  One elimination computes every Smith form:
-`invariant_factors` keeps only its diagonal, and `smith_normal_form`
-also tracks the transforms and verifies its own postcondition
-(U*M*V == S, U and V unimodular, diagonal divisibility chain) on every
-call.  On top of it:
+`invariant_factors` keeps only its positive diagonal, and
+`smith_normal_form` also tracks the transforms and asserts U*M*V == S
+and the diagonal divisibility chain on every call.  U and V are
+products of elementary operations, so they are unimodular by
+construction; that is recomputed by Bareiss for matrices small enough
+to keep it cheap.  On top of it:
 
-  homology_invariants      simplicial H1/H2 from boundary matrices
+  homology_invariants      simplicial H1/H2: the Smith diagonal of d2,
+                           and rank d1 from the component count
   group_abelianization     G/[G,G] by brute-force commutator closure
   presentation_abelianization   coker of the relator exponent matrix,
                            after contracting generator identifications
@@ -82,34 +85,30 @@ _BAREISS_LIMIT = 80
 
 
 def _smith(M, track):
-    """The Smith elimination: returns (S, U, V, det_u, det_v).
+    """The Smith elimination: returns (S, U, V).
 
     S is M diagonalized over Z with a nonnegative divisibility chain on
-    its diagonal.  With track, U and V are the unimodular transforms with
-    U*M*V == S and det_u, det_v their determinants as tracked through the
-    elementary operations; without it U and V are None.  Rows and columns
-    before the pivot are already finished (zero off the diagonal), so the
-    operations on S skip them.
+    its diagonal.  With track, U and V are the transforms with
+    U*M*V == S; without it they are None.  Both are built only from
+    swaps, additions of a multiple of another row or column, and row
+    negation, so they are unimodular.  Rows and columns before the pivot
+    are already finished (zero off the diagonal), so the operations on S
+    skip them.
     """
     m = len(M)
     n = len(M[0]) if m else 0
     A = [list(r) for r in M]
     U = _eye(m) if track else None
     V = _eye(n) if track else None
-    det_u = 1
-    det_v = 1
     t = 0
 
     def row_swap(a, b):
-        nonlocal det_u
         if a != b:
             A[a], A[b] = A[b], A[a]
             if track:
                 U[a], U[b] = U[b], U[a]
-            det_u = -det_u
 
     def col_swap(a, b):
-        nonlocal det_v
         if a != b:
             for i in range(t, m):
                 row = A[i]
@@ -117,7 +116,6 @@ def _smith(M, track):
             if track:
                 for row in V:
                     row[a], row[b] = row[b], row[a]
-            det_v = -det_v
 
     def row_add(dst, src, c):
         Ad, As = A[dst], A[src]
@@ -195,23 +193,22 @@ def _smith(M, track):
             row_add(t, witness, 1)
         if A[t][t] < 0:
             row_add(t, t, -2)  # negate the row: A[t] + (-2)A[t] = -A[t]
-            det_u = -det_u
         t += 1
-    return A, U, V, det_u, det_v
+    return A, U, V
 
 
 def smith_normal_form(M):
     """Diagonalize M over Z: returns (S, U, V) with U*M*V == S, U and V
     unimodular, and S's diagonal a divisibility chain d1 | d2 | ...
 
-    The postcondition is asserted before returning.  Determinants of the
-    transforms are tracked through the elementary operations and, for
-    matrices small enough for fraction-free elimination to stay cheap,
-    recomputed independently.
+    U*M*V == S, the zero off-diagonal and the chain are asserted before
+    returning.  Unimodularity holds by construction (see `_smith`); for
+    matrices of at most _BAREISS_LIMIT rows and columns it is also
+    recomputed by fraction-free elimination.
     """
     m = len(M)
     n = len(M[0]) if m else 0
-    A, U, V, det_u, det_v = _smith(M, track=True)
+    A, U, V = _smith(M, track=True)
     for i in range(m):
         for j in range(n):
             if i != j:
@@ -223,13 +220,12 @@ def smith_normal_form(M):
     if max(m, n) <= _BAREISS_LIMIT:
         assert abs(det_bareiss(U)) == 1, "U not unimodular"
         assert abs(det_bareiss(V)) == 1, "V not unimodular"
-    else:
-        assert abs(det_u) == 1 and abs(det_v) == 1, "transform determinant drifted"
     return A, U, V
 
 
 def invariant_factors(M):
-    """The nonzero diagonal of the Smith form (no transforms tracked)."""
+    """The positive diagonal of the Smith form (no transforms tracked);
+    its length is the rank of M."""
     S = _smith(M, track=False)[0]
     return [row[i] for i, row in enumerate(S) if i < len(row) and row[i]]
 
@@ -250,12 +246,8 @@ class AbelianInvariants:
     @classmethod
     def from_relation_matrix(cls, rows, n_columns):
         """Invariants of Z^n modulo the row lattice."""
-        if not rows:
-            return cls(n_columns, ())
         diag = invariant_factors(rows)
-        nonzero = [d for d in diag if d != 0]
-        torsion = tuple(d for d in nonzero if d != 1)
-        return cls(n_columns - len(nonzero), torsion)
+        return cls(n_columns - len(diag), tuple(d for d in diag if d != 1))
 
     def order(self):
         if self.rank:
@@ -298,28 +290,23 @@ def boundary_matrices(K):
     return d1, d2
 
 
-def _rank(M):
-    if not M or not M[0]:
-        return 0
-    return len([d for d in invariant_factors(M) if d != 0])
-
-
 def homology_invariants(K, k):
     """H_k of the complex (k = 1 or 2) as AbelianInvariants.
 
-    H1 = ker d1 / im d2 (torsion from the Smith diagonal of d2); H2 is
+    Only d2 is eliminated.  H1 = ker d1 / im d2: its torsion is read from
+    the Smith diagonal of d2, and rank d1 = |V| - components because the
+    image of d1 is the augmentation kernel of each component.  H2 is
     ker d2, free because there are no 3-cells.
     """
     if k not in (1, 2):
         raise ValueError(f"homology degree {k} not supported (use 1 or 2)")
-    d1, d2 = boundary_matrices(K)
-    diag2 = invariant_factors(d2)
-    r2 = len([d for d in diag2 if d != 0])
+    diag2 = invariant_factors(boundary_matrices(K)[1])
     if k == 1:
-        rank = len(K.edges) - _rank(d1) - r2
-        torsion = tuple(d for d in diag2 if d > 1)
-        return AbelianInvariants(rank, torsion)
-    return AbelianInvariants(len(K.triangles) - r2, ())
+        rank_d1 = len(K.vertices) - K.components()
+        return AbelianInvariants(
+            len(K.edges) - rank_d1 - len(diag2), tuple(d for d in diag2 if d > 1)
+        )
+    return AbelianInvariants(len(K.triangles) - len(diag2), ())
 
 
 def group_abelianization(G):
@@ -564,7 +551,7 @@ def is_simply_connected(K, bound=PI1_BOUND):
     """
     if not K.vertices:
         return TwoConnectedResult("no", "empty complex")
-    if not K.is_connected():
+    if K.components() != 1:
         return TwoConnectedResult("no", "not connected")
     P = pi1_presentation(K, min(K.vertices))
     T = todd_coxeter(P, max_cosets=bound)

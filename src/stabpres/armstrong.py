@@ -155,7 +155,8 @@ def _lift_move(A, Q, lifted, move, rng):
         ]
         if not candidates:
             raise LiftFailed(f"no apex over {move.apex!r} joins {x1!r}-{x2!r}")
-        apex = rng.choice(sorted(candidates)) if rng else min(candidates)
+        # Q.lifts lists each orbit sorted, so the candidates are sorted too
+        apex = rng.choice(candidates) if rng else candidates[0]
         return lifted[: i + 1] + (apex,) + lifted[i + 1 :], None
     x1, pivot, x1p = lifted[i], lifted[i + 1], lifted[i + 2]
     # the stabilizer lists the identity first, so x1 == x1p swings by it
@@ -207,6 +208,6 @@ def armstrong_express(A, Q, basepoint, g, seed=0, budget=None):
     # swing; its own inverse is the final h, so the letter element is composite
     if not composite.is_identity():
         letters.append(StabilizerLetter(composite, basepoint))
-    word = StabilizerWord(tuple(letters)).normalize()
+    word = StabilizerWord(tuple(letters))
     assert psi_evaluate(word, A.group.identity) == g, "word does not evaluate to g"
     return word

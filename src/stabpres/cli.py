@@ -113,10 +113,9 @@ def _fail(code, kind, detail):
     raise _Failure(code, kind, detail)
 
 
-def _refined(path):
-    A = load_action(path)
+def _refined(A):
     refined, lift = refine_action_tracked(A)
-    return A, refined, lift, build_quotient(refined)
+    return refined, lift, build_quotient(refined)
 
 
 def _require_hypotheses(K, quotient, bound):
@@ -177,7 +176,7 @@ def _cmd_quotient(args):
         subdivisions = 0
         Q = build_quotient(A)
     else:
-        _, A, _, Q = _refined(args.action)
+        A, _, Q = _refined(load_action(args.action))
         subdivisions = A.subdivisions
     report = {
         "subdivisions": subdivisions,
@@ -194,7 +193,7 @@ def _cmd_quotient(args):
 
 
 def _cmd_present(args):
-    _, A, _, Q = _refined(args.action)
+    A, _, Q = _refined(load_action(args.action))
     P = build_presentation(A, Q)
     report = P.to_json_obj()
     report["subdivisions"] = A.subdivisions
@@ -211,7 +210,7 @@ def _cmd_express(args):
         _fail(EXIT_MALFORMED, "element", str(exc))
     if g0 not in A0.group.element_set:
         _fail(EXIT_INVALID, "element", f"{args.element} is not in the acting group")
-    _, A, lift, Q = _refined(args.action)
+    A, lift, Q = _refined(A0)
     g = lift(g0)
     basepoint = args.basepoint if args.basepoint is not None else min(A.complex.vertices)
     word = armstrong_express(A, Q, basepoint, g, seed=args.seed, budget=args.budget)
@@ -241,7 +240,7 @@ def _cmd_express(args):
 
 
 def _cmd_verify(args):
-    _, A, _, Q = _refined(args.action)
+    A, _, Q = _refined(load_action(args.action))
     _require_hypotheses(A.complex, Q.quotient, args.max_cosets)
     P = build_presentation(A, Q)
     T = todd_coxeter(P, max_cosets=args.max_cosets)
@@ -272,7 +271,7 @@ def _cmd_verify(args):
 
 
 def _cmd_abelianize(args):
-    _, A, _, Q = _refined(args.action)
+    A, _, Q = _refined(load_action(args.action))
     gab = group_abelianization(A.group)
     col = colimit_H1(A, Q)
     match = gab == col
@@ -357,9 +356,7 @@ def _build_parser():
     p = sub.add_parser("homology", help="H1 or H2 of a complex or action")
     p.add_argument("path", help="complex or action JSON file")
     p.add_argument("-k", type=int, choices=(1, 2), required=True)
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+    common(p, action=False)
     return parser
 
 

@@ -102,18 +102,22 @@ class SimplicialComplex:
     def counts(self):
         return (len(self.vertices), len(self.edges), len(self.triangles))
 
-    def is_connected(self):
-        if not self.vertices:
-            return True
-        seen = {next(iter(self.sorted_vertices))}
-        stack = list(seen)
-        while stack:
-            v = stack.pop()
-            for w in self.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+    def components(self):
+        """The number of connected components (0 for the empty complex)."""
+        seen = set()
+        count = 0
+        for root in self.sorted_vertices:
+            if root in seen:
+                continue
+            count += 1
+            seen.add(root)
+            stack = [root]
+            while stack:
+                for w in self.adjacency[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+        return count
 
     def to_json_obj(self):
         return {

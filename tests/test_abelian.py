@@ -28,14 +28,18 @@ from stabpres.actions import (
     validate_simplicial_action,
 )
 from stabpres.armstrong import StabilizerLetter, StabilizerWord, armstrong_express
-from stabpres.complexes import barycentric_subdivision, validate_complex
+from stabpres.complexes import SimplicialComplex, barycentric_subdivision, validate_complex
 from stabpres.fixtures import (
     cycle_complex,
     f1_flip,
+    f2_s3,
+    f3_octahedral,
+    f4_rotation,
     f5_antipodal,
     octahedron_boundary,
     solid_triangle,
 )
+from stabpres.homotopy import random_nondegenerate_disc
 
 
 def _fraction_rank(M):
@@ -188,6 +192,42 @@ def test_homology_subdivision_invariant():
         sd, _ = barycentric_subdivision(K)
         for k in (1, 2):
             assert homology_invariants(sd, k) == homology_invariants(K, k)
+
+
+_EMPTY = SimplicialComplex(frozenset(), frozenset(), frozenset())
+_CIRCLES = (cycle_complex(3, "a"), cycle_complex(4, "b"))
+_TWO_CIRCLES = SimplicialComplex(
+    _CIRCLES[0].vertices | _CIRCLES[1].vertices,
+    _CIRCLES[0].edges | _CIRCLES[1].edges,
+    frozenset(),
+)
+
+
+def _rank_corpus(dihedral_cone):
+    """Complexes of every shape the rank identity must cover: the fixture
+    actions, their subdivisions and quotients (f5's is RP^2), Sd^2(f3),
+    dihedral cones, discs, the empty complex and a disconnected one."""
+    corpus = []
+    for builder in (f1_flip, f2_s3, f3_octahedral, f4_rotation, f5_antipodal):
+        sd = barycentric_subdivision(builder().complex)[0]
+        quotient = build_quotient(refine_action(builder())).quotient
+        corpus += [builder().complex, sd, quotient]
+        if builder is f3_octahedral:
+            corpus.append(barycentric_subdivision(sd)[0])
+    corpus += [dihedral_cone(n, 1).complex for n in (4, 6, 16)]
+    corpus += [random_nondegenerate_disc(n, n).complex for n in range(3, 20)]
+    return corpus + [_EMPTY, _TWO_CIRCLES]
+
+
+def test_d1_rank_is_vertices_minus_components(dihedral_cone):
+    # homology_invariants takes rank d1 from the component count; the Smith
+    # diagonal of d1 is the independent oracle
+    for K in _rank_corpus(dihedral_cone):
+        d1, _ = boundary_matrices(K)
+        assert len(K.vertices) - K.components() == len(invariant_factors(d1))
+    assert (_EMPTY.components(), _TWO_CIRCLES.components()) == (0, 2)
+    assert homology_invariants(_EMPTY, 1) == AbelianInvariants(0, ())
+    assert homology_invariants(_TWO_CIRCLES, 1) == AbelianInvariants(2, ())
 
 
 def test_homology_rejects_bad_degree():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from stabpres.abelian import AbelianInvariants
 from stabpres.cli import main
 from stabpres.fixtures import octahedron_boundary, write_fixtures
 
@@ -222,6 +223,21 @@ def test_abelianize_matches(fixture_dir, capsys, clean_env):
         "colimit_H1": {"rank": 0, "torsion": [2]},
         "group_abelianization": {"rank": 0, "torsion": [2]},
         "match": True,
+    }
+
+
+def test_abelianize_mismatch_reports_on_stderr(fixture_dir, capsys, clean_env, monkeypatch):
+    monkeypatch.setattr("stabpres.cli.colimit_H1", lambda A, Q: AbelianInvariants(1, ()))
+    path = str(fixture_dir / "f2.json")
+    code, out, err = run(capsys, "abelianize", path)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["group abelianization: Z/2", "colimit H1: Z", "match: no"]
+    code, out, err = run(capsys, "abelianize", path, "--format", "json")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "colimit_H1": {"rank": 1, "torsion": []},
+        "group_abelianization": {"rank": 0, "torsion": [2]},
+        "match": False,
     }
 
 

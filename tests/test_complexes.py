@@ -35,7 +35,7 @@ def test_simplex_canonicalizes():
 def test_single_point_complex():
     K = validate_complex(["a"])
     assert K.counts() == (1, 0, 0)
-    assert K.is_connected()
+    assert K.components() == 1
     assert K.dim() == 0
 
 

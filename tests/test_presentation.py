@@ -276,6 +276,17 @@ def test_verify_theorem_rejects_exhausted(f1):
     assert exc.value.check == "enumeration_complete"
 
 
+def test_verify_theorem_rejects_failed_expression(f1, monkeypatch):
+    # an expression procedure that returns the empty word misses every
+    # nonidentity element, so psi is not shown to be onto
+    monkeypatch.setattr(
+        "stabpres.presentation.armstrong_express", lambda *args, **kw: StabilizerWord(())
+    )
+    with pytest.raises(CertificateFailed) as exc:
+        verify_theorem(f1.action, f1.quotient, f1.presentation, f1.table)
+    assert exc.value.check == "psi_surjective"
+
+
 # -- fundamental group presentations ------------------------------------
 
 
