@@ -12,16 +12,12 @@ stabilizers, and the abelianized story is checked independently.
 from .abelian import (
     AbelianInvariants,
     AbelianizedWords,
-    boundary_matrices,
     colimit_H1,
-    det_bareiss,
     group_abelianization,
     homology_invariants,
-    invariant_factors,
     is_simply_connected,
     is_two_connected,
     presentation_abelianization,
-    smith_normal_form,
     TwoConnectedResult,
 )
 from .actions import (
@@ -62,6 +58,7 @@ from .complexes import (
     SimplicialComplex,
     barycenter_name,
     barycentric_subdivision,
+    boundary_matrices,
     complex_from_json_obj,
     faces,
     simplex,
@@ -106,6 +103,7 @@ from .homotopy import (
     random_nondegenerate_disc,
     verify_collapse,
 )
+from .linalg import det_bareiss, invariant_factors, smith_normal_form
 from .presentation import (
     CosetTable,
     Presentation,

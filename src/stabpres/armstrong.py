@@ -107,19 +107,13 @@ def psi_evaluate(word, identity=None):
 
 
 def find_path(K, u, w, seed=0):
-    """Breadth-first shortest path; canonical tie-break, seed shuffles it."""
+    """Breadth-first shortest path; canonical tie-break, or a seeded
+    shuffle of each vertex's neighbours as the search expands it."""
     for v in (u, w):
         if v not in K.vertices:
             raise UnknownVertex(v)
     adjacency = K.adjacency
-    if seed:
-        rng = random.Random(seed)
-        shuffled = {}
-        for v in sorted(adjacency):
-            ns = list(adjacency[v])
-            rng.shuffle(ns)
-            shuffled[v] = ns
-        adjacency = shuffled
+    rng = random.Random(seed) if seed else None
     parent = {u: None}
     frontier = [u]
     while frontier:
@@ -131,7 +125,11 @@ def find_path(K, u, w, seed=0):
                     path.append(v)
                     v = parent[v]
                 return EdgePath(tuple(reversed(path)))
-            for nb in adjacency[v]:
+            neighbours = adjacency[v]
+            if rng is not None:
+                neighbours = list(neighbours)
+                rng.shuffle(neighbours)
+            for nb in neighbours:
                 if nb not in parent:
                     parent[nb] = v
                     nxt.append(nb)

@@ -19,6 +19,7 @@ from .errors import (
     NotAnEdge,
     SimplexNotInComplex,
 )
+from .linalg import IntegerSolver
 
 
 def simplex(vertices):
@@ -75,6 +76,17 @@ class SimplicialComplex:
                 apex[e].append(_third(t, e))
         return {e: tuple(sorted(a)) for e, a in apex.items()}
 
+    @cached_property
+    def edge_index(self):
+        """edge -> its position in sorted_edges, the row of d1 and d2."""
+        return {e: i for i, e in enumerate(self.sorted_edges)}
+
+    @cached_property
+    def filling_solver(self):
+        """`IntegerSolver` for d2: the integral 2-chains bounding a 1-cycle,
+        from one Smith elimination shared by every loop in the complex."""
+        return IntegerSolver(boundary_matrices(self)[1])
+
     def dim(self):
         if self.triangles:
             return 2
@@ -128,6 +140,26 @@ class SimplicialComplex:
 
     def to_json(self):
         return json.dumps(self.to_json_obj(), sort_keys=True, indent=2)
+
+
+def boundary_matrices(K):
+    """(d1, d2): the edge->vertex and triangle->edge boundary maps with
+    orientation signs from the sorted vertex order."""
+    verts = K.sorted_vertices
+    edges = K.sorted_edges
+    tris = K.sorted_triangles
+    v_index = {v: i for i, v in enumerate(verts)}
+    e_index = K.edge_index
+    d1 = [[0] * len(edges) for _ in verts]
+    for j, (u, w) in enumerate(edges):
+        d1[v_index[u]][j] -= 1
+        d1[v_index[w]][j] += 1
+    d2 = [[0] * len(tris) for _ in edges]
+    for j, (a, b, c) in enumerate(tris):
+        d2[e_index[simplex((b, c))]][j] += 1
+        d2[e_index[simplex((a, c))]][j] -= 1
+        d2[e_index[simplex((a, b))]][j] += 1
+    return d1, d2
 
 
 def _third(t, e):

@@ -13,7 +13,12 @@ triangle; a one-dimensional collapse retracts a boundary spur), so a
 loop contracts to the constant loop exactly when it spans a disc.
 `search_contraction` finds a move log by iterative-deepening search and
 `contract_loop` replay-verifies it before returning; no disc is ever
-constructed.
+constructed.  The search is pruned by the loop's integral 2-chain
+filling c (d2 c = the loop's 1-chain): when H2 = 0, as for the
+2-connected quotients of the theorem, c is unique and every insert
+changes one coefficient by 1, so at least |c|_1 inserts remain.  The
+filling comes from one Smith elimination of d2 per complex
+(`SimplicialComplex.filling_solver`).
 
 `collapse_disc` is the disc side of the same calculus: it collapses an
 explicit (possibly degenerate) disc to its basepoint, emitting both the
@@ -138,6 +143,26 @@ def contract_loop(K, loop, basepoint, budget=None, seed=0):
     return log
 
 
+def _filling(K, vertices, budget):
+    """The loop's integral 2-chain filling c, with d2 c equal to its
+    1-chain, as a dict keyed by triangle; None when d2 is not injective
+    (fillings then differ by 2-cycles and none bounds the moves).  Raises
+    BudgetExhausted when there is no filling: a loop that is not
+    null-homologous over Z never contracts."""
+    solver = K.filling_solver
+    index = K.edge_index
+    chain = [0] * len(index)
+    for a, b in zip(vertices, vertices[1:]):
+        if a < b:
+            chain[index[(a, b)]] += 1
+        else:
+            chain[index[(b, a)]] -= 1
+    c = solver.solve(chain)
+    if c is None:
+        raise BudgetExhausted(budget)
+    return dict(zip(K.sorted_triangles, c)) if solver.injective else None
+
+
 def search_contraction(K, loop, basepoint, budget=None, seed=0):
     """Find a move log taking an EdgePath loop to the constant loop at its
     basepoint.
@@ -148,8 +173,17 @@ def search_contraction(K, loop, basepoint, budget=None, seed=0):
     tuples in canonical order (backtrack deletes by position, then
     triangle inserts by position and apex) unless a nonzero seed shuffles
     them; `Move`s are built only for the returned log.  Triangle inserts
-    are tried only on loops of at most 3 * len(loop) + 8 vertices.  The
-    log is not replayed here: callers replay it once (`contract_loop`,
+    are tried only on loops of at most 3 * len(loop) + 8 vertices.
+
+    A loop is pruned when even its cheapest finish exceeds the depth
+    left.  When d2 is injective (H2 = 0, as for a 2-connected quotient)
+    each loop has exactly one integral filling c, and a triangle insert
+    changes one coefficient of c by 1, so at least |c|_1 inserts remain;
+    otherwise the bound uses |c|_1 = 0.  A loop with no integral filling
+    raises BudgetExhausted without searching.  The bound never
+    overestimates, so the first shortest log is the one found without it.
+
+    The log is not replayed here: callers replay it once (`contract_loop`,
     `armstrong_express`).  Raises BudgetExhausted when no log of length
     <= budget exists under that cap.
     """
@@ -158,6 +192,7 @@ def search_contraction(K, loop, basepoint, budget=None, seed=0):
         raise IllegalMove(f"not a loop based at {basepoint!r}")
     if budget is None:
         budget = default_budget(len(loop))
+    filling = _filling(K, start, budget)
     max_len = 3 * len(loop) + 8
     rng = random.Random(seed) if seed else None
     apexes = K.edge_apexes
@@ -180,22 +215,35 @@ def search_contraction(K, loop, basepoint, budget=None, seed=0):
             rng.shuffle(out)
         return out
 
-    def dfs(state, remaining, visited):
+    def dfs(state, norm, remaining, visited):
         if state == target:
             return []
-        # each backtrack delete removes 2 of the len(state)-1 edges, so even
-        # an all-delete finish needs ceil((n-1)/2) == n//2 moves
-        if len(state) // 2 > remaining or visited.get(state, -1) >= remaining:
+        # t inserts and d deletes take the len(state)-1 edges to 0, so
+        # len(state)-1 + t == 2d; with t >= norm = |c|_1, t + d is at least
+        # norm + ceil((len(state)-1 + norm) / 2)
+        if norm + (len(state) + norm) // 2 > remaining or visited.get(state, -1) >= remaining:
             return None
         visited[state] = remaining
         for move, nxt in successors(state):
-            found = dfs(nxt, remaining - 1, visited)
+            if filling is None or move[0] == BACK:
+                found = dfs(nxt, norm, remaining - 1, visited)
+            else:
+                # a - y - b replaces a - b, so c gains the oriented triangle
+                # (a, y, b): +1 when it is an even permutation of the sorted one
+                _, i, y = move
+                a, b = state[i], state[i + 1]
+                t = simplex((a, b, y))
+                old = filling[t]
+                filling[t] = new = old + (1 if ((a < y) == (y < b)) == (a < b) else -1)
+                found = dfs(nxt, norm - abs(old) + abs(new), remaining - 1, visited)
+                filling[t] = old
             if found is not None:
                 return [move] + found
         return None
 
+    norm = sum(map(abs, filling.values())) if filling is not None else 0
     for limit in range(budget + 1):
-        found = dfs(start, limit, {})
+        found = dfs(start, norm, limit, {})
         if found is not None:
             return MoveLog(loop, tuple(Move(*m) for m in found))
     raise BudgetExhausted(budget)

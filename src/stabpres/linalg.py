@@ -1,0 +1,252 @@
+"""Integer linear algebra: the one Smith elimination and what uses it.
+
+Everything here runs over Python's arbitrary-precision integers; no
+float ever appears.  One elimination computes every Smith form:
+`invariant_factors` keeps only its positive diagonal,
+`smith_normal_form` also tracks the transforms and asserts U*M*V == S
+and the diagonal divisibility chain on every call, and `IntegerSolver`
+keeps the transforms to solve M x = b over Z.  U and V are products of
+elementary operations, so they are unimodular by construction;
+`smith_normal_form` recomputes that by Bareiss for matrices small
+enough to keep it cheap, and `IntegerSolver` checks each solution it
+returns.
+
+This module imports nothing from the package, so both the abelian side
+and the complexes (for loop fillings) can build on it.
+"""
+
+from __future__ import annotations
+
+
+def _eye(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def matmul(A, B):
+    n = len(A)
+    k = len(B)
+    m = len(B[0]) if k else 0
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        Ai = A[i]
+        Oi = out[i]
+        for t in range(k):
+            a = Ai[t]
+            if a:
+                Bt = B[t]
+                for j in range(m):
+                    Oi[j] += a * Bt[j]
+    return out
+
+
+def det_bareiss(M):
+    """Exact integer determinant by fraction-free elimination."""
+    n = len(M)
+    if n == 0:
+        return 1
+    A = [list(r) for r in M]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k]:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
+
+
+_BAREISS_LIMIT = 80
+
+
+def _smith(M, track):
+    """The Smith elimination: returns (S, U, V).
+
+    S is M diagonalized over Z with a nonnegative divisibility chain on
+    its diagonal.  With track, U and V are the transforms with
+    U*M*V == S; without it they are None.  Both are built only from
+    swaps, additions of a multiple of another row or column, and row
+    negation, so they are unimodular.  Rows and columns before the pivot
+    are already finished (zero off the diagonal), so the operations on S
+    skip them.
+    """
+    m = len(M)
+    n = len(M[0]) if m else 0
+    A = [list(r) for r in M]
+    U = _eye(m) if track else None
+    V = _eye(n) if track else None
+    t = 0
+
+    def row_swap(a, b):
+        if a != b:
+            A[a], A[b] = A[b], A[a]
+            if track:
+                U[a], U[b] = U[b], U[a]
+
+    def col_swap(a, b):
+        if a != b:
+            for i in range(t, m):
+                row = A[i]
+                row[a], row[b] = row[b], row[a]
+            if track:
+                for row in V:
+                    row[a], row[b] = row[b], row[a]
+
+    def row_add(dst, src, c):
+        Ad, As = A[dst], A[src]
+        for j in range(t, n):
+            Ad[j] += c * As[j]
+        if track:
+            Ud, Us = U[dst], U[src]
+            for j in range(m):
+                Ud[j] += c * Us[j]
+
+    def col_add(dst, src, c):
+        for i in range(t, m):
+            row = A[i]
+            row[dst] += c * row[src]
+        if track:
+            for row in V:
+                row[dst] += c * row[src]
+
+    while t < min(m, n):
+        piv = None
+        best = None
+        for i in range(t, m):
+            Ai = A[i]
+            for j in range(t, n):
+                a = Ai[j]
+                if a and (best is None or abs(a) < best):
+                    best = abs(a)
+                    piv = (i, j)
+        if piv is None:
+            break
+        row_swap(t, piv[0])
+        col_swap(t, piv[1])
+        while True:
+            # shrink until the pivot exactly divides its row and column
+            p = A[t][t]
+            for i in range(t + 1, m):
+                q = A[i][t] // p
+                if q:
+                    row_add(i, t, -q)
+            At = A[t]
+            for j in range(t + 1, n):
+                q = At[j] // p
+                if q:
+                    col_add(j, t, -q)
+            residue = None
+            for i in range(t + 1, m):
+                if A[i][t]:
+                    residue = i
+                    break
+            if residue is not None:
+                row_swap(t, residue)
+                continue
+            for j in range(t + 1, n):
+                if At[j]:
+                    residue = j
+                    break
+            if residue is not None:
+                col_swap(t, residue)
+                continue
+            # pivot must divide the rest of the submatrix for the chain;
+            # a unit always does
+            if p == 1 or p == -1:
+                break
+            witness = None
+            for i in range(t + 1, m):
+                Ai = A[i]
+                for j in range(t + 1, n):
+                    if Ai[j] % p:
+                        witness = i
+                        break
+                if witness is not None:
+                    break
+            if witness is None:
+                break
+            row_add(t, witness, 1)
+        if A[t][t] < 0:
+            row_add(t, t, -2)  # negate the row: A[t] + (-2)A[t] = -A[t]
+        t += 1
+    return A, U, V
+
+
+def smith_normal_form(M):
+    """Diagonalize M over Z: returns (S, U, V) with U*M*V == S, U and V
+    unimodular, and S's diagonal a divisibility chain d1 | d2 | ...
+
+    U*M*V == S, the zero off-diagonal and the chain are asserted before
+    returning.  Unimodularity holds by construction (see `_smith`); for
+    matrices of at most _BAREISS_LIMIT rows and columns it is also
+    recomputed by fraction-free elimination.
+    """
+    m = len(M)
+    n = len(M[0]) if m else 0
+    A, U, V = _smith(M, track=True)
+    for i in range(m):
+        for j in range(n):
+            if i != j:
+                assert A[i][j] == 0, "SNF left off-diagonal residue"
+    diag = [A[i][i] for i in range(min(m, n))]
+    for a, b in zip(diag, diag[1:]):
+        assert (a == 0 and b == 0) or (a != 0 and b % a == 0), "divisibility chain broken"
+    assert matmul(matmul(U, [list(r) for r in M]), V) == A, "U*M*V != S"
+    if max(m, n) <= _BAREISS_LIMIT:
+        assert abs(det_bareiss(U)) == 1, "U not unimodular"
+        assert abs(det_bareiss(V)) == 1, "V not unimodular"
+    return A, U, V
+
+
+def invariant_factors(M):
+    """The positive diagonal of the Smith form (no transforms tracked);
+    its length is the rank of M."""
+    S = _smith(M, track=False)[0]
+    return [row[i] for i, row in enumerate(S) if i < len(row) and row[i]]
+
+
+class IntegerSolver:
+    """Integer solutions of M x = b from one Smith elimination of M.
+
+    With U*M*V == S, U and V unimodular, M x = b holds exactly when
+    S y = U b for y = V^-1 x.  So b has an integral preimage iff each
+    (U b)_i is divisible by the i-th diagonal entry up to the rank and
+    vanishes past it; then x = V y, with the kernel coordinates of y set
+    to 0.  When M is injective that preimage is the only one.
+    """
+
+    def __init__(self, M):
+        self.M = M
+        self.columns = len(M[0]) if M else 0
+        S, self.U, self.V = _smith(M, track=True)
+        # the elimination stops at the first zero pivot, so the nonzero
+        # diagonal entries come first
+        self.diag = [row[i] for i, row in enumerate(S) if i < self.columns and row[i]]
+
+    @property
+    def injective(self):
+        return len(self.diag) == self.columns
+
+    def solve(self, b):
+        """An integral x with M x == b, or None when there is none."""
+        support = [(j, c) for j, c in enumerate(b) if c]
+        y = []
+        for i, row in enumerate(self.U):
+            v = sum(row[j] * c for j, c in support)
+            if i < len(self.diag):
+                q, r = divmod(v, self.diag[i])
+                if r:
+                    return None
+                y.append(q)
+            elif v:
+                return None
+        x = [sum(row[i] * q for i, q in enumerate(y)) for row in self.V]
+        assert [sum(a * c for a, c in zip(row, x)) for row in self.M] == list(b), "M x != b"
+        return x

@@ -196,16 +196,28 @@ def test_express_replays_the_contraction_log_once(f3, monkeypatch):
     assert max(len(log.moves) for log in logs) >= 3
 
 
-def test_express_word_digest(f3, dihedral_cone):
-    # one sha256 over the words for every element of f3 and of the D16 cone
-    # under seeds 0, 1, 2, 3 and 99; the seeded lift choices depend on the
-    # canonical order of each stabilizer, so this pins that order too
+def _express_digest(f3, A16, seeds):
     digest = hashlib.sha256()
-    A16 = dihedral_cone(16, 1)
     for A, Q in ((f3.action, f3.quotient), (A16, build_quotient(A16))):
         basepoint = min(A.complex.vertices)
         for g in A.group.elements:
-            for seed in (0, 1, 2, 3, 99):
+            for seed in seeds:
                 word = armstrong_express(A, Q, basepoint, g, seed=seed)
                 digest.update(f"{word}\n".encode())
-    assert digest.hexdigest() == "e316c32694fdf277963db55478b6965cca5c95b4cccde1482cef11a4c741f82c"
+    return digest.hexdigest()
+
+
+def test_express_word_digest(f3, dihedral_cone):
+    # one sha256 over the canonical (seed 0) words for every element of f3
+    # and of the D16 cone
+    digest = _express_digest(f3, dihedral_cone(16, 1), (0,))
+    assert digest == "70044bab2beb95813b05f3891162f62e9e519e2619d5bedaa12b690d765f59b1"
+
+
+def test_seeded_express_word_digest(f3, dihedral_cone):
+    # the same words under seeds 1, 2, 3 and 99; the seeded lift choices
+    # depend on the canonical order of each stabilizer, so this pins that
+    # order too, and the seeded path and move orders follow the vertices
+    # and loops each search expands
+    digest = _express_digest(f3, dihedral_cone(16, 1), (1, 2, 3, 99))
+    assert digest == "b56d69b2f371b12a07c597cdb6240296a0f6dbdb0b4420fc55696d371ce4f263"

@@ -51,6 +51,43 @@ def test_express_flip(fixture_dir, capsys, clean_env):
     assert "psi check: ok" in out
 
 
+def test_verify_rotation_after_refinement(fixture_dir, capsys, clean_env):
+    # f4 rotates its triangle, so verify refines it twice; the quotient's
+    # loops contract under the filling bound
+    code, out, err = run(capsys, "verify", str(fixture_dir / "f4.json"), "--format", "json")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["ok"] is True and report["status"] == "Complete(3)"
+    assert report["subdivisions"] == 2
+
+
+def test_express_rotation_after_refinement(fixture_dir, capsys, clean_env):
+    code, out, err = run(
+        capsys, "express", str(fixture_dir / "f4.json"), "-g", "(1 2 3)", "--format", "json"
+    )
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["psi_check"] == "ok" and report["psi"] == report["element"]
+
+
+def test_express_on_projective_plane_quotient_is_a_resource_failure(
+    fixture_dir, capsys, clean_env
+):
+    # the antipodal map's quotient loop is not an integral boundary in RP^2,
+    # so the contraction gives up at once instead of searching to the budget
+    code, out, err = run(
+        capsys,
+        "express",
+        str(fixture_dir / "f5.json"),
+        "-g",
+        "(p1 m1)(p2 m2)(p3 m3)",
+        "--format",
+        "json",
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BudgetExhausted"
+
+
 def test_committed_fixtures_match_builders(tmp_path):
     # the README examples and the benchmark read the committed files, while
     # the suite regenerates its own; the two must not drift apart

@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import sys
+import time
 
 import pytest
 
+from stabpres.actions import build_quotient, refine_action
+from stabpres.armstrong import find_path
 from stabpres.complexes import EdgePath, validate_complex, validate_path
 from stabpres.errors import (
     BadSize,
@@ -13,7 +17,13 @@ from stabpres.errors import (
     MalformedInput,
     NotCollapsible,
 )
-from stabpres.fixtures import cycle_complex, interval_complex, solid_triangle
+from stabpres.fixtures import (
+    cycle_complex,
+    f5_antipodal,
+    interval_complex,
+    octahedron_boundary,
+    solid_triangle,
+)
 from stabpres.homotopy import (
     BACK,
     TRI,
@@ -158,14 +168,55 @@ DISC_LOG_DIGESTS = {
     (6, 1): "247d73886aaa1c07a32c50d3cd1a384b37765d569d7cc88786411a1db9c04f38",
     (6, 2): "2fbe9896c09ab17f7c8753b09697f203db36df64eddf8103cdc2c180247b975b",
     (6, 3): "247d73886aaa1c07a32c50d3cd1a384b37765d569d7cc88786411a1db9c04f38",
+    (7, 0): "3891ae4ecdc46e85085aa5c558ec3abb0f720069482ff4b852dd727566e74904",
+    (7, 1): "3cef35ef4cd706445357a183abc3a0e55d2a3a017b2283d5f797a78b97a484f4",
+    (7, 2): "ed1574ad444135485f0f3b45c5dd391be1ef2fbd07ed6e276a50e8ddd213f16a",
+    (7, 3): "3cef35ef4cd706445357a183abc3a0e55d2a3a017b2283d5f797a78b97a484f4",
+    (8, 0): "c510d4763b6c15fc8d373cb7f0288d0c10e8a93d82e556aa1fec4f240756893d",
+    (8, 1): "81301cf39b953ad566824cfcae01d9fe168e898d2185c195aebc19c56a427587",
+    (8, 2): "54cd50e9711dc31bc8b7fb0cb2f2b7df1ad3b427a32a943b79fba0bbcce42098",
+    (8, 3): "dcd6d7fb4fe3f17e2c6bcaa6f1f9a0823311279dec01f6d5594d997922560837",
 }
+
+
+def _dfs_calls(run):
+    """Run `run` and return, for every search node it visits, the loop, its
+    filling norm, the depth left, the memo's entry for the loop, and
+    whether the memo is empty (a new depth limit starts)."""
+    calls = []
+
+    def tracer(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "dfs":
+            f = frame.f_locals
+            visited = f["visited"]
+            calls.append(
+                (f["state"], f["norm"], f["remaining"], visited.get(f["state"], -1), not visited)
+            )
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = run()
+    finally:
+        sys.settrace(previous)
+    return result, calls
+
+
+def _memo_cuts(calls):
+    """The search nodes the filling bound let through but the memo cut."""
+    return [
+        state
+        for state, norm, remaining, seen, _ in calls
+        if len(state) > 1 and norm + (len(state) + norm) // 2 <= remaining <= seen
+    ]
 
 
 @pytest.mark.parametrize("n, seed", sorted(DISC_LOG_DIGESTS))
 def test_contract_disc_boundary_is_shortest(n, seed):
     # the n-2 triangle boundaries form a basis of the disc's cycle space, so
     # a log needs at least n-2 inserts, and 2 * back - tri == n gives 2n-3;
-    # these searches also reach the memo prune
+    # the filling bound is exact here, so these searches never reach the
+    # memo prune (the octahedron equator below does)
     disc = random_nondegenerate_disc(n, seed)
     log = contract_loop(disc.complex, disc.boundary, disc.basepoint)
     assert log.final_loop(disc.complex).vertices == (disc.basepoint,)
@@ -174,12 +225,58 @@ def test_contract_disc_boundary_is_shortest(n, seed):
     assert _log_digest(log) == DISC_LOG_DIGESTS[(n, seed)]
 
 
+@pytest.mark.parametrize("n, seed", sorted(DISC_LOG_DIGESTS))
+def test_contract_disc_search_is_cut_at_the_start_loop(n, seed):
+    # the filling bound is exact on a disc: each depth limit below 2n-3 is
+    # cut at the start loop, and no search reaches the memo prune
+    disc = random_nondegenerate_disc(n, seed)
+    _, calls = _dfs_calls(lambda: contract_loop(disc.complex, disc.boundary, disc.basepoint))
+    assert [i for i, call in enumerate(calls) if call[-1]] == list(range(2 * n - 2))
+    assert not _memo_cuts(calls)
+
+
 def test_contract_hexagon_loop_fails_fast():
     # a hexagon has no triangles, so a full loop around it cannot contract
     K = cycle_complex(6)
     loop = validate_path(K, ["v0", "v1", "v2", "v3", "v4", "v5", "v0"])
     with pytest.raises(BudgetExhausted):
         contract_loop(K, loop, "v0", budget=20)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_contract_long_disc_boundary(n):
+    disc = random_nondegenerate_disc(n, 0)
+    log = contract_loop(disc.complex, disc.boundary, disc.basepoint)
+    assert len(log.moves) == 2 * n - 3
+    assert log.final_loop(disc.complex).vertices == (disc.basepoint,)
+
+
+def test_contract_octahedron_equator_keeps_the_edge_bound():
+    # the octahedron boundary has H2 = Z, so d2 is not injective: fillings
+    # differ by the fundamental class, the search bounds with |c|_1 = 0 and
+    # finds the log it found before the filling bound, and a loop reached
+    # twice is cut by the memo
+    K = octahedron_boundary()
+    loop = validate_path(K, ["p1", "p2", "m1", "m2", "p1"])
+    log, calls = _dfs_calls(lambda: contract_loop(K, loop, "p1"))
+    assert _log_digest(log) == "7838ad6d311598f5a73e06f3419cc043d283f781faabf860a723532ec51cf4a6"
+    assert {call[1] for call in calls} == {0}
+    assert _memo_cuts(calls)
+
+
+def test_contract_essential_projective_plane_loop_fails_fast():
+    # f5's quotient is RP^2 (H1 = Z/2): the loop under the antipodal map is
+    # not an integral boundary, so no search runs even at the default budget
+    A = refine_action(f5_antipodal())
+    Q = build_quotient(A)
+    g = next(h for h in A.group.elements if not h.is_identity())
+    base = min(A.complex.vertices)
+    loop = EdgePath(Q.project_path(find_path(A.complex, base, g(base)).vertices))
+    assert loop.is_loop() and len(loop) > 0
+    start = time.perf_counter()
+    with pytest.raises(BudgetExhausted):
+        contract_loop(Q.quotient, loop, Q.projection[base])
+    assert time.perf_counter() - start < 1.0
 
 
 # -- degenerate discs and collapse --------------------------------------
