@@ -9,8 +9,8 @@ every Smith form comes from the one elimination in `linalg`:
   presentation_abelianization   coker of the relator exponent matrix,
                            after contracting generator identifications
   AbelianizedWords         stabilizer words mapped into that cokernel
-  colimit_H1               the edge-identified direct sum of stabilizer
-                           H1's over the quotient 1-skeleton
+  colimit_H1               G-coinvariants of the direct sum of stabilizer
+                           H1's over X, modulo edge identifications
   is_simply_connected      pi1 trivial (coset enumeration)
   is_two_connected         pi1 trivial and H2 = 0
 
@@ -21,13 +21,12 @@ colimit_H1(A, Q) == group_abelianization(G).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .actions import all_transporters, close_under_product, edge_stabilizer, stabilizer
+from .actions import close_under_product
 from .complexes import boundary_matrices
-from .errors import PreconditionUnvalidated
 from .linalg import _eye, invariant_factors, smith_normal_form
-from .linalg import det_bareiss, matmul  # noqa: F401  re-exported for existing callers
-from .presentation import pi1_presentation, todd_coxeter
+from .presentation import Presentation, Relator, _local_words, pi1_presentation, todd_coxeter
 
 PI1_BOUND = 10_000
 
@@ -264,56 +263,29 @@ class AbelianizedWords:
 
 
 def colimit_H1(A, Q):
-    """H1 of the stabilizer colimit over the quotient's 1-skeleton.
+    """H1 of the stabilizer colimit: the G-coinvariants of the direct sum
+    of H1(G_v) over every vertex v of X, modulo the edge identifications.
 
-    One block of generators per quotient vertex (all nonidentity elements
-    of the canonical lift's stabilizer, with multiplication-table
-    relations abelianized); for each quotient edge, the lifted edge
-    stabilizer's images in both endpoint blocks are identified, after
-    conjugating each endpoint to the canonical lift (inner automorphisms
-    act trivially on H1, so the transporter choice is immaterial).
+    The letters and the `mult` and `edge` words are the presentation's own
+    (`_local_words`).  One orbit word h@v . (s h s^-1)@s(v)^-1 per letter
+    and generator s of G gives the coinvariants, as x - (st)x is
+    (x - tx) + (y - sy) with y = tx; orbit words need not hold in G.  The
+    contraction merges every edge and orbit word, so the Smith step sees
+    the distinct mult rows over orbit classes.  Nothing is chosen: Q is
+    not read, and stays in the signature for existing callers.
     """
-    if not (A.validated_simplicial and A.validated_without_rotations):
-        raise PreconditionUnvalidated("action must be validated without rotations")
-    columns = []
-    col_of = {}
-    blocks = {}
-    for qv in Q.quotient.sorted_vertices:
-        lift = Q.lifts((qv,))[0][0]
-        elems = stabilizer(A, lift)[1:]  # the identity comes first
-        blocks[qv] = (lift, elems)
-        for g in elems:
-            col_of[(qv, g)] = len(columns)
-            columns.append((qv, g))
-
-    rows = []
-    for qv, (lift, elems) in blocks.items():
-        for g in elems:
-            for h in elems:
-                k = g * h
-                row = [0] * len(columns)
-                row[col_of[(qv, g)]] += 1
-                row[col_of[(qv, h)]] += 1
-                if not k.is_identity():
-                    row[col_of[(qv, k)]] -= 1
-                rows.append(row)
-
-    for qe in Q.quotient.sorted_edges:
-        lifted = Q.lifts(qe)[0]
-        ends = []
-        for x in lifted:
-            qv = Q.projection[x]
-            canon = blocks[qv][0]
-            ends.append((qv, all_transporters(A.group.elements, x, canon)[0]))
-        for k in edge_stabilizer(A, lifted)[1:]:
-            row = [0] * len(columns)
-            for sign, (qv, t) in zip((1, -1), ends):
-                moved = t * k * t.inverse()
-                assert not moved.is_identity()
-                row[col_of[(qv, moved)]] += sign
-            rows.append(row)
-
-    return AbelianInvariants.from_relation_matrix(rows, len(columns))
+    sym_of, local = _local_words(A)
+    gens = A.group.generators
+    elements = {g for _, g in sym_of}
+    conj = {(s, g): s * g * s.inverse() for s in gens for g in elements}
+    orbit = (
+        ([(letter, 1), (sym_of[(s(v), conj[s, g])], -1)], "orbit")
+        for (v, g), letter in sym_of.items()
+        for s in gens
+    )
+    relators = tuple(Relator(tuple(word), tag) for word, tag in chain(local, orbit))
+    P = Presentation(tuple(sym_of.values()), relators)
+    return presentation_abelianization(P)
 
 
 @dataclass(frozen=True)

@@ -96,9 +96,11 @@ class IllegalMove(StabpresError):
 
 
 class BudgetExhausted(StabpresError):
-    def __init__(self, budget):
+    """No contraction within the budget; a detail says why when none can exist."""
+
+    def __init__(self, budget, detail=None):
         self.budget = budget
-        super().__init__(f"no contraction found within budget {budget}")
+        super().__init__(detail or f"no contraction found within budget {budget}")
 
 
 class NotCollapsible(StabpresError):

@@ -159,7 +159,7 @@ def _filling(K, vertices, budget):
             chain[index[(b, a)]] -= 1
     c = solver.solve(chain)
     if c is None:
-        raise BudgetExhausted(budget)
+        raise BudgetExhausted(budget, "the loop is not null-homologous, so no budget contracts it")
     return dict(zip(K.sorted_triangles, c)) if solver.injective else None
 
 
@@ -179,20 +179,27 @@ def search_contraction(K, loop, basepoint, budget=None, seed=0):
     left.  When d2 is injective (H2 = 0, as for a 2-connected quotient)
     each loop has exactly one integral filling c, and a triangle insert
     changes one coefficient of c by 1, so at least |c|_1 inserts remain;
-    otherwise the bound uses |c|_1 = 0.  A loop with no integral filling
-    raises BudgetExhausted without searching.  The bound never
-    overestimates, so the first shortest log is the one found without it.
+    otherwise the bound uses |c|_1 = 0.  The bound never overestimates,
+    so the first shortest log is the one found without it.  At the start
+    loop it is b0 = |c|_1 + (len(loop) + 1 + |c|_1) // 2, and no log is
+    shorter.  With no budget given the search runs to
+    max(default_budget(len(loop)), 2 * b0).
 
     The log is not replayed here: callers replay it once (`contract_loop`,
     `armstrong_express`).  Raises BudgetExhausted when no log of length
-    <= budget exists under that cap.
+    <= budget exists under that cap, and before any search when the loop
+    has no integral filling or the given budget is below b0.
     """
     start = validate_path(K, loop.vertices).vertices
     if not loop.is_loop() or loop.start != basepoint:
         raise IllegalMove(f"not a loop based at {basepoint!r}")
-    if budget is None:
-        budget = default_budget(len(loop))
     filling = _filling(K, start, budget)
+    norm = sum(map(abs, filling.values())) if filling is not None else 0
+    b0 = norm + (len(start) + norm) // 2  # the start loop's bound in `dfs`
+    if budget is None:
+        budget = max(default_budget(len(loop)), 2 * b0)
+    elif budget < b0:
+        raise BudgetExhausted(budget, f"budget {budget} is below the filling bound b0 = {b0}")
     max_len = 3 * len(loop) + 8
     rng = random.Random(seed) if seed else None
     apexes = K.edge_apexes
@@ -241,7 +248,6 @@ def search_contraction(K, loop, basepoint, budget=None, seed=0):
                 return [move] + found
         return None
 
-    norm = sum(map(abs, filling.values())) if filling is not None else 0
     for limit in range(budget + 1):
         found = dfs(start, norm, limit, {})
         if found is not None:

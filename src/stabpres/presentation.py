@@ -3,7 +3,7 @@
 Generators: one `StabilizerLetter` g@v per vertex v and nonidentity
 element g fixing v, the letter type of the expression words, so words
 trace through coset tables and abelianized images letter by letter.
-Relators come in three families:
+Relators come in three families; `abelian.colimit_H1` reuses the first two:
 
   mult  g@v . h@v . (gh)@v^-1          (per-vertex multiplication tables)
   edge  g@u . g@w^-1                   (u-w an edge, g fixing both ends)
@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 
 from .armstrong import StabilizerLetter, armstrong_express, psi_evaluate
 from .complexes import simplex
@@ -60,7 +60,7 @@ class EdgeSymbol:
 @dataclass(frozen=True)
 class Relator:
     word: tuple  # of (symbol, +1|-1)
-    tag: str  # "mult" | "edge" | "conj" | "tri"
+    tag: str  # "mult" | "edge" | "conj" | "tri" | "orbit"
 
 
 @dataclass(frozen=True)
@@ -152,26 +152,18 @@ def _distinct_relators(tagged_words, generators):
     return tuple(relators)
 
 
-def build_presentation(A, Q):
-    """Assemble the stabilizer presentation for a validated action.
-
-    Relators are freely reduced; duplicates (and relators reducing to the
-    empty word) are dropped after canonical cyclic reduction.  Relators
-    are not evaluated here: `verify_theorem` psi-checks each one once.
-    """
+def _local_words(A):
+    """The letters g@v of a validated action, as a dict keyed by (v, g) in
+    generator order, and an iterator over its tagged `mult` and `edge`
+    words: the relators that hold within one vertex or edge stabilizer."""
     if not (A.validated_simplicial and A.validated_without_rotations):
         raise PreconditionUnvalidated("action must be validated without rotations")
-    sym_of = {}
-    generators = []
     stab = A.group.stabilizers  # each lists the identity first
-    for v in A.complex.sorted_vertices:
-        for g in stab[v][1:]:
-            s = StabilizerLetter(g, v)
-            sym_of[(v, g)] = s
-            generators.append(s)
-    generators = tuple(generators)
+    sym_of = {
+        (v, g): StabilizerLetter(g, v) for v in A.complex.sorted_vertices for g in stab[v][1:]
+    }
 
-    def tagged_words():
+    def words():
         for v in A.complex.sorted_vertices:
             nonid = stab[v][1:]
             for g, h in product(nonid, nonid):
@@ -186,6 +178,22 @@ def build_presentation(A, Q):
                 # legal precisely because pointwise = setwise stabilizers here
                 yield [(sym_of[(u, g)], 1), (sym_of[(w, g)], -1)], "edge"
 
+    return sym_of, words()
+
+
+def build_presentation(A, Q):
+    """Assemble the stabilizer presentation for a validated action: the
+    `mult` and `edge` words of `_local_words`, then the `conj` family.
+
+    Relators are freely reduced; duplicates (and relators reducing to the
+    empty word) are dropped after canonical cyclic reduction.  Relators
+    are not evaluated here: `verify_theorem` psi-checks each one once.
+    """
+    sym_of, local = _local_words(A)
+    generators = tuple(sym_of.values())
+    stab = A.group.stabilizers
+
+    def conj_words():
         for v in A.complex.sorted_vertices:
             for g in stab[v][1:]:
                 ginv = g.inverse()
@@ -202,7 +210,7 @@ def build_presentation(A, Q):
                         ]
                         yield word, "conj"
 
-    return Presentation(generators, _distinct_relators(tagged_words(), generators))
+    return Presentation(generators, _distinct_relators(chain(local, conj_words()), generators))
 
 
 # ---------------------------------------------------------------------------

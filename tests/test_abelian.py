@@ -8,17 +8,12 @@ import pytest
 from stabpres.abelian import (
     AbelianInvariants,
     AbelianizedWords,
-    boundary_matrices,
     colimit_H1,
-    det_bareiss,
     group_abelianization,
     homology_invariants,
-    invariant_factors,
     is_simply_connected,
     is_two_connected,
-    matmul,
     presentation_abelianization,
-    smith_normal_form,
 )
 from stabpres.actions import (
     Permutation,
@@ -28,7 +23,12 @@ from stabpres.actions import (
     validate_simplicial_action,
 )
 from stabpres.armstrong import StabilizerLetter, StabilizerWord, armstrong_express
-from stabpres.complexes import SimplicialComplex, barycentric_subdivision, validate_complex
+from stabpres.complexes import (
+    SimplicialComplex,
+    barycentric_subdivision,
+    boundary_matrices,
+    validate_complex,
+)
 from stabpres.fixtures import (
     cycle_complex,
     f1_flip,
@@ -40,6 +40,8 @@ from stabpres.fixtures import (
     solid_triangle,
 )
 from stabpres.homotopy import random_nondegenerate_disc
+from stabpres.linalg import det_bareiss, invariant_factors, matmul, smith_normal_form
+from stabpres.presentation import build_presentation, todd_coxeter
 
 
 def _fraction_rank(M):
@@ -332,6 +334,42 @@ def test_colimit_values_frozen(f1, f2, f3):
     assert colimit_H1(f1.action, f1.quotient) == AbelianInvariants(0, (2,))
     assert colimit_H1(f2.action, f2.quotient) == AbelianInvariants(0, (2,))
     assert colimit_H1(f3.action, f3.quotient) == AbelianInvariants(0, (2, 2))
+
+
+def test_colimit_needs_the_orbit_words():
+    # the Klein four-group {1, r, s, rs}: r is the half-turn about p3-m3, s
+    # the antipodal map; r fixes only the two poles and no edge, so without
+    # identifying each stabilizer's H1 with its translates the sum is (Z/2)^3
+    K = octahedron_boundary()
+    r = Permutation.from_cycles(K.sorted_vertices, [["p1", "m1"], ["p2", "m2"]])
+    s = Permutation.from_cycles(K.sorted_vertices, [["p1", "m1"], ["p2", "m2"], ["p3", "m3"]])
+    A = refine_action(validate_simplicial_action(K, [r, s]))
+    Q = build_quotient(A)
+    assert is_simply_connected(A.complex).verdict == "yes"
+    assert is_two_connected(Q.quotient).verdict == "yes"
+    T = todd_coxeter(build_presentation(A, Q))
+    assert (T.status, T.order) == ("complete", 4)
+    assert colimit_H1(A, Q) == group_abelianization(A.group) == AbelianInvariants(0, (2, 2))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_colimit_dihedral_cones(dihedral_cone, n, seed):
+    A = dihedral_cone(n, seed)
+    expected = AbelianInvariants(0, (2,) if n % 2 else (2, 2))
+    assert colimit_H1(A, build_quotient(A)) == expected == group_abelianization(A.group)
+
+
+@pytest.mark.parametrize(
+    "builder, expected",
+    [(f2_s3, AbelianInvariants(0, (2,))), (f3_octahedral, AbelianInvariants(0, (2, 2)))],
+)
+def test_colimit_ignores_redundant_generators(builder, expected):
+    A0 = builder()
+    g = A0.group.generators
+    A = refine_action(validate_simplicial_action(A0.complex, g + (g[0] * g[-1],)))
+    assert len(A.group.generators) == len(g) + 1
+    assert colimit_H1(A, build_quotient(A)) == expected
 
 
 # -- connectivity verdicts ----------------------------------------------

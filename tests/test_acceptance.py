@@ -13,12 +13,8 @@ from stabpres.abelian import (
     AbelianInvariants,
     AbelianizedWords,
     colimit_H1,
-    det_bareiss,
     group_abelianization,
-    invariant_factors,
     is_two_connected,
-    matmul,
-    smith_normal_form,
 )
 from stabpres.actions import (
     build_quotient,
@@ -30,6 +26,7 @@ from stabpres.armstrong import armstrong_express, psi_evaluate
 from stabpres.errors import OrbitCollision
 from stabpres.fixtures import f1_flip, f2_s3, f3_octahedral, f4_rotation, f5_antipodal
 from stabpres.homotopy import collapse_disc, random_nondegenerate_disc, verify_collapse
+from stabpres.linalg import det_bareiss, invariant_factors, matmul, smith_normal_form
 from stabpres.presentation import (
     build_presentation,
     todd_coxeter,

@@ -86,6 +86,7 @@ def test_express_on_projective_plane_quotient_is_a_resource_failure(
     )
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "BudgetExhausted"
+    assert "not null-homologous" in json.loads(err)["detail"]
 
 
 def test_committed_fixtures_match_builders(tmp_path):

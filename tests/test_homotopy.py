@@ -9,7 +9,7 @@ import pytest
 
 from stabpres.actions import build_quotient, refine_action
 from stabpres.armstrong import find_path
-from stabpres.complexes import EdgePath, validate_complex, validate_path
+from stabpres.complexes import EdgePath, barycentric_subdivision, validate_complex, validate_path
 from stabpres.errors import (
     BadSize,
     BudgetExhausted,
@@ -126,6 +126,62 @@ def test_contract_respects_budget():
     with pytest.raises(BudgetExhausted):
         contract_loop(K, loop, "1", budget=0)
     assert default_budget(3) == 34
+
+
+def test_contract_budget_below_the_filling_bound_is_refused():
+    # the triangle's filling has |c|_1 = 1, so b0 = 1 + (4 + 1) // 2 = 3
+    K = solid_triangle()
+    loop = validate_path(K, ["1", "2", "3", "1"])
+    with pytest.raises(BudgetExhausted, match="below the filling bound b0 = 3"):
+        contract_loop(K, loop, "1", budget=2)
+    assert len(contract_loop(K, loop, "1", budget=3).moves) == 3
+
+
+def _stacked_triangle(k):
+    """solid_triangle() after k stellar subdivisions, each of the newest
+    triangle: a disc of 2k + 1 triangles bounded by 1-2-3."""
+    triangles = [("1", "2", "3")]
+    for i in range(k):
+        a, b, c = triangles.pop()
+        x = f"s{i:02d}"
+        triangles += [(a, b, x), (a, c, x), (b, c, x)]
+    edges = {tuple(sorted(p)) for a, b, c in triangles for p in ((a, b), (a, c), (b, c))}
+    vertices = {v for t in triangles for v in t}
+    return validate_complex(sorted(vertices), sorted(edges), triangles)
+
+
+def _boundary_loop(K, base):
+    """The boundary circle of a triangulated disc, walked from base."""
+    nbrs = {}
+    for (a, b), apexes in K.edge_apexes.items():
+        if len(apexes) == 1:
+            nbrs.setdefault(a, []).append(b)
+            nbrs.setdefault(b, []).append(a)
+    walk = [base, min(nbrs[base])]
+    while walk[-1] != base:
+        walk.append(next(v for v in nbrs[walk[-1]] if v != walk[-2]))
+    return validate_path(K, walk)
+
+
+def test_default_budget_covers_the_filling_bound():
+    # a 3-edge loop around 23 triangles needs b0 = 23 + (4 + 23) // 2 = 36
+    # moves, more than default_budget(3) = 34
+    K = _stacked_triangle(11)
+    loop = validate_path(K, ["1", "2", "3", "1"])
+    assert len(K.triangles) == 23
+    assert len(contract_loop(K, loop, "1").moves) == 36
+
+
+def test_default_budget_covers_a_thrice_subdivided_triangle():
+    # 24 boundary edges around 216 triangles: b0 = 216 + (25 + 216) // 2 = 336,
+    # against default_budget(24) = 160
+    K = solid_triangle()
+    for _ in range(3):
+        K, _ = barycentric_subdivision(K)
+    loop = _boundary_loop(K, "1")
+    assert len(loop) == 24 and len(K.triangles) == 216
+    log = contract_loop(K, loop, "1")
+    assert len(log.moves) == 336
 
 
 def _log_digest(log):
@@ -274,7 +330,7 @@ def test_contract_essential_projective_plane_loop_fails_fast():
     loop = EdgePath(Q.project_path(find_path(A.complex, base, g(base)).vertices))
     assert loop.is_loop() and len(loop) > 0
     start = time.perf_counter()
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted, match="not null-homologous"):
         contract_loop(Q.quotient, loop, Q.projection[base])
     assert time.perf_counter() - start < 1.0
 
