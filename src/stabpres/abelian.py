@@ -26,7 +26,13 @@ from itertools import chain
 from .actions import close_under_product
 from .complexes import boundary_matrices
 from .linalg import _eye, invariant_factors, smith_normal_form
-from .presentation import Presentation, Relator, _local_words, pi1_presentation, todd_coxeter
+from .presentation import (
+    Presentation,
+    _distinct_relators,
+    _local_words,
+    pi1_presentation,
+    todd_coxeter,
+)
 
 PI1_BOUND = 10_000
 
@@ -92,7 +98,9 @@ def homology_invariants(K, k):
 
 def group_abelianization(G):
     """G/[G,G] decomposed by element order statistics, independent of any
-    presentation and of the Smith machinery.
+    presentation and of the Smith machinery.  It multiplies permutations
+    directly and reads no product memo (`PermGroup.product`), so the
+    oracle stays independent of the memo the colimit side is built with.
 
     For each prime p the number of cosets killed by p^j determines the
     p-primary type (v_p of the count ratios is the conjugate partition);
@@ -274,17 +282,15 @@ def colimit_H1(A, Q):
     the distinct mult rows over orbit classes.  Nothing is chosen: Q is
     not read, and stays in the signature for existing callers.
     """
-    sym_of, local = _local_words(A)
-    gens = A.group.generators
-    elements = {g for _, g in sym_of}
-    conj = {(s, g): s * g * s.inverse() for s in gens for g in elements}
+    letters, gen_of, local = _local_words(A)
+    G = A.group
+    gens = [(s, G.number[s], G.inverse_of[G.number[s]]) for s in G.generators]
     orbit = (
-        ([(letter, 1), (sym_of[(s(v), conj[s, g])], -1)], "orbit")
-        for (v, g), letter in sym_of.items()
-        for s in gens
+        ([(a, 1), (gen_of[s(v), G.product(G.product(t, g), tinv)], -1)], "orbit")
+        for (v, g), a in gen_of.items()
+        for s, t, tinv in gens
     )
-    relators = tuple(Relator(tuple(word), tag) for word, tag in chain(local, orbit))
-    P = Presentation(tuple(sym_of.values()), relators)
+    P = Presentation(letters, _distinct_relators(chain(local, orbit), letters))
     return presentation_abelianization(P)
 
 

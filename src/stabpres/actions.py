@@ -8,10 +8,16 @@ enumerated exhaustively (everything here is desk scale; the cap guards
 against runaway input).  The canonical order on group elements is the
 lexicographic order of index tuples, which is the order of image-name
 tuples over the sorted vertex list; the identity always sorts first.
-Each group indexes its vertex stabilizers once, in one pass over its
-elements (`PermGroup.stabilizers`); every stabilizer query reads that
-index.  Orbits stay scans of G: their one caller, `build_quotient`, asks
-once per vertex and once per simplex orbit, so an index would add code
+Each group numbers its elements once, by their place in the canonical
+order (`PermGroup.number`, so the identity is 0), and multiplies by
+number: `PermGroup.product(i, j)` memoizes each product the first time
+it is asked for, so repeated products cost a dict lookup and the memo
+never holds more than the products some caller needed (no |G|^2 table;
+groups reach `GROUP_CAP`).  Each group also indexes its vertex
+stabilizers once, in one pass over its elements
+(`PermGroup.stabilizers`); every stabilizer query reads that index.
+Orbits stay scans of G: their one caller, `build_quotient`, asks once
+per vertex and once per simplex orbit, so an index would add code
 without removing a repeated query.
 
 The quotient of an action is the complex whose simplices are the orbits.
@@ -198,6 +204,7 @@ class PermGroup:
         self.domain = domain
         self.generators = tuple(generators)
         self.cap = cap
+        self._products = {}  # (i, j) -> number of elements[i] * elements[j]
 
     @cached_property
     def elements(self):
@@ -210,6 +217,24 @@ class PermGroup:
     @cached_property
     def identity(self):
         return Permutation.identity(self.domain)
+
+    @cached_property
+    def number(self):
+        """Element -> its position in `elements`; the identity is 0."""
+        return {g: i for i, g in enumerate(self.elements)}
+
+    @cached_property
+    def inverse_of(self):
+        """The number of each element's inverse, by element number."""
+        number = self.number
+        return tuple(number[g.inverse()] for g in self.elements)
+
+    def product(self, i, j):
+        """The number of elements[i] * elements[j], memoized by (i, j)."""
+        k = self._products.get((i, j))
+        if k is None:
+            k = self._products[i, j] = self.number[self.elements[i] * self.elements[j]]
+        return k
 
     @cached_property
     def stabilizers(self):

@@ -49,6 +49,11 @@ class StabilizerLetter:
     def __post_init__(self):
         if self.element(self.vertex) != self.vertex:
             raise LetterInvariantViolated(self.element.cycle_string(), self.vertex)
+        # the value the dataclass would compute on every call, computed once
+        object.__setattr__(self, "_hash", hash((self.element, self.vertex)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def name(self):

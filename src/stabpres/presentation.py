@@ -11,15 +11,21 @@ Relators come in three families; `abelian.colimit_H1` reuses the first two:
 
 Every relator evaluates to the identity under psi by construction;
 `verify_theorem` psi-checks each relator once, for any presentation it
-is given.  Both builders share one relator normaliser, so the enumerator
-scans relators as given.  `todd_coxeter` enumerates cosets of the
+is given, by folding element numbers through the group's product memo
+(`actions.PermGroup.product`).  The builders work on element numbers
+too and emit words over generator indices, (index, +1|-1) pairs:
+`build_presentation`, `pi1_presentation` and `abelian.colimit_H1` all
+feed that one shape to the one relator normaliser, which spells only
+the relators it keeps in the generator symbols.  The enumerator scans
+relators as given.  `todd_coxeter` enumerates cosets of the
 trivial subgroup relator-first (scan-and-fill with full coincidence
 processing, lowest undefined entry defined first) until every live row
 is full, then one closure sweep composes each relator over the generator
 columns: it is both the stopping test and the proof, so a Complete(n)
 table certifies the presented group has order n.  `verify_theorem` combines
 that with an exhaustive surjectivity check to certify the presented
-group is the acting group.
+group is the acting group; the table records the presentation it
+enumerated, so a table from another presentation is refused.
 
 `pi1_presentation` is the classical edge-path presentation of the
 fundamental group (generators: edges off a spanning tree; relators:
@@ -122,9 +128,9 @@ def _strip_cancelling_ends(word):
     return word[lo : hi + 1]
 
 
-def _canonical_cyclic_key(word, index):
+def _canonical_cyclic_key(word):
     """Lexicographic minimum over rotations of the word and its inverse."""
-    w = [(index[s], e) for s, e in word]
+    w = list(word)
     wi = [(i, -e) for i, e in reversed(w)]
     best = None
     for seq in (w, wi):
@@ -137,48 +143,53 @@ def _canonical_cyclic_key(word, index):
 
 
 def _distinct_relators(tagged_words, generators):
-    """The one relator normaliser: freely reduce each (word, tag) and keep it
-    unless it cyclically reduces to the empty word or repeats a kept
-    relator up to rotation and inversion."""
-    index = {s: i for i, s in enumerate(generators)}
+    """The one relator normaliser: freely reduce each (word, tag), whose
+    word is over generator indices, and keep it unless it cyclically
+    reduces to the empty word or repeats a kept relator up to rotation
+    and inversion.  Kept words are spelled in `generators`."""
     relators = []
     seen = set()
     for word, tag in tagged_words:
         word = free_reduce(word)
-        key = _canonical_cyclic_key(_strip_cancelling_ends(word), index)
+        key = _canonical_cyclic_key(_strip_cancelling_ends(word))
         if key and key not in seen:
             seen.add(key)
-            relators.append(Relator(word, tag))
+            relators.append(Relator(tuple((generators[i], e) for i, e in word), tag))
     return tuple(relators)
 
 
 def _local_words(A):
-    """The letters g@v of a validated action, as a dict keyed by (v, g) in
-    generator order, and an iterator over its tagged `mult` and `edge`
-    words: the relators that hold within one vertex or edge stabilizer."""
+    """The letters g@v of a validated action in generator order, the
+    generator index of each keyed by (v, number of g), and an iterator
+    over its tagged `mult` and `edge` words over generator indices: the
+    relators that hold within one vertex or edge stabilizer."""
     if not (A.validated_simplicial and A.validated_without_rotations):
         raise PreconditionUnvalidated("action must be validated without rotations")
-    stab = A.group.stabilizers  # each lists the identity first
-    sym_of = {
-        (v, g): StabilizerLetter(g, v) for v in A.complex.sorted_vertices for g in stab[v][1:]
-    }
+    G = A.group
+    stab = {v: [G.number[g] for g in s[1:]] for v, s in G.stabilizers.items()}
+    letters = []
+    gen_of = {}
+    for v in A.complex.sorted_vertices:
+        for g in stab[v]:
+            gen_of[v, g] = len(letters)
+            letters.append(StabilizerLetter(G.elements[g], v))
 
     def words():
         for v in A.complex.sorted_vertices:
-            nonid = stab[v][1:]
-            for g, h in product(nonid, nonid):
-                k = g * h
-                word = [(sym_of[(v, g)], 1), (sym_of[(v, h)], 1)]
-                if not k.is_identity():
-                    word.append((sym_of[(v, k)], -1))
+            for g, h in product(stab[v], stab[v]):
+                k = G.product(g, h)
+                word = [(gen_of[v, g], 1), (gen_of[v, h], 1)]
+                if k:  # element 0 is the identity
+                    word.append((gen_of[v, k], -1))
                 yield word, "mult"
 
         for u, w in A.complex.sorted_edges:
             for g in edge_stabilizer(A, (u, w))[1:]:
                 # legal precisely because pointwise = setwise stabilizers here
-                yield [(sym_of[(u, g)], 1), (sym_of[(w, g)], -1)], "edge"
+                i = G.number[g]
+                yield [(gen_of[u, i], 1), (gen_of[w, i], -1)], "edge"
 
-    return sym_of, words()
+    return tuple(letters), gen_of, words()
 
 
 def build_presentation(A, Q):
@@ -189,26 +200,19 @@ def build_presentation(A, Q):
     empty word) are dropped after canonical cyclic reduction.  Relators
     are not evaluated here: `verify_theorem` psi-checks each one once.
     """
-    sym_of, local = _local_words(A)
-    generators = tuple(sym_of.values())
-    stab = A.group.stabilizers
+    generators, gen_of, local = _local_words(A)
+    G = A.group
 
     def conj_words():
-        for v in A.complex.sorted_vertices:
-            for g in stab[v][1:]:
-                ginv = g.inverse()
-                for w in A.complex.sorted_vertices:
-                    gw = g(w)
-                    for h in stab[w][1:]:
-                        k = g * h * ginv
-                        assert k(gw) == gw, "conjugate misses the translated vertex"
-                        word = [
-                            (sym_of[(v, g)], 1),
-                            (sym_of[(w, h)], 1),
-                            (sym_of[(v, g)], -1),
-                            (sym_of[(gw, k)], -1),
-                        ]
-                        yield word, "conj"
+        # gen_of lists (v, g) in generator order: vertices sorted, then
+        # each stabilizer in canonical order
+        for (v, g), a in gen_of.items():
+            x = G.elements[g]
+            ginv = G.inverse_of[g]
+            for (w, h), b in gen_of.items():
+                c = gen_of.get((x(w), G.product(G.product(g, h), ginv)))
+                assert c is not None, "conjugate misses the translated vertex"
+                yield [(a, 1), (b, 1), (a, -1), (c, -1)], "conj"
 
     return Presentation(generators, _distinct_relators(chain(local, conj_words()), generators))
 
@@ -219,9 +223,12 @@ def build_presentation(A, Q):
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Standardized table; row[2i] is the gen-i image, row[2i+1] its inverse."""
+    """Standardized table; row[2i] is the gen-i image, row[2i+1] its inverse.
+
+    `generators` and `relators` are those of the enumerated presentation."""
 
     generators: tuple
+    relators: tuple
     table: tuple
     status: str  # "complete" | "exhausted"
     order: object = None  # int when complete
@@ -360,7 +367,7 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
             if full == len(table):
                 break
     except _CosetBoundHit:
-        return CosetTable(P.generators, (), "exhausted", bound=max_cosets)
+        return CosetTable(P.generators, P.relators, (), "exhausted", bound=max_cosets)
 
     # Definitions and deductions bound the order by n; a complete table on
     # which every relator closes is a transitive action on n points.
@@ -386,7 +393,7 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
                 coincidence(live[cur[k]], live[k])
                 break
         else:
-            return CosetTable(P.generators, final, "complete", order=n)
+            return CosetTable(P.generators, P.relators, final, "complete", order=n)
 
 
 def word_to_coset(T, w):
@@ -414,21 +421,30 @@ def verify_theorem(A, Q, P, T):
     """Certify that the presented group is the acting group.
 
     (i) every relator psi-evaluates to the identity, (ii) the enumeration
-    completed with order exactly |G|, (iii) every group element is hit by
-    the expression procedure (psi is onto).  Together these pin the
-    presented group down to G.  Raises CertificateFailed on the first
-    violation, else returns the certificate.
+    completed with order exactly |G|, from this presentation, (iii) every
+    group element is hit by the expression procedure (psi is onto).
+    Together these pin the presented group down to G.  Raises
+    CertificateFailed on the first violation, else returns the certificate.
     """
-    identity = A.group.identity
+    G = A.group
     checks = []
-    inverse = {s: s.element.inverse() for s in P.generators}
+    numbers = {}  # letter -> number of its element in G
     for r in P.relators:
-        acc = identity
+        acc = 0  # the identity's number
         for s, e in r.word:
-            acc = acc * (s.element if e > 0 else inverse[s])
-        if acc != identity:
+            i = numbers.get(s)
+            if i is None:
+                i = numbers[s] = G.number.get(s.element)
+                if i is None:
+                    raise CertificateFailed(
+                        "relators_psi_identity",
+                        f"letter {s.name} is not an element of the acting group",
+                    )
+            acc = G.product(acc, i if e > 0 else G.inverse_of[i])
+        if acc:
             raise CertificateFailed(
-                "relators_psi_identity", f"{r.tag} relator evaluates to {acc.cycle_string()}"
+                "relators_psi_identity",
+                f"{r.tag} relator evaluates to {G.elements[acc].cycle_string()}",
             )
     checks.append(("relators_psi_identity", f"{len(P.relators)} relators"))
 
@@ -436,17 +452,23 @@ def verify_theorem(A, Q, P, T):
         raise CertificateFailed("enumeration_complete", f"status {T.status}")
     checks.append(("enumeration_complete", f"order {T.order}"))
 
-    order = A.group.order()
+    order = G.order()
     if T.order != order:
         raise CertificateFailed(
             "order_matches", f"enumerated {T.order}, group order {order}"
         )
+    if T.generators != P.generators or T.relators != P.relators:
+        raise CertificateFailed(
+            "order_matches",
+            f"table enumerated from another presentation ({len(T.generators)} generators, "
+            f"{len(T.relators)} relators; certifying {len(P.generators)}, {len(P.relators)})",
+        )
     checks.append(("order_matches", f"{order}"))
 
     basepoint = min(A.complex.vertices)
-    for g in A.group.elements:
+    for g in G.elements:
         word = armstrong_express(A, Q, basepoint, g)
-        value = psi_evaluate(word, identity)
+        value = psi_evaluate(word, G.identity)
         if value != g:
             raise CertificateFailed(
                 "psi_surjective",
@@ -485,20 +507,14 @@ def pi1_presentation(K, basepoint):
         missing = next(v for v in K.sorted_vertices if v not in parent)
         raise Disconnected(basepoint, missing)
 
-    symbols = {}
-    generators = []
-    for e in K.sorted_edges:
-        if e not in tree:
-            s = EdgeSymbol(e)
-            symbols[e] = s
-            generators.append(s)
-    generators = tuple(generators)
+    generators = tuple(EdgeSymbol(e) for e in K.sorted_edges if e not in tree)
+    gen_of = {s.edge: i for i, s in enumerate(generators)}
 
     def step(u, w):
         e = simplex((u, w))
         if e in tree:
             return None
-        return (symbols[e], 1 if (u, w) == e else -1)
+        return (gen_of[e], 1 if (u, w) == e else -1)
 
     words = (
         ([s for s in (step(a, b), step(b, c), step(c, a)) if s is not None], "tri")

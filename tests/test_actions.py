@@ -230,6 +230,32 @@ def test_stabilizers_match_scan_of_group(build, dihedral_cone):
         assert edge_stabilizer(A, (w, u)) == expect
 
 
+@pytest.mark.parametrize("build", [f3_octahedral, (8, 1)], ids=["f3_octahedral", "D8-cone-seed1"])
+def test_product_memo_matches_permutation_products(build, dihedral_cone):
+    A = dihedral_cone(*build) if isinstance(build, tuple) else refine_action(build())
+    G = A.group
+    elems, number = G.elements, G.number
+    assert number[G.identity] == 0
+    assert [number[g] for g in elems] == list(range(len(elems)))
+    for i, g in enumerate(elems):
+        assert G.inverse_of[G.inverse_of[i]] == i
+        assert elems[G.inverse_of[i]] == g.inverse()
+        assert G.product(i, G.inverse_of[i]) == 0
+    i, j = next(
+        (i, j)
+        for i, g in enumerate(elems)
+        for j, h in enumerate(elems)
+        if g * h != h * g
+    )
+    assert G.product(i, j) != G.product(j, i)
+    assert elems[G.product(i, j)] == elems[i] * elems[j]
+    assert elems[G.product(j, i)] == elems[j] * elems[i]
+    for i, g in enumerate(elems):
+        for j, h in enumerate(elems):
+            # asked twice: once to fill the memo, once to read it
+            assert G.product(i, j) == G.product(i, j) == number[g * h]
+
+
 # -- refinement ---------------------------------------------------------
 
 

@@ -14,10 +14,11 @@ from stabpres.actions import (
 )
 from stabpres.armstrong import StabilizerLetter, StabilizerWord
 from stabpres.errors import CertificateFailed, Disconnected, UnknownSymbol
-from stabpres.fixtures import cycle_complex, f5_antipodal, solid_triangle
+from stabpres.fixtures import cycle_complex, f3_octahedral, f5_antipodal, solid_triangle
 from stabpres.presentation import (
     Presentation,
     Relator,
+    build_presentation,
     cyclic_reduce,
     free_reduce,
     pi1_presentation,
@@ -285,6 +286,71 @@ def test_verify_theorem_rejects_failed_expression(f1, monkeypatch):
     with pytest.raises(CertificateFailed) as exc:
         verify_theorem(f1.action, f1.quotient, f1.presentation, f1.table)
     assert exc.value.check == "psi_surjective"
+
+
+def test_verify_theorem_rejects_table_of_another_presentation(f3):
+    # the mult relators alone do not present G (their enumeration
+    # exhausts), but the full presentation's table has the right order
+    A, Q, P, T = f3
+    P_mult = Presentation(P.generators, tuple(r for r in P.relators if r.tag == "mult"))
+    assert len(P_mult.relators) == 588
+    assert todd_coxeter(P_mult, max_cosets=5000).status == "exhausted"
+    with pytest.raises(CertificateFailed) as exc:
+        verify_theorem(A, Q, P_mult, T)
+    assert exc.value.check == "order_matches"
+    assert "another presentation" in str(exc.value)
+
+
+def test_verify_theorem_rejects_letters_of_another_action(f1, f2):
+    # f1's letters permute another vertex set, so none is an element of f2's G
+    with pytest.raises(CertificateFailed) as exc:
+        verify_theorem(f2.action, f2.quotient, f1.presentation, f1.table)
+    assert exc.value.check == "relators_psi_identity"
+    assert "is not an element of the acting group" in str(exc.value)
+
+
+def test_verify_theorem_rejects_letter_outside_group(f2):
+    A, Q, P, T = f2
+    dom = A.complex.sorted_vertices
+    v = dom[2]
+    swap = Permutation.from_cycles(dom, [[dom[0], dom[1]]])
+    assert swap not in A.group
+    extra = StabilizerLetter(swap, v)
+    # swap squares to the identity, so only the membership test catches it
+    P_extra = Presentation(
+        P.generators + (extra,), P.relators + (Relator(((extra, 1), (extra, 1)), "mult"),)
+    )
+    with pytest.raises(CertificateFailed) as exc:
+        verify_theorem(A, Q, P_extra, T)
+    assert exc.value.check == "relators_psi_identity"
+    assert f"letter {extra.name} is not an element of the acting group" in str(exc.value)
+
+
+def _counting_products(monkeypatch):
+    """Count every Permutation product from now on."""
+    calls = [0]
+    mul = Permutation.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Permutation, "__mul__", counted)
+    return calls
+
+
+def test_product_memo_bounds_permutation_products(monkeypatch):
+    # a fresh f3 group, so no other test has filled its product memo;
+    # without the memo these were 28,450 and 55,400 products
+    A = refine_action(f3_octahedral())
+    Q = build_quotient(A)
+    calls = _counting_products(monkeypatch)
+    P = build_presentation(A, Q)
+    assert calls[0] <= 1326
+    T = todd_coxeter(P)
+    calls[0] = 0
+    verify_theorem(A, Q, P, T)
+    assert calls[0] <= 256
 
 
 # -- fundamental group presentations ------------------------------------
