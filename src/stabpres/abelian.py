@@ -187,12 +187,10 @@ def _contracted_relations(P):
     nonzero rows, the column of each generator, and the column count.
     """
     n = len(P.generators)
-    index = P.gen_index
     raw = []
     for r in P.relators:
         vec = {}
-        for s, e in r.word:
-            i = index[s]
+        for i, e in r.word:
             vec[i] = vec.get(i, 0) + e
         raw.append({i: c for i, c in vec.items() if c})
 
@@ -255,8 +253,8 @@ class AbelianizedWords:
 
     def exponent_vector(self, word):
         vec = [0] * len(self.V)
-        for letter in word.normalize().letters:
-            vec[self.column[self.P.gen_index[letter]]] += 1
+        for i in self.P.letter_indices(word):
+            vec[self.column[i]] += 1
         return vec
 
     def image(self, word):
@@ -290,7 +288,7 @@ def colimit_H1(A, Q):
         for (v, g), a in gen_of.items()
         for s, t, tinv in gens
     )
-    P = Presentation(letters, _distinct_relators(chain(local, orbit), letters))
+    P = Presentation(letters, _distinct_relators(chain(local, orbit)))
     return presentation_abelianization(P)
 
 

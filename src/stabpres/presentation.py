@@ -15,9 +15,10 @@ is given, by folding element numbers through the group's product memo
 (`actions.PermGroup.product`).  The builders work on element numbers
 too and emit words over generator indices, (index, +1|-1) pairs:
 `build_presentation`, `pi1_presentation` and `abelian.colimit_H1` all
-feed that one shape to the one relator normaliser, which spells only
-the relators it keeps in the generator symbols.  The enumerator scans
-relators as given.  `todd_coxeter` enumerates cosets of the
+feed that one shape to the one relator normaliser, and a `Relator` keeps
+it: letters are spelled only on output, and `letter_indices` turns
+stabilizer words into index words.  The enumerator scans relators as
+given.  `todd_coxeter` enumerates cosets of the
 trivial subgroup relator-first (scan-and-fill with full coincidence
 processing, lowest undefined entry defined first) until every live row
 is full, then one closure sweep composes each relator over the generator
@@ -35,6 +36,7 @@ triangle boundaries), fed to the same enumerator.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
@@ -65,7 +67,9 @@ class EdgeSymbol:
 
 @dataclass(frozen=True)
 class Relator:
-    word: tuple  # of (symbol, +1|-1)
+    """A word over generator indices: letter (i, e) is generator i to the power e."""
+
+    word: tuple  # of (generator index, +1|-1)
     tag: str  # "mult" | "edge" | "conj" | "tri" | "orbit"
 
 
@@ -74,29 +78,40 @@ class Presentation:
     generators: tuple
     relators: tuple
 
+    def __post_init__(self):
+        # relator letters index lists, where a negative index would wrap around
+        letters = {(i, e) for i in range(len(self.generators)) for e in (1, -1)}
+        if not letters.issuperset(chain.from_iterable(r.word for r in self.relators)):
+            raise UnknownSymbol(next(x for r in self.relators for x in r.word if x not in letters))
+
     @cached_property
     def gen_index(self):
         return {s: i for i, s in enumerate(self.generators)}
 
+    def letter_indices(self, word):
+        """The generator indices of a stabilizer word's nonidentity letters."""
+        try:
+            return [self.gen_index[letter] for letter in word.normalize().letters]
+        except KeyError as exc:
+            raise UnknownSymbol(exc.args[0]) from None
+
     def counts_by_tag(self):
-        out = {}
-        for r in self.relators:
-            out[r.tag] = out.get(r.tag, 0) + 1
-        return out
+        return dict(Counter(r.tag for r in self.relators))
 
     def to_text(self):
-        gens = ", ".join(s.name for s in self.generators)
+        names = [s.name for s in self.generators]
         rels = ", ".join(
-            " ".join(s.name + ("" if e > 0 else "^-1") for s, e in r.word)
+            " ".join(names[i] + ("" if e > 0 else "^-1") for i, e in r.word)
             for r in self.relators
         )
-        return f"< {gens} | {rels} >"
+        return f"< {', '.join(names)} | {rels} >"
 
     def to_json_obj(self):
+        names = [s.name for s in self.generators]
         return {
-            "generators": [s.name for s in self.generators],
+            "generators": names,
             "relators": [
-                {"tag": r.tag, "word": [[s.name, e] for s, e in r.word]}
+                {"tag": r.tag, "word": [[names[i], e] for i, e in r.word]}
                 for r in self.relators
             ],
         }
@@ -129,24 +144,20 @@ def _strip_cancelling_ends(word):
 
 
 def _canonical_cyclic_key(word):
-    """Lexicographic minimum over rotations of the word and its inverse."""
+    """Lexicographic minimum over rotations of the word and its inverse:
+    only those starting at the least letter are built."""
     w = list(word)
     wi = [(i, -e) for i, e in reversed(w)]
-    best = None
-    for seq in (w, wi):
-        n = len(seq)
-        for r in range(n):
-            cand = tuple(seq[r:] + seq[:r])
-            if best is None or cand < best:
-                best = cand
-    return best if best is not None else ()
+    least = min(w + wi, default=None)
+    rotations = (seq[r:] + seq[:r] for seq in (w, wi) for r, x in enumerate(seq) if x == least)
+    return min(map(tuple, rotations), default=())
 
 
-def _distinct_relators(tagged_words, generators):
+def _distinct_relators(tagged_words):
     """The one relator normaliser: freely reduce each (word, tag), whose
     word is over generator indices, and keep it unless it cyclically
     reduces to the empty word or repeats a kept relator up to rotation
-    and inversion.  Kept words are spelled in `generators`."""
+    and inversion."""
     relators = []
     seen = set()
     for word, tag in tagged_words:
@@ -154,7 +165,7 @@ def _distinct_relators(tagged_words, generators):
         key = _canonical_cyclic_key(_strip_cancelling_ends(word))
         if key and key not in seen:
             seen.add(key)
-            relators.append(Relator(tuple((generators[i], e) for i, e in word), tag))
+            relators.append(Relator(word, tag))
     return tuple(relators)
 
 
@@ -214,7 +225,7 @@ def build_presentation(A, Q):
                 assert c is not None, "conjugate misses the translated vertex"
                 yield [(a, 1), (b, 1), (a, -1), (c, -1)], "conj"
 
-    return Presentation(generators, _distinct_relators(chain(local, conj_words()), generators))
+    return Presentation(generators, _distinct_relators(chain(local, conj_words())))
 
 
 # ---------------------------------------------------------------------------
@@ -223,28 +234,20 @@ def build_presentation(A, Q):
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Standardized table; row[2i] is the gen-i image, row[2i+1] its inverse.
+    """Standardized table of the enumerated `presentation`; row[2i] is the
+    gen-i image, row[2i+1] its inverse."""
 
-    `generators` and `relators` are those of the enumerated presentation."""
-
-    generators: tuple
-    relators: tuple
+    presentation: Presentation
     table: tuple
     status: str  # "complete" | "exhausted"
     order: object = None  # int when complete
     bound: object = None  # the max_cosets hit when exhausted
 
-    @cached_property
-    def gen_index(self):
-        return {s: i for i, s in enumerate(self.generators)}
-
     def trace(self, coset, word):
-        """Follow a word of (symbol, exp) pairs through the table."""
-        for sym, exp in word:
-            i = self.gen_index.get(sym)
-            if i is None:
-                raise UnknownSymbol(sym)
-            coset = self.table[coset][2 * i + (0 if exp > 0 else 1)]
+        """Follow a word of (generator index, +1|-1) pairs, the relator
+        shape, through the table."""
+        for i, e in word:
+            coset = self.table[coset][2 * i + (e < 0)]
         return coset
 
 
@@ -263,10 +266,8 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     over the columns, is the identity; else the coset a relator fails to
     close at coincides with the one it reaches, and the sweep repeats.
     """
-    m = len(P.generators)
-    index = P.gen_index
-    rels = [tuple(2 * index[s] + (0 if e > 0 else 1) for s, e in r.word) for r in P.relators]
-    width = 2 * m
+    rels = [tuple(2 * i + (e < 0) for i, e in r.word) for r in P.relators]
+    width = 2 * len(P.generators)
 
     table = [[-1] * width]
     parent = [0]
@@ -367,7 +368,7 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
             if full == len(table):
                 break
     except _CosetBoundHit:
-        return CosetTable(P.generators, P.relators, (), "exhausted", bound=max_cosets)
+        return CosetTable(P, (), "exhausted", bound=max_cosets)
 
     # Definitions and deductions bound the order by n; a complete table on
     # which every relator closes is a transitive action on n points.
@@ -393,14 +394,14 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
                 coincidence(live[cur[k]], live[k])
                 break
         else:
-            return CosetTable(P.generators, P.relators, final, "complete", order=n)
+            return CosetTable(P, final, "complete", order=n)
 
 
 def word_to_coset(T, w):
     """Trace a stabilizer word from coset 0; identity letters contribute nothing."""
     if T.status != "complete":
         raise PreconditionUnvalidated("coset table is not complete")
-    return T.trace(0, ((letter, 1) for letter in w.normalize().letters))
+    return T.trace(0, ((i, 1) for i in T.presentation.letter_indices(w)))
 
 
 @dataclass(frozen=True)
@@ -428,19 +429,17 @@ def verify_theorem(A, Q, P, T):
     """
     G = A.group
     checks = []
-    numbers = {}  # letter -> number of its element in G
+    numbers = [G.number.get(s.element) for s in P.generators]
     for r in P.relators:
         acc = 0  # the identity's number
-        for s, e in r.word:
-            i = numbers.get(s)
-            if i is None:
-                i = numbers[s] = G.number.get(s.element)
-                if i is None:
-                    raise CertificateFailed(
-                        "relators_psi_identity",
-                        f"letter {s.name} is not an element of the acting group",
-                    )
-            acc = G.product(acc, i if e > 0 else G.inverse_of[i])
+        for i, e in r.word:
+            g = numbers[i]
+            if g is None:
+                raise CertificateFailed(
+                    "relators_psi_identity",
+                    f"letter {P.generators[i].name} is not an element of the acting group",
+                )
+            acc = G.product(acc, g if e > 0 else G.inverse_of[g])
         if acc:
             raise CertificateFailed(
                 "relators_psi_identity",
@@ -457,11 +456,12 @@ def verify_theorem(A, Q, P, T):
         raise CertificateFailed(
             "order_matches", f"enumerated {T.order}, group order {order}"
         )
-    if T.generators != P.generators or T.relators != P.relators:
+    E = T.presentation
+    if E != P:
         raise CertificateFailed(
             "order_matches",
-            f"table enumerated from another presentation ({len(T.generators)} generators, "
-            f"{len(T.relators)} relators; certifying {len(P.generators)}, {len(P.relators)})",
+            f"table enumerated from another presentation ({len(E.generators)} generators, "
+            f"{len(E.relators)} relators; certifying {len(P.generators)}, {len(P.relators)})",
         )
     checks.append(("order_matches", f"{order}"))
 
@@ -520,4 +520,4 @@ def pi1_presentation(K, basepoint):
         ([s for s in (step(a, b), step(b, c), step(c, a)) if s is not None], "tri")
         for a, b, c in K.sorted_triangles
     )
-    return Presentation(generators, _distinct_relators(words, generators))
+    return Presentation(generators, _distinct_relators(words))

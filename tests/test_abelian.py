@@ -29,6 +29,7 @@ from stabpres.complexes import (
     boundary_matrices,
     validate_complex,
 )
+from stabpres.errors import UnknownSymbol
 from stabpres.fixtures import (
     cycle_complex,
     f1_flip,
@@ -289,6 +290,13 @@ def test_abelianized_word_images(f1):
     assert words.image(empty) == (0,)
     assert words.image(w) != (0,)
     assert words.image(w * w) == (0,)
+
+
+def test_abelianized_image_rejects_unknown_letter(f2, f3):
+    # f2's letters are not generators of f3's presentation
+    words = AbelianizedWords(f3.presentation)
+    with pytest.raises(UnknownSymbol):
+        words.image(StabilizerWord(f2.presentation.generators[:1]))
 
 
 def test_abelianized_images_respect_multiplication(f2):

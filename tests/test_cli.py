@@ -439,6 +439,22 @@ _DIGESTS = [  # command, fixture, extra arguments, exit code, stream, sha256
 ]
 
 
+_TEXT_DIGESTS = [  # fixture, sha256 of `present --format text` stdout
+    ("f1", "249e94c392f64d91a361f804718f1935cb6b634e2393380f5bdb9d22ca21ad37"),
+    ("f2", "57994d38e567a1e5b8fe8f2b6a2e0f2e27201c22578bc9d9513aa5d82c304490"),
+    ("f3", "c56d886cf86896f45c8f43e6ed94dde0702f4008a0e3aa048b7d83aecb8eac8c"),
+]
+
+
+@pytest.mark.parametrize("fixture, digest", _TEXT_DIGESTS)
+def test_present_text_digest(fixture_dir, capsys, clean_env, fixture, digest):
+    code, out, err = run(
+        capsys, "present", str(fixture_dir / f"{fixture}.json"), "--format", "text"
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _digest_id(row):
     command, fixture, _extra, exit_code, stream, digest = row
     return f"{command}-{fixture}-{exit_code}-{stream}-{digest}"

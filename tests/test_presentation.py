@@ -18,6 +18,7 @@ from stabpres.fixtures import cycle_complex, f3_octahedral, f5_antipodal, solid_
 from stabpres.presentation import (
     Presentation,
     Relator,
+    _canonical_cyclic_key,
     build_presentation,
     cyclic_reduce,
     free_reduce,
@@ -29,10 +30,12 @@ from stabpres.presentation import (
 
 
 def _pres(generators, *relator_words):
-    """Synthetic presentation over plain string symbols."""
+    """Synthetic presentation over plain string symbols, its relator words
+    spelled in those symbols."""
+    index = {s: i for i, s in enumerate(generators)}
     return Presentation(
         tuple(generators),
-        tuple(Relator(tuple(w), "mult") for w in relator_words),
+        tuple(Relator(tuple((index[s], e) for s, e in w), "mult") for w in relator_words),
     )
 
 
@@ -50,6 +53,59 @@ def test_cyclic_reduce():
     w = (("a", -1), ("b", 1), ("a", 1))
     assert cyclic_reduce(w) == (("b", 1),)
     assert cyclic_reduce((("a", 1), ("a", -1))) == ()
+
+
+def _all_rotations_key(word):
+    """The canonical cyclic key as first written: every rotation of the
+    word and of its inverse, built and compared."""
+    w = list(word)
+    wi = [(i, -e) for i, e in reversed(w)]
+    best = None
+    for seq in (w, wi):
+        n = len(seq)
+        for r in range(n):
+            cand = tuple(seq[r:] + seq[:r])
+            if best is None or cand < best:
+                best = cand
+    return best if best is not None else ()
+
+
+def _raw_builder_words(monkeypatch, pipelines):
+    """Every (word, tag) the builders hand the relator normaliser for these
+    pipelines: their presentations, colimits and both pi1 presentations."""
+    import stabpres.abelian as abelian
+    import stabpres.presentation as presentation
+
+    raw = []
+    normalise = presentation._distinct_relators
+
+    def recording(tagged_words):
+        tagged_words = list(tagged_words)
+        raw.extend(tagged_words)
+        return normalise(tagged_words)
+
+    monkeypatch.setattr(presentation, "_distinct_relators", recording)
+    monkeypatch.setattr(abelian, "_distinct_relators", recording)
+    for A, Q, _, _ in pipelines:
+        build_presentation(A, Q)
+        abelian.colimit_H1(A, Q)
+        for K in (A.complex, Q.quotient):
+            pi1_presentation(K, min(K.vertices))
+    return raw
+
+
+def test_canonical_cyclic_key_matches_all_rotations(monkeypatch, f1, f2, f3):
+    rng = random.Random(12)
+    words = [
+        [(rng.randrange(4), rng.choice((1, -1))) for _ in range(rng.randint(0, 9))]
+        for _ in range(20_000)
+    ]
+    raw = _raw_builder_words(monkeypatch, (f1, f2, f3))
+    assert len(raw) > 15_000  # 14,598 from f3's presentation alone
+    words += [word for word, _ in raw]
+    for word in words:
+        for w in (word, cyclic_reduce(word)):
+            assert _canonical_cyclic_key(w) == _all_rotations_key(w)
 
 
 # -- presentation contents ----------------------------------------------
@@ -80,20 +136,45 @@ def test_octahedral_presentation_counts(f3):
 
 def test_relators_evaluate_to_identity(f2):
     identity = f2.action.group.identity
-    for r in f2.presentation.relators:
+    P = f2.presentation
+    for r in P.relators:
         acc = identity
-        for s, e in r.word:
+        for i, e in r.word:
+            s = P.generators[i]
             acc = acc * (s.element if e > 0 else s.element.inverse())
         assert acc == identity
 
 
 def test_edge_relators_cover_edge_stabilizers(f2):
-    edge_rels = [r for r in f2.presentation.relators if r.tag == "edge"]
+    P = f2.presentation
+    edge_rels = [r for r in P.relators if r.tag == "edge"]
     for r in edge_rels:
-        (s1, e1), (s2, e2) = r.word
+        (i1, e1), (i2, e2) = r.word
+        s1, s2 = P.generators[i1], P.generators[i2]
         assert (e1, e2) == (1, -1)
         assert s1.element == s2.element
         assert s1.vertex != s2.vertex
+
+
+@pytest.mark.parametrize(
+    "word",
+    [((-1, 1),), ((1, 1), (0, 1)), ((0, 2),)],
+    ids=["negative-index", "index-past-generators", "exponent-2"],
+)
+def test_presentation_rejects_letters_outside_generators(word):
+    # relators index tables and lists, where -1 would wrap around silently
+    with pytest.raises(UnknownSymbol):
+        Presentation(("a",), (Relator(((0, 1),), "mult"), Relator(word, "mult")))
+
+
+def test_presentation_to_json_digests(f3, dihedral_cone):
+    A = dihedral_cone(8, 1)
+    cone = build_presentation(A, build_quotient(A))
+    for P, digest in (
+        (f3.presentation, "28fa399070ff0ce02aa65688bb5bb703d95f9de8dd7ee0c90a651a308a9bdea6"),
+        (cone, "32d98162f118c7d8145b3cde24b89be24d8516dcb6c667edc3bc4bb868f3103f"),
+    ):
+        assert hashlib.sha256(P.to_json().encode()).hexdigest() == digest
 
 
 def test_presentation_json(f1):
@@ -150,7 +231,7 @@ def test_tc_table_is_complete_and_closed(f2):
     T = f2.table
     assert T.status == "complete" and T.order == 6
     n = T.order
-    for i in range(len(T.generators)):
+    for i in range(len(T.presentation.generators)):
         col = [T.table[c][2 * i] for c in range(n)]
         inv = [T.table[c][2 * i + 1] for c in range(n)]
         assert sorted(col) == list(range(n))
@@ -211,9 +292,10 @@ def test_tc_fixture_orders(f1, f3):
     assert (f3.table.status, f3.table.order) == ("complete", 48)
 
 
-def test_trace_rejects_unknown_symbol(f1):
+def test_trace_rejects_unknown_symbol(f2, f3):
+    # f2's letters are not generators of f3's presentation
     with pytest.raises(UnknownSymbol):
-        f1.table.trace(0, (("nonsense", 1),))
+        word_to_coset(f3.table, StabilizerWord(f2.presentation.generators[:1]))
 
 
 # -- tracing stabilizer words -------------------------------------------
@@ -258,7 +340,7 @@ def test_verify_theorem_passes(f1, f2):
 
 def test_verify_theorem_rejects_bad_relator(f1):
     P = f1.presentation
-    bad = Presentation(P.generators, P.relators + (Relator(((P.generators[0], 1),), "mult"),))
+    bad = Presentation(P.generators, P.relators + (Relator(((0, 1),), "mult"),))
     with pytest.raises(CertificateFailed) as exc:
         verify_theorem(f1.action, f1.quotient, bad, f1.table)
     assert exc.value.check == "relators_psi_identity"
@@ -317,8 +399,9 @@ def test_verify_theorem_rejects_letter_outside_group(f2):
     assert swap not in A.group
     extra = StabilizerLetter(swap, v)
     # swap squares to the identity, so only the membership test catches it
+    x = len(P.generators)  # the index of extra
     P_extra = Presentation(
-        P.generators + (extra,), P.relators + (Relator(((extra, 1), (extra, 1)), "mult"),)
+        P.generators + (extra,), P.relators + (Relator(((x, 1), (x, 1)), "mult"),)
     )
     with pytest.raises(CertificateFailed) as exc:
         verify_theorem(A, Q, P_extra, T)
