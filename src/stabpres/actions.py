@@ -211,10 +211,6 @@ class PermGroup:
         return close_under_product(self.domain, self.generators, self.cap)
 
     @cached_property
-    def element_set(self):
-        return frozenset(self.elements)
-
-    @cached_property
     def identity(self):
         return Permutation.identity(self.domain)
 
@@ -250,16 +246,16 @@ class PermGroup:
         return len(self.elements)
 
     def __contains__(self, p):
-        return p in self.element_set
+        return p in self.number
 
 
 @dataclass(frozen=True)
 class GroupAction:
-    """A validated simplicial action; flags record which checks have run."""
+    """A simplicial action as `validate_simplicial_action` checked it; the
+    flag records whether `check_without_rotations` has passed."""
 
     complex: SimplicialComplex
     group: PermGroup
-    validated_simplicial: bool = False
     validated_without_rotations: bool = False
     subdivisions: int = 0
 
@@ -280,7 +276,7 @@ def validate_simplicial_action(K, generators, cap=GROUP_CAP):
                 raise NotSimplicial(g.cycle_string(), t)
     group = PermGroup(domain, perms, cap)
     group.elements  # force enumeration so GroupTooLarge surfaces here
-    return GroupAction(K, group, validated_simplicial=True)
+    return GroupAction(K, group)
 
 
 def check_without_rotations(A):
@@ -344,11 +340,11 @@ def refine_action_tracked(A, max_subdivisions=2):
     """Subdivide (at most max_subdivisions times) until the action is
     without rotations and simplex orbits form a simplicial quotient.
 
-    Returns (refined action, lift) where lift sends any element of the
-    original group to the induced element of the refined group.
+    Returns (refined action, lift, quotient): lift sends any element of
+    the original group to the induced element of the refined group, and
+    quotient is the refined action's `build_quotient`, the orbit-collision
+    check that ended the refinement.
     """
-    if not A.validated_simplicial:
-        raise PreconditionUnvalidated("run validate_simplicial_action first")
     stages = []  # (complex, its subdivision), one per round
     current = A
     while True:
@@ -356,7 +352,7 @@ def refine_action_tracked(A, max_subdivisions=2):
         if ok:
             refined = replace(current, validated_without_rotations=True)
             try:
-                build_quotient(refined)
+                quotient = build_quotient(refined)
             except OrbitCollision as exc:
                 detail = exc.witness
             else:
@@ -374,7 +370,7 @@ def refine_action_tracked(A, max_subdivisions=2):
             g = _induced_on_subdivision(K, sd, g)
         return g
 
-    return refined, lift
+    return refined, lift, quotient
 
 
 def refine_action(A, max_subdivisions=2):
@@ -419,7 +415,7 @@ def build_quotient(A):
     Quotient vertices are named by the minimum vertex in their orbit.
     Raises OrbitCollision if orbits do not form a simplicial complex.
     """
-    if not (A.validated_simplicial and A.validated_without_rotations):
+    if not A.validated_without_rotations:
         raise PreconditionUnvalidated("action must be validated without rotations")
     proj = {}
     lift = {}

@@ -113,11 +113,6 @@ def _fail(code, kind, detail):
     raise _Failure(code, kind, detail)
 
 
-def _refined(A):
-    refined, lift = refine_action_tracked(A)
-    return refined, lift, build_quotient(refined)
-
-
 def _require_hypotheses(K, quotient, bound):
     """Fail unless K is simply connected and the quotient 2-connected;
     an exhausted pi1 enumeration is a resource failure."""
@@ -176,7 +171,7 @@ def _cmd_quotient(args):
         subdivisions = 0
         Q = build_quotient(A)
     else:
-        A, _, Q = _refined(load_action(args.action))
+        A, _, Q = refine_action_tracked(load_action(args.action))
         subdivisions = A.subdivisions
     report = {
         "subdivisions": subdivisions,
@@ -193,7 +188,7 @@ def _cmd_quotient(args):
 
 
 def _cmd_present(args):
-    A, _, Q = _refined(load_action(args.action))
+    A, _, Q = refine_action_tracked(load_action(args.action))
     P = build_presentation(A, Q)
     report = P.to_json_obj()
     report["subdivisions"] = A.subdivisions
@@ -208,14 +203,16 @@ def _cmd_express(args):
         g0 = Permutation.from_cycles(A0.complex.sorted_vertices, cycles)
     except StabpresError as exc:
         _fail(EXIT_MALFORMED, "element", str(exc))
-    if g0 not in A0.group.element_set:
+    if g0 not in A0.group:
         _fail(EXIT_INVALID, "element", f"{args.element} is not in the acting group")
-    A, lift, Q = _refined(A0)
+    A, lift, Q = refine_action_tracked(A0)
     g = lift(g0)
     basepoint = args.basepoint if args.basepoint is not None else min(A.complex.vertices)
     word = armstrong_express(A, Q, basepoint, g, seed=args.seed, budget=args.budget)
     value = psi_evaluate(word, A.group.identity)
-    assert value == g
+    if value != g:  # the word's one psi check; an assert would vanish under -O
+        detail = f"psi(word) is {value.cycle_string()}, not {g.cycle_string()}"
+        _fail(EXIT_INVALID, "psi_check", detail)
     report = {
         "basepoint": str(basepoint),
         "element": g.cycle_string(),
@@ -240,7 +237,7 @@ def _cmd_express(args):
 
 
 def _cmd_verify(args):
-    A, _, Q = _refined(load_action(args.action))
+    A, _, Q = refine_action_tracked(load_action(args.action))
     _require_hypotheses(A.complex, Q.quotient, args.max_cosets)
     P = build_presentation(A, Q)
     T = todd_coxeter(P, max_cosets=args.max_cosets)
@@ -271,7 +268,7 @@ def _cmd_verify(args):
 
 
 def _cmd_abelianize(args):
-    A, _, Q = _refined(load_action(args.action))
+    A, _, Q = refine_action_tracked(load_action(args.action))
     gab = group_abelianization(A.group)
     col = colimit_H1(A, Q)
     match = gab == col

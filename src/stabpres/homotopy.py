@@ -21,8 +21,9 @@ filling comes from one Smith elimination of d2 per complex
 (`SimplicialComplex.filling_solver`).
 
 `collapse_disc` is the disc side of the same calculus: it collapses an
-explicit (possibly degenerate) disc to its basepoint, emitting both the
-per-step deletions and the induced boundary MoveLog.
+explicit (possibly degenerate) disc to its basepoint and returns the
+boundary MoveLog it induces.  That log is the whole certificate:
+`verify_collapse` reads each move as the collapse it traces.
 """
 
 from __future__ import annotations
@@ -273,19 +274,8 @@ class DegenerateDisc:
 
 
 @dataclass(frozen=True)
-class CollapseStep:
-    kind: str  # TRI = two-dimensional collapse, BACK = one-dimensional
-    pos: int
-    apex: object = None
-    removed_edge: tuple = None
-    removed_triangle: tuple = None
-    removed_vertex: object = None
-
-
-@dataclass(frozen=True)
 class DiscCollapse:
     initial: DegenerateDisc
-    steps: tuple
     boundary_log: MoveLog
 
 
@@ -322,16 +312,12 @@ def collapse_disc(disc):
     Repeatedly performs two-dimensional collapses (push a boundary edge
     across its unique triangle, deleting both) until no triangles remain,
     then one-dimensional collapses (retract a spur, deleting its edge and
-    freed vertex).  Returns a certificate whose steps strictly shrink the
-    complex and whose induced boundary MoveLog replays on the original.
+    freed vertex).  Returns the certificate: the disc and the boundary
+    MoveLog these collapses trace, which `verify_collapse` replays.
     """
-    K = disc.complex
-    vertices = set(K.vertices)
-    edges = set(K.edges)
-    triangles = set(K.triangles)
+    triangles = set(disc.complex.triangles)
     walk = list(disc.boundary.vertices)
     base = disc.basepoint
-    steps = []
     moves = []
 
     def walk_edge_count(e):
@@ -349,9 +335,7 @@ def collapse_disc(disc):
             t = tris[0]
             apex = next(v for v in t if v not in e)
             walk[i + 1 : i + 1] = [apex]
-            edges.discard(e)
             triangles.discard(t)
-            steps.append(CollapseStep(TRI, i, apex, e, t))
             moves.append(Move(TRI, i, apex))
             done = True
             break
@@ -363,63 +347,57 @@ def collapse_disc(disc):
         for i in range(len(walk) - 2):
             if walk[i] != walk[i + 2] or walk[i + 1] == base:
                 continue
-            e = simplex((walk[i], walk[i + 1]))
-            if walk_edge_count(e) != 2:
+            if walk_edge_count(simplex((walk[i], walk[i + 1]))) != 2:
                 continue  # edge still traversed elsewhere; not yet free
-            mid = walk[i + 1]
             del walk[i + 1 : i + 3]
-            edges.discard(e)
-            removed_vertex = None
-            if not any(mid in e2 for e2 in edges):
-                vertices.discard(mid)
-                removed_vertex = mid
-            steps.append(CollapseStep(BACK, i, None, e, None, removed_vertex))
             moves.append(Move(BACK, i))
             done = True
             break
         if not done:
             raise NotCollapsible(f"walk {walk} admits no spur retraction")
 
-    assert walk == [base] and not edges and not triangles
-    assert vertices == {base}, f"stray vertices {vertices - {base}}"
-    log = MoveLog(disc.boundary, tuple(moves))
-    return DiscCollapse(disc, tuple(steps), log)
+    return DiscCollapse(disc, MoveLog(disc.boundary, tuple(moves)))
 
 
 def verify_collapse(cert):
-    """Replay a DiscCollapse certificate; raises on any violation.
+    """Replay a DiscCollapse's boundary log once, reading each move as the
+    collapse it traces; raises NotCollapsible (IllegalMove for an illegal
+    move) on any violation.
 
-    Checks: each step deletes simplices present at that point and counts
-    strictly decrease; the final complex is the single basepoint vertex;
-    the induced boundary log replays legally on the original complex and
-    ends at the constant loop.
+    A `tri` at i removes the edge walk[i]-walk[i+1] and its triangle with
+    the apex; a `back` at i removes that edge, plus the middle vertex
+    once no remaining edge meets it.  Each removed simplex must still be
+    present.  The log must start at the disc's boundary and end at the
+    constant loop, with the complex collapsed to the basepoint.
     """
     disc = cert.initial
-    vertices = set(disc.complex.vertices)
-    edges = set(disc.complex.edges)
-    triangles = set(disc.complex.triangles)
-    for step in cert.steps:
-        before = (len(vertices), len(edges), len(triangles))
-        if step.kind == TRI:
-            if step.removed_triangle not in triangles or step.removed_edge not in edges:
-                raise NotCollapsible(f"step removes absent simplex: {step}")
-            triangles.discard(step.removed_triangle)
-            edges.discard(step.removed_edge)
-        else:
-            if step.removed_edge not in edges:
-                raise NotCollapsible(f"step removes absent edge: {step}")
-            edges.discard(step.removed_edge)
-            if step.removed_vertex is not None:
-                vertices.discard(step.removed_vertex)
-        after = (len(vertices), len(edges), len(triangles))
-        if not after < before:
-            raise NotCollapsible(f"counts did not decrease at {step}")
+    K = disc.complex
+    log = cert.boundary_log
+    if log.initial != disc.boundary:
+        raise NotCollapsible("boundary log does not start at the disc's boundary")
+    vertices = set(K.vertices)
+    edges = set(K.edges)
+    triangles = set(K.triangles)
+    loop = log.initial
+    for m in log.moves:
+        vs = loop.vertices
+        loop = apply_move(K, loop, m)
+        e = simplex((vs[m.pos], vs[m.pos + 1]))
+        if e not in edges:
+            raise NotCollapsible(f"{m} removes the absent edge {e}")
+        edges.remove(e)
+        if m.kind == TRI:
+            t = simplex(e + (m.apex,))
+            if t not in triangles:
+                raise NotCollapsible(f"{m} removes the absent triangle {t}")
+            triangles.remove(t)
+        elif not any(vs[m.pos + 1] in e2 for e2 in edges):
+            vertices.remove(vs[m.pos + 1])
     if (vertices, edges, triangles) != ({disc.basepoint}, set(), set()):
         raise NotCollapsible("final complex is not the basepoint")
-    states = cert.boundary_log.replay(disc.complex)
-    if states[-1].vertices != (disc.basepoint,):
+    if loop.vertices != (disc.basepoint,):
         raise NotCollapsible("boundary log does not end at the constant loop")
-    tri, back = cert.boundary_log.move_counts()
-    if 2 * back - tri != len(cert.boundary_log.initial):
+    tri, back = log.move_counts()
+    if 2 * back - tri != len(log.initial):
         raise NotCollapsible("move-count accounting identity violated")
     return True

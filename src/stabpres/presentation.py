@@ -48,6 +48,7 @@ from .errors import (
     Disconnected,
     PreconditionUnvalidated,
     UnknownSymbol,
+    UnknownVertex,
 )
 from .actions import edge_stabilizer
 
@@ -174,7 +175,7 @@ def _local_words(A):
     generator index of each keyed by (v, number of g), and an iterator
     over its tagged `mult` and `edge` words over generator indices: the
     relators that hold within one vertex or edge stabilizer."""
-    if not (A.validated_simplicial and A.validated_without_rotations):
+    if not A.validated_without_rotations:
         raise PreconditionUnvalidated("action must be validated without rotations")
     G = A.group
     stab = {v: [G.number[g] for g in s[1:]] for v, s in G.stabilizers.items()}
@@ -490,7 +491,7 @@ def pi1_presentation(K, basepoint):
     triangle boundary words with tree edges deleted.
     """
     if basepoint not in K.vertices:
-        raise Disconnected(basepoint, basepoint)
+        raise UnknownVertex(basepoint)
     parent = {basepoint: None}
     order = [basepoint]
     qi = 0

@@ -282,10 +282,11 @@ def test_refinement_preserves_group():
 
 def test_refinement_tracks_element_lift():
     A = f2_s3()
-    R, lift = refine_action_tracked(A)
+    R, lift, Q = refine_action_tracked(A)
+    assert Q == build_quotient(R)
     for g in A.group.elements:
         lg = lift(g)
-        assert lg in R.group.element_set
+        assert lg in R.group
         # lifted element restricts to the original on original vertices
         for v in A.complex.sorted_vertices:
             assert lg(v) == g(v)
@@ -396,7 +397,7 @@ def test_action_json_round_trip():
         A = build()
         B = action_from_json_obj(action_to_json_obj(A))
         assert B.complex == A.complex
-        assert B.group.element_set == A.group.element_set
+        assert B.group.elements == A.group.elements
 
 
 def test_action_from_json_rejects_malformed():

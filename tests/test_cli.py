@@ -203,6 +203,17 @@ def test_express_rejects_bad_cycles(fixture_dir, capsys, clean_env):
     assert code == 3
 
 
+def test_express_reports_a_word_that_misses_the_element(fixture_dir, capsys, clean_env, monkeypatch):
+    import stabpres.cli
+    from stabpres.armstrong import StabilizerWord
+
+    # the empty word stands in for a wrong expression of (a b)
+    monkeypatch.setattr(stabpres.cli, "armstrong_express", lambda *_, **__: StabilizerWord(()))
+    code, out, err = run(capsys, "express", str(fixture_dir / "f1.json"), "-g", "(a b)")
+    assert (code, out) == (1, "")
+    assert err == "error (psi_check): psi(word) is (), not (a b)\n"
+
+
 def test_express_seed_changes_word_not_value(fixture_dir, capsys, clean_env):
     outs = set()
     for seed in ("0", "3"):
@@ -307,6 +318,38 @@ def test_json_output_is_byte_deterministic(fixture_dir, capsys, clean_env):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quotient",),
+        ("present",),
+        ("express", "-g", "(1 2)"),
+        ("verify",),
+        ("abelianize",),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_refined_commands_build_the_quotient_once(
+    fixture_dir, capsys, clean_env, monkeypatch, argv
+):
+    # refinement's orbit-collision check builds the quotient the command uses
+    import stabpres.actions
+    import stabpres.cli
+
+    calls = []
+    real = stabpres.actions.build_quotient
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(stabpres.actions, "build_quotient", counted)
+    monkeypatch.setattr(stabpres.cli, "build_quotient", counted)
+    code, _, err = run(capsys, argv[0], str(fixture_dir / "f2.json"), *argv[1:])
+    assert code == 0 and err == ""
+    assert len(calls) == 1
 
 
 def test_missing_file_is_malformed(capsys, clean_env):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -365,13 +366,12 @@ def test_random_disc_deterministic_and_varied():
 def test_collapse_point():
     pt = DegenerateDisc(validate_complex(["p"]), EdgePath(("p",)))
     cert = collapse_disc(pt)
-    assert cert.steps == () and cert.boundary_log.moves == ()
+    assert cert.boundary_log.moves == ()
     assert verify_collapse(cert)
 
 
 def test_collapse_single_triangle():
     cert = collapse_disc(random_nondegenerate_disc(3, 0))
-    assert [s.kind for s in cert.steps] == [TRI, BACK, BACK]
     assert [m.kind for m in cert.boundary_log.moves] == [TRI, BACK, BACK]
     assert verify_collapse(cert)
 
@@ -380,10 +380,8 @@ def test_collapse_line_disc():
     K = validate_complex(["v1", "v2", "v3"], [["v1", "v2"], ["v2", "v3"]])
     disc = DegenerateDisc(K, EdgePath(("v1", "v2", "v3", "v2", "v1")))
     cert = collapse_disc(disc)
-    assert [(s.kind, s.removed_edge, s.removed_vertex) for s in cert.steps] == [
-        (BACK, ("v2", "v3"), "v3"),
-        (BACK, ("v1", "v2"), "v2"),
-    ]
+    # retract the spur v2-v3-v2 first, then v1-v2-v1
+    assert cert.boundary_log.moves == (Move(BACK, 1), Move(BACK, 0))
     assert verify_collapse(cert)
 
 
@@ -405,13 +403,22 @@ def test_collapse_is_deterministic():
 
 def test_verify_collapse_rejects_tampering():
     cert = collapse_disc(random_nondegenerate_disc(5, 1))
-    # drop the final step: complex no longer collapses to the basepoint
-    from dataclasses import replace
-
-    truncated = replace(cert, steps=cert.steps[:-1])
-    with pytest.raises(NotCollapsible):
-        verify_collapse(truncated)
-    # tamper with the boundary log: replay must end at the constant loop
+    # drop the final move: its edge and the loop's last spur are left
     bad_log = replace(cert.boundary_log, moves=cert.boundary_log.moves[:-1])
-    with pytest.raises(NotCollapsible):
+    with pytest.raises(NotCollapsible, match="final complex is not the basepoint"):
         verify_collapse(replace(cert, boundary_log=bad_log))
+    # a log of another disc's boundary certifies nothing about this one
+    other = collapse_disc(random_nondegenerate_disc(6, 1)).boundary_log
+    with pytest.raises(NotCollapsible, match="does not start at the disc's boundary"):
+        verify_collapse(replace(cert, boundary_log=other))
+
+
+def test_verify_collapse_rejects_a_triangle_crossed_twice():
+    # the moves are legal on the 3-gon, and the walk comes back to its
+    # boundary, but the third crosses the triangle the first removed
+    cert = collapse_disc(random_nondegenerate_disc(3, 0))
+    detour = (Move(TRI, 0, "d02"), Move(BACK, 1), Move(TRI, 0, "d01"))
+    log = replace(cert.boundary_log, moves=detour + cert.boundary_log.moves)
+    assert log.final_loop(cert.initial.complex).vertices == ("d00",)
+    with pytest.raises(NotCollapsible, match="absent triangle"):
+        verify_collapse(replace(cert, boundary_log=log))

@@ -13,7 +13,7 @@ from stabpres.actions import (
     refine_action,
 )
 from stabpres.armstrong import StabilizerLetter, StabilizerWord
-from stabpres.errors import CertificateFailed, Disconnected, UnknownSymbol
+from stabpres.errors import CertificateFailed, Disconnected, UnknownSymbol, UnknownVertex
 from stabpres.fixtures import cycle_complex, f3_octahedral, f5_antipodal, solid_triangle
 from stabpres.presentation import (
     Presentation,
@@ -433,7 +433,7 @@ def test_product_memo_bounds_permutation_products(monkeypatch):
     T = todd_coxeter(P)
     calls[0] = 0
     verify_theorem(A, Q, P, T)
-    assert calls[0] <= 256
+    assert calls[0] <= 160
 
 
 # -- fundamental group presentations ------------------------------------
@@ -468,6 +468,11 @@ def test_pi1_requires_connected():
     K = SimplicialComplex(frozenset({"a", "b"}), frozenset(), frozenset())
     with pytest.raises(Disconnected):
         pi1_presentation(K, "a")
+
+
+def test_pi1_rejects_unknown_basepoint():
+    with pytest.raises(UnknownVertex, match="'x'"):
+        pi1_presentation(solid_triangle(), "x")
 
 
 def test_tc_accepts_repeated_and_empty_relators(f1):
