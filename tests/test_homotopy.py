@@ -401,6 +401,22 @@ def test_collapse_is_deterministic():
     assert a == b
 
 
+# sha256 of the collapse logs of random_nondegenerate_disc(n, s) for
+# n = 3..40 and s = 0..2, pinned so that changes to the collapse can be
+# checked for unchanged logs mechanically
+COLLAPSE_LOGS_DIGEST = "a57984ca38af0c0cf3810bfeb97ebb64832e85f709f0f344c9f438180dabbda1"
+
+
+def test_collapse_logs_are_pinned():
+    logs = [
+        collapse_disc(random_nondegenerate_disc(n, s)).boundary_log.to_json_obj()
+        for n in range(3, 41)
+        for s in range(3)
+    ]
+    digest = hashlib.sha256(json.dumps(logs, sort_keys=True).encode()).hexdigest()
+    assert digest == COLLAPSE_LOGS_DIGEST
+
+
 def test_verify_collapse_rejects_tampering():
     cert = collapse_disc(random_nondegenerate_disc(5, 1))
     # drop the final move: its edge and the loop's last spur are left
