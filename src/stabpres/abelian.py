@@ -1,7 +1,12 @@
 """The abelianized side of the theorem.
 
 Everything here runs over Python's arbitrary-precision integers, and
-every Smith form comes from the one elimination in `linalg`:
+every Smith form comes from the one dense elimination in `linalg`.
+Invariant factors (homology, presentation abelianization) first go
+through `linalg`'s sparse unit-pivot pass, so the dense elimination sees
+only what that pass leaves: nothing for the boundary maps of Sd^2(f3).
+`AbelianizedWords` needs the Smith basis, so it uses the dense, tracked
+`smith_normal_form`:
 
   homology_invariants      simplicial H1/H2: the Smith diagonal of d2,
                            and rank d1 from the component count

@@ -29,7 +29,9 @@ boundary MoveLog it induces.  That log is the whole certificate:
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .complexes import EdgePath, SimplicialComplex, simplex, validate_path
 from .errors import (
@@ -312,49 +314,64 @@ def collapse_disc(disc):
     Repeatedly performs two-dimensional collapses (push a boundary edge
     across its unique triangle, deleting both) until no triangles remain,
     then one-dimensional collapses (retract a spur, deleting its edge and
-    freed vertex).  Returns the certificate: the disc and the boundary
+    freed vertex).  Each collapse is made at the first walk position that
+    admits one.  Returns the certificate: the disc and the boundary
     MoveLog these collapses trace, which `verify_collapse` replays.
+
+    An edge -> remaining-triangles index and per-edge walk counts, kept
+    up to date by each move, make every test at a position constant
+    time.  No position before the last move can become free (see the
+    comments), so each scan resumes there and the whole collapse is
+    linear in the walk lengths.
     """
-    triangles = set(disc.complex.triangles)
     walk = list(disc.boundary.vertices)
     base = disc.basepoint
     moves = []
+    triangles_at = {}
+    for t in disc.complex.triangles:
+        for e in combinations(t, 2):
+            triangles_at.setdefault(e, set()).add(t)
+    walked = Counter(simplex(e) for e in zip(walk, walk[1:]))
+    left = len(disc.complex.triangles)
 
-    def walk_edge_count(e):
-        return sum(
-            1 for i in range(len(walk) - 1) if simplex((walk[i], walk[i + 1])) == e
-        )
-
-    while triangles:
-        done = False
-        for i in range(len(walk) - 1):
+    i = 0
+    while left:
+        while i < len(walk) - 1:
             e = simplex((walk[i], walk[i + 1]))
-            tris = [t for t in triangles if set(e) <= set(t)]
-            if len(tris) != 1 or walk_edge_count(e) != 1:
-                continue
-            t = tris[0]
-            apex = next(v for v in t if v not in e)
-            walk[i + 1 : i + 1] = [apex]
-            triangles.discard(t)
-            moves.append(Move(TRI, i, apex))
-            done = True
-            break
-        if not done:
-            raise NotCollapsible(f"{len(triangles)} triangles left, no boundary edge free")
+            if len(triangles_at.get(e, ())) == 1 and walked[e] == 1:
+                break
+            i += 1
+        else:
+            raise NotCollapsible(f"{left} triangles left, no boundary edge free")
+        (t,) = triangles_at[e]
+        apex = next(v for v in t if v not in e)
+        walk[i + 1 : i + 1] = [apex]
+        for f in combinations(t, 2):
+            triangles_at[f].remove(t)
+        walked[e] -= 1
+        walked[simplex((walk[i], apex))] += 1
+        walked[simplex((apex, walk[i + 2]))] += 1
+        moves.append(Move(TRI, i, apex))
+        left -= 1
+        # an edge before i that the move touched is one of t's two new
+        # edges, now walked twice, so the scan resumes at i
 
+    i = 0
     while len(walk) > 1:
-        done = False
-        for i in range(len(walk) - 2):
-            if walk[i] != walk[i + 2] or walk[i + 1] == base:
-                continue
-            if walk_edge_count(simplex((walk[i], walk[i + 1]))) != 2:
-                continue  # edge still traversed elsewhere; not yet free
-            del walk[i + 1 : i + 3]
-            moves.append(Move(BACK, i))
-            done = True
-            break
-        if not done:
+        while i < len(walk) - 2:
+            e = simplex((walk[i], walk[i + 1]))
+            # an edge still walked elsewhere is not yet free
+            if walk[i] == walk[i + 2] and walk[i + 1] != base and walked[e] == 2:
+                break
+            i += 1
+        else:
             raise NotCollapsible(f"walk {walk} admits no spur retraction")
+        del walk[i + 1 : i + 3]
+        walked[e] -= 2
+        moves.append(Move(BACK, i))
+        # the spur's edge is gone from the walk, and the triple at i - 1 is
+        # the only one before i that changed
+        i = max(i - 1, 0)
 
     return DiscCollapse(disc, MoveLog(disc.boundary, tuple(moves)))
 

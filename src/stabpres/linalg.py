@@ -1,11 +1,16 @@
 """Integer linear algebra: the one Smith elimination and what uses it.
 
 Everything here runs over Python's arbitrary-precision integers; no
-float ever appears.  One elimination computes every Smith form:
-`invariant_factors` keeps only its positive diagonal,
-`smith_normal_form` also tracks the transforms and asserts U*M*V == S
-and the diagonal divisibility chain on every call, and `IntegerSolver`
-keeps the transforms to solve M x = b over Z.  U and V are products of
+float ever appears.  One dense elimination, `_smith`, computes every
+Smith form.  `invariant_factors` first runs a sparse unit-pivot pass
+(`_unit_pivots`): each pivot is an entry of absolute value 1, so
+clearing its column is exact over Z and contributes an invariant
+factor 1.  The dense `_smith` sees only the rest, which is empty for
+the boundary maps of Sd^2(f3) and Sd^3(f3) and a column of +-2 for d2
+of RP^2.  `smith_normal_form` and `IntegerSolver` stay dense and
+tracked: `smith_normal_form` asserts U*M*V == S and the diagonal
+divisibility chain on every call, and `IntegerSolver` keeps the
+transforms to solve M x = b over Z.  U and V are products of
 elementary operations, so they are unimodular by construction;
 `smith_normal_form` recomputes that by Bareiss for matrices small
 enough to keep it cheap, and `IntegerSolver` checks each solution it
@@ -16,6 +21,9 @@ and the complexes (for loop fillings) can build on it.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
+from itertools import compress
 
 
 def _eye(n):
@@ -205,11 +213,83 @@ def smith_normal_form(M):
     return A, U, V
 
 
+def _unit_pivots(M):
+    """Sparse unit-pivot elimination (Dumas, Saunders and Villard 2001):
+    returns (pivots, rest), where M is equivalent over Z to the identity
+    of size pivots beside the dense matrix rest.
+
+    Rows are {column: value} dicts, with a column -> rows index.  Only
+    entries of absolute value 1 are pivots, taken in least Markowitz
+    cost (row nonzeros - 1) * (column nonzeros - 1) from a lazy heap: a
+    popped entry whose cost has grown is pushed back with its current
+    cost.  Row operations clear the pivot's column, exactly because the
+    pivot is a unit; column operations would then clear the rest of the
+    pivot row without touching any other row, so the pivot row and
+    column are just dropped.  Zero rows and columns are left out of rest.
+    """
+    rows = {}
+    cols = {}
+    columns = range(len(M[0]) if M else 0)
+    for i, r in enumerate(M):
+        row = {j: r[j] for j in compress(columns, r)}
+        if row:
+            rows[i] = row
+            for j in row:
+                cols.setdefault(j, set()).add(i)
+
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+
+    def units(i):
+        return [(cost(i, j), i, j) for j, a in rows[i].items() if a == 1 or a == -1]
+
+    heap = [entry for i in rows for entry in units(i)]
+    heapify(heap)
+    pivots = 0
+    while heap:
+        c, i, j = heappop(heap)
+        row = rows.get(i)
+        if row is None or row.get(j) not in (1, -1):
+            continue  # the entry was eliminated or changed since it was pushed
+        now = cost(i, j)
+        if now > c:
+            heappush(heap, (now, i, j))
+            continue
+        pivots += 1
+        del rows[i]
+        for jj in row:
+            cols[jj].discard(i)
+        q0 = row[j]  # a unit: its own inverse
+        for k in cols.pop(j):
+            other = rows[k]
+            q = other.pop(j) * q0
+            for jj, a in row.items():
+                if jj == j:
+                    continue
+                v = other.get(jj, 0) - q * a
+                if v:
+                    if jj not in other:
+                        cols[jj].add(k)
+                    other[jj] = v
+                elif jj in other:
+                    del other[jj]
+                    cols[jj].discard(k)
+            if other:
+                for entry in units(k):
+                    heappush(heap, entry)
+            else:
+                del rows[k]
+    live = sorted(j for j, s in cols.items() if s)
+    return pivots, [[row.get(j, 0) for j in live] for _, row in sorted(rows.items())]
+
+
 def invariant_factors(M):
     """The positive diagonal of the Smith form (no transforms tracked);
-    its length is the rank of M."""
-    S = _smith(M, track=False)[0]
-    return [row[i] for i, row in enumerate(S) if i < len(row) and row[i]]
+    its length is the rank of M.  The unit pivots give the leading 1s
+    and the dense elimination sees only the rest."""
+    pivots, rest = _unit_pivots(M)
+    S = _smith(rest, track=False)[0]
+    return [1] * pivots + [row[i] for i, row in enumerate(S) if i < len(row) and row[i]]
 
 
 class IntegerSolver:

@@ -20,6 +20,7 @@ from stabpres.actions import (
     PermGroup,
     build_quotient,
     refine_action,
+    subdivide_action,
     validate_simplicial_action,
 )
 from stabpres.armstrong import StabilizerLetter, StabilizerWord, armstrong_express
@@ -41,6 +42,7 @@ from stabpres.fixtures import (
     solid_triangle,
 )
 from stabpres.homotopy import random_nondegenerate_disc
+from stabpres import linalg
 from stabpres.linalg import det_bareiss, invariant_factors, matmul, smith_normal_form
 from stabpres.presentation import build_presentation, todd_coxeter
 
@@ -83,6 +85,22 @@ def test_snf_diagonal_merge():
     S, U, V = smith_normal_form([[2, 0], [0, 3]])
     assert [S[i][i] for i in range(2)] == [1, 6]
     assert matmul(matmul(U, [[2, 0], [0, 3]]), V) == S
+    # no unit pivot: the whole matrix is the dense rest
+    assert invariant_factors([[2, 0], [0, 3]]) == [1, 6]
+
+
+def test_unit_pivot_pass_matches_snf_on_sparse_matrices():
+    # boundary-like columns with non-unit entries: the unit pass and a
+    # torsion rest meet in one input
+    rng = random.Random(14)
+    for _ in range(200):
+        m, n = rng.randint(1, 20), rng.randint(1, 20)
+        M = [[0] * n for _ in range(m)]
+        for j in range(n):
+            for i in rng.sample(range(m), min(m, rng.randint(0, 3))):
+                M[i][j] = rng.choice((-3, -2, -1, 1, 2, 3))
+        S = smith_normal_form(M)[0]
+        assert invariant_factors(M) == [S[i][i] for i in range(min(m, n)) if S[i][i]]
 
 
 def test_snf_triangle_boundary():
@@ -231,6 +249,32 @@ def test_d1_rank_is_vertices_minus_components(dihedral_cone):
     assert (_EMPTY.components(), _TWO_CIRCLES.components()) == (0, 2)
     assert homology_invariants(_EMPTY, 1) == AbelianInvariants(0, ())
     assert homology_invariants(_TWO_CIRCLES, 1) == AbelianInvariants(2, ())
+
+
+def test_unit_pivot_pass_matches_dense_smith_on_rank_corpus(dihedral_cone):
+    for K in _rank_corpus(dihedral_cone):
+        for M in boundary_matrices(K):
+            S = linalg._smith(M, track=False)[0]
+            assert invariant_factors(M) == [row[i] for i, row in enumerate(S) if i < len(row) and row[i]]
+
+
+def test_sd3_homology_leaves_no_dense_rest(monkeypatch):
+    # ROADMAP's "Sd^3 in seconds": the unit pivots eliminate every
+    # boundary map of Sd^2(f3) and Sd^3(f3), so the dense elimination is
+    # handed only empty matrices
+    handed = []
+    dense = linalg._smith
+
+    def recorder(M, track):
+        handed.append(M)
+        return dense(M, track)
+
+    monkeypatch.setattr(linalg, "_smith", recorder)
+    A = subdivide_action(subdivide_action(f3_octahedral()))
+    for K in (A.complex, subdivide_action(A).complex):
+        assert homology_invariants(K, 1) == AbelianInvariants(0, ())
+        assert homology_invariants(K, 2) == AbelianInvariants(1, ())
+    assert handed == [[]] * 4
 
 
 def test_homology_rejects_bad_degree():
