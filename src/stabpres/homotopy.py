@@ -321,8 +321,8 @@ def collapse_disc(disc):
     An edge -> remaining-triangles index and per-edge walk counts, kept
     up to date by each move, make every test at a position constant
     time.  No position before the last move can become free (see the
-    comments), so each scan resumes there and the whole collapse is
-    linear in the walk lengths.
+    comments), so each scan resumes there and the whole collapse takes
+    time linear in the longest walk plus the number of moves.
     """
     walk = list(disc.boundary.vertices)
     base = disc.basepoint

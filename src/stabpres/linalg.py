@@ -271,7 +271,7 @@ def _unit_pivots(M):
                     if jj not in other:
                         cols[jj].add(k)
                     other[jj] = v
-                elif jj in other:
+                else:
                     del other[jj]
                     cols[jj].discard(k)
             if other:

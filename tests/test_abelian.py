@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from stabpres import linalg
 from stabpres.abelian import (
     AbelianInvariants,
     AbelianizedWords,
@@ -42,7 +43,6 @@ from stabpres.fixtures import (
     solid_triangle,
 )
 from stabpres.homotopy import random_nondegenerate_disc
-from stabpres import linalg
 from stabpres.linalg import det_bareiss, invariant_factors, matmul, smith_normal_form
 from stabpres.presentation import build_presentation, todd_coxeter
 
@@ -255,12 +255,13 @@ def test_unit_pivot_pass_matches_dense_smith_on_rank_corpus(dihedral_cone):
     for K in _rank_corpus(dihedral_cone):
         for M in boundary_matrices(K):
             S = linalg._smith(M, track=False)[0]
-            assert invariant_factors(M) == [row[i] for i, row in enumerate(S) if i < len(row) and row[i]]
+            dense = [row[i] for i, row in enumerate(S) if i < len(row) and row[i]]
+            assert invariant_factors(M) == dense
 
 
 def test_sd3_homology_leaves_no_dense_rest(monkeypatch):
-    # ROADMAP's "Sd^3 in seconds": the unit pivots eliminate every
-    # boundary map of Sd^2(f3) and Sd^3(f3), so the dense elimination is
+    # the unit pivots eliminate d2 of Sd^2(f3) and Sd^3(f3) completely, so
+    # the dense elimination, which took about a minute on Sd^3's d2, is
     # handed only empty matrices
     handed = []
     dense = linalg._smith
