@@ -14,9 +14,9 @@ Every relator evaluates to the identity under psi by construction;
 is given, by folding element numbers through the group's product memo
 (`actions.PermGroup.product`).  The builders work on element numbers
 too and emit words over generator indices, (index, +1|-1) pairs:
-`build_presentation`, `pi1_presentation` and `abelian.colimit_H1` all
-feed that one shape to the one relator normaliser, and a `Relator` keeps
-it: letters are spelled only on output, and `letter_indices` turns
+`build_presentation` emits distinct words; `pi1_presentation` and
+`abelian.colimit_H1` use the normaliser, and a `Relator` keeps that
+shape: letters are spelled only on output, and `letter_indices` turns
 stabilizer words into index words.  The enumerator scans relators as
 given.  `todd_coxeter` enumerates cosets of the
 trivial subgroup relator-first (scan-and-fill with full coincidence
@@ -174,7 +174,9 @@ def _local_words(A):
     """The letters g@v of a validated action in generator order, the
     generator index of each keyed by (v, number of g), and an iterator
     over its tagged `mult` and `edge` words over generator indices: the
-    relators that hold within one vertex or edge stabilizer."""
+    relators that hold within one vertex or edge stabilizer.  A `mult`
+    word g@v . g^-1@v is emitted only for g no later than g^-1, as its
+    other order is a rotation of it."""
     if not A.validated_without_rotations:
         raise PreconditionUnvalidated("action must be validated without rotations")
     G = A.group
@@ -187,19 +189,21 @@ def _local_words(A):
             letters.append(StabilizerLetter(G.elements[g], v))
 
     def words():
+        # stabilizers list element numbers in canonical order, so g comes
+        # no later than its inverse exactly when g <= inverse_of[g]
         for v in A.complex.sorted_vertices:
             for g, h in product(stab[v], stab[v]):
                 k = G.product(g, h)
-                word = [(gen_of[v, g], 1), (gen_of[v, h], 1)]
                 if k:  # element 0 is the identity
-                    word.append((gen_of[v, k], -1))
-                yield word, "mult"
+                    yield ((gen_of[v, g], 1), (gen_of[v, h], 1), (gen_of[v, k], -1)), "mult"
+                elif g <= h:
+                    yield ((gen_of[v, g], 1), (gen_of[v, h], 1)), "mult"
 
         for u, w in A.complex.sorted_edges:
             for g in edge_stabilizer(A, (u, w))[1:]:
                 # legal precisely because pointwise = setwise stabilizers here
                 i = G.number[g]
-                yield [(gen_of[u, i], 1), (gen_of[w, i], -1)], "edge"
+                yield ((gen_of[u, i], 1), (gen_of[w, i], -1)), "edge"
 
     return tuple(letters), gen_of, words()
 
@@ -208,25 +212,51 @@ def build_presentation(A, Q):
     """Assemble the stabilizer presentation for a validated action: the
     `mult` and `edge` words of `_local_words`, then the `conj` family.
 
-    Relators are freely reduced; duplicates (and relators reducing to the
-    empty word) are dropped after canonical cyclic reduction.  Relators
-    are not evaluated here: `verify_theorem` psi-checks each one once.
+    The words come out freely reduced and distinct up to rotation and
+    inversion, so no normaliser runs.  Their sign patterns are ++- and ++
+    (mult), +- (edge) and ++-- (conj), and the first two letters of a
+    word name the pair it was emitted for.  Only the identity rotation
+    keeps ++-, +- or ++--; inversion keeps +- (the reversed edge, never
+    emitted) and ++--.  So the only coincidences are:
+
+      - g@v . g^-1@v and its rotation g^-1@v . g@v; `_local_words`
+        emits the first;
+      - a b a^-1 c^-1, for a = g@v, b = h@w and c = (ghg^-1)@g(w), and
+        its inverse c a b^-1 a^-1.  That is the word of the pair (c, a)
+        exactly when c = b and that pair's conjugate (hgh^-1)@h(v) is a:
+        g fixes w, h fixes v and gh = hg.  Only the pair with the lesser
+        first letter, emitted first, is kept.
+
+    No mult word reduces (g and h are not the identity), nor any edge
+    word (its ends differ); a conj word reduces only when a = b, to the
+    empty word, and is skipped.  Relators are not evaluated here:
+    `verify_theorem` psi-checks each one once.
     """
     generators, gen_of, local = _local_words(A)
     G = A.group
+    # gen_of lists (v, g) in generator order: vertices sorted, then each
+    # stabilizer in canonical order
+    by_vertex = {}
+    for (v, g), a in gen_of.items():
+        by_vertex.setdefault(v, []).append((g, a))
 
     def conj_words():
-        # gen_of lists (v, g) in generator order: vertices sorted, then
-        # each stabilizer in canonical order
-        for (v, g), a in gen_of.items():
-            x = G.elements[g]
-            ginv = G.inverse_of[g]
-            for (w, h), b in gen_of.items():
-                c = gen_of.get((x(w), G.product(G.product(g, h), ginv)))
-                assert c is not None, "conjugate misses the translated vertex"
-                yield [(a, 1), (b, 1), (a, -1), (c, -1)], "conj"
+        for v, letters_v in by_vertex.items():
+            for g, a in letters_v:
+                x = G.elements[g]
+                ginv = G.inverse_of[g]
+                for w, letters_w in by_vertex.items():
+                    xw = x(w)
+                    for h, b in letters_w:
+                        if b == a:
+                            continue
+                        c = gen_of[xw, G.product(G.product(g, h), ginv)]
+                        if c == b and b < a and (v, h) in gen_of:
+                            continue
+                        yield ((a, 1), (b, 1), (a, -1), (c, -1)), "conj"
 
-    return Presentation(generators, _distinct_relators(chain(local, conj_words())))
+    relators = (Relator(word, tag) for word, tag in chain(local, conj_words()))
+    return Presentation(generators, tuple(relators))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -11,6 +12,7 @@ from stabpres.actions import (
     build_quotient,
     close_under_product,
     refine_action,
+    subdivide_action,
 )
 from stabpres.armstrong import StabilizerLetter, StabilizerWord
 from stabpres.errors import CertificateFailed, Disconnected, UnknownSymbol, UnknownVertex
@@ -19,6 +21,7 @@ from stabpres.presentation import (
     Presentation,
     Relator,
     _canonical_cyclic_key,
+    _distinct_relators,
     build_presentation,
     cyclic_reduce,
     free_reduce,
@@ -70,9 +73,39 @@ def _all_rotations_key(word):
     return best if best is not None else ()
 
 
+def _reference_words(A):
+    """The raw `mult`, `edge` and `conj` words of the stabilizer
+    presentation, every ordered pair of letters included, as the builder
+    emitted them before it skipped rotations, inverses and empty words."""
+    G = A.group
+    gen_of = {}
+    for v in A.complex.sorted_vertices:
+        for g in G.stabilizers[v][1:]:
+            gen_of[v, G.number[g]] = len(gen_of)
+    for v in A.complex.sorted_vertices:
+        stab = [G.number[g] for g in G.stabilizers[v][1:]]
+        for g in stab:
+            for h in stab:
+                k = G.product(g, h)
+                word = [(gen_of[v, g], 1), (gen_of[v, h], 1)]
+                if k:
+                    word.append((gen_of[v, k], -1))
+                yield word, "mult"
+    for u, w in A.complex.sorted_edges:
+        for g in G.stabilizers[u][1:]:
+            if g(w) == w:
+                yield [(gen_of[u, G.number[g]], 1), (gen_of[w, G.number[g]], -1)], "edge"
+    for (v, g), a in gen_of.items():
+        for (w, h), b in gen_of.items():
+            k = G.product(G.product(g, h), G.inverse_of[g])
+            c = gen_of[G.elements[g](w), k]
+            yield [(a, 1), (b, 1), (a, -1), (c, -1)], "conj"
+
+
 def _raw_builder_words(monkeypatch, pipelines):
     """Every (word, tag) the builders hand the relator normaliser for these
-    pipelines: their presentations, colimits and both pi1 presentations."""
+    pipelines, their colimits and both pi1 presentations, plus the raw
+    words of their stabilizer presentations."""
     import stabpres.abelian as abelian
     import stabpres.presentation as presentation
 
@@ -87,7 +120,7 @@ def _raw_builder_words(monkeypatch, pipelines):
     monkeypatch.setattr(presentation, "_distinct_relators", recording)
     monkeypatch.setattr(abelian, "_distinct_relators", recording)
     for A, Q, _, _ in pipelines:
-        build_presentation(A, Q)
+        raw.extend(_reference_words(A))
         abelian.colimit_H1(A, Q)
         for K in (A.complex, Q.quotient):
             pi1_presentation(K, min(K.vertices))
@@ -106,6 +139,59 @@ def test_canonical_cyclic_key_matches_all_rotations(monkeypatch, f1, f2, f3):
     for word in words:
         for w in (word, cyclic_reduce(word)):
             assert _canonical_cyclic_key(w) == _all_rotations_key(w)
+
+
+# -- distinct by construction -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["f1", "f2", "f3", "Sd(f3)", *(f"D{n}/{s}" for n in range(3, 17) for s in (0, 1, 7, 99))],
+)
+def test_build_presentation_matches_normaliser(case, request, dihedral_cone):
+    # the builder skips exactly the words the normaliser would drop, in order
+    if case == "Sd(f3)":
+        A = refine_action(subdivide_action(refine_action(f3_octahedral())))
+    elif case.startswith("D"):
+        n, seed = map(int, case[1:].split("/"))
+        A = dihedral_cone(n, seed)
+    else:
+        A = request.getfixturevalue(case).action
+    P = build_presentation(A, build_quotient(A))
+    assert P.relators == _distinct_relators(_reference_words(A))
+
+
+def test_builder_skip_counts_on_f3(f3):
+    words = list(_reference_words(f3.action))
+    assert Counter(tag for _, tag in words) == {"mult": 602, "edge": 72, "conj": 13924}
+    # (g, g^-1) rotations: a two-letter mult word whose first letter is the later one
+    rotations = sum(1 for w, tag in words if tag == "mult" and len(w) == 2 and w[0] > w[1])
+    conj = {(w[0][0], w[1][0]): w[3][0] for w, tag in words if tag == "conj"}
+    self_pairs = sum(1 for a, b in conj if a == b)
+    # a b a^-1 b^-1 whose inverse is the earlier word of (b, a)
+    mutual = sum(1 for (a, b), c in conj.items() if c == b and b < a and conj[b, a] == a)
+    assert (rotations, self_pairs, mutual) == (14, 118, 471)
+    assert f3.presentation.counts_by_tag() == {
+        "mult": 602 - rotations,
+        "edge": 72,
+        "conj": 13924 - self_pairs - mutual,
+    }
+
+
+def test_build_presentation_needs_no_cyclic_key(monkeypatch, f3):
+    import stabpres.presentation as presentation
+
+    calls = [0]
+    key = presentation._canonical_cyclic_key
+
+    def counted(word):
+        calls[0] += 1
+        return key(word)
+
+    monkeypatch.setattr(presentation, "_canonical_cyclic_key", counted)
+    P = build_presentation(f3.action, f3.quotient)
+    assert calls[0] == 0
+    assert P == f3.presentation
 
 
 # -- presentation contents ----------------------------------------------
