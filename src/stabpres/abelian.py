@@ -10,7 +10,7 @@ only what that pass leaves: nothing for the boundary maps of Sd^2(f3).
 
   homology_invariants      simplicial H1/H2: the Smith diagonal of d2,
                            and rank d1 from the component count
-  group_abelianization     G/[G,G] by brute-force commutator closure
+  group_abelianization     G/[G,G], [G,G] the normal closure of [s, t]
   presentation_abelianization   coker of the relator exponent matrix,
                            after contracting generator identifications
   AbelianizedWords         stabilizer words mapped into that cokernel
@@ -33,7 +33,7 @@ from .complexes import boundary_matrices
 from .linalg import _eye, invariant_factors, smith_normal_form
 from .presentation import (
     Presentation,
-    _distinct_relators,
+    Relator,
     _local_words,
     pi1_presentation,
     todd_coxeter,
@@ -112,12 +112,7 @@ def group_abelianization(G):
     the primary types merge largest-with-largest into invariant factors.
     """
     elements = G.elements
-    commutators = set()
-    for g in elements:
-        gi = g.inverse()
-        for h in elements:
-            commutators.add(g * h * gi * h.inverse())
-    derived = set(close_under_product(G.domain, commutators))
+    derived = _derived_subgroup(G)
     reps = []
     seen = set()
     for g in elements:
@@ -166,6 +161,18 @@ def group_abelianization(G):
                 d *= p ** exps[i]
         factors.append(d)
     return AbelianInvariants(0, tuple(reversed(factors)))
+
+
+def _derived_subgroup(G):
+    """[G,G], the normal closure of the commutators [s, t] of G's generators."""
+    gens = [(s, s.inverse()) for s in G.generators]
+    normal = {s * t * si * ti for s, si in gens for t, ti in gens}
+    while True:
+        derived = set(close_under_product(G.domain, normal))
+        new = {s * x * si for s, si in gens for x in normal} - derived
+        if not new:
+            return derived
+        normal |= new
 
 
 def _prime_factors(n):
@@ -281,19 +288,19 @@ def colimit_H1(A, Q):
     (`_local_words`).  One orbit word h@v . (s h s^-1)@s(v)^-1 per letter
     and generator s of G gives the coinvariants, as x - (st)x is
     (x - tx) + (y - sy) with y = tx; orbit words need not hold in G.  The
-    contraction merges every edge and orbit word, so the Smith step sees
-    the distinct mult rows over orbit classes.  Nothing is chosen: Q is
-    not read, and stays in the signature for existing callers.
+    contraction merges every edge and orbit word and drops zero and
+    repeated rows, so no normaliser runs.  Nothing is chosen: Q is not
+    read, and stays in the signature for existing callers.
     """
     letters, gen_of, local = _local_words(A)
     G = A.group
     gens = [(s, G.number[s], G.inverse_of[G.number[s]]) for s in G.generators]
     orbit = (
-        ([(a, 1), (gen_of[s(v), G.product(G.product(t, g), tinv)], -1)], "orbit")
+        (((a, 1), (gen_of[s(v), G.product(G.product(t, g), tinv)], -1)), "orbit")
         for (v, g), a in gen_of.items()
         for s, t, tinv in gens
     )
-    P = Presentation(letters, _distinct_relators(chain(local, orbit)))
+    P = Presentation(letters, tuple(Relator(w, tag) for w, tag in chain(local, orbit)))
     return presentation_abelianization(P)
 
 

@@ -399,9 +399,6 @@ class QuotientData:
     projection: dict
     lift_index: dict = field(repr=False)
 
-    def project_simplex(self, s):
-        return tuple(sorted({self.projection[v] for v in s}))
-
     def project_path(self, vertices):
         return tuple(self.projection[v] for v in vertices)
 

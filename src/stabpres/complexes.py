@@ -87,13 +87,6 @@ class SimplicialComplex:
         from one Smith elimination shared by every loop in the complex."""
         return IntegerSolver(boundary_matrices(self)[1])
 
-    def dim(self):
-        if self.triangles:
-            return 2
-        if self.edges:
-            return 1
-        return 0
-
     def has_simplex(self, s):
         s = tuple(s)
         if len(s) == 1:
@@ -300,15 +293,8 @@ class EdgePath:
     def start(self):
         return self.vertices[0]
 
-    @property
-    def end(self):
-        return self.vertices[-1]
-
     def is_loop(self):
         return self.vertices[0] == self.vertices[-1]
-
-    def reverse(self):
-        return EdgePath(tuple(reversed(self.vertices)))
 
 
 def validate_path(K, seq):

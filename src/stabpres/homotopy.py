@@ -78,6 +78,7 @@ class MoveLog:
         return self.replay(K)[-1]
 
     def move_counts(self):
+        """(tri, back) counts, read by `perfbench/workloads.py`."""
         tri = sum(1 for m in self.moves if m.kind == TRI)
         back = len(self.moves) - tri
         return tri, back

@@ -14,19 +14,18 @@ Every relator evaluates to the identity under psi by construction;
 is given, by folding element numbers through the group's product memo
 (`actions.PermGroup.product`).  The builders work on element numbers
 too and emit words over generator indices, (index, +1|-1) pairs:
-`build_presentation` emits distinct words; `pi1_presentation` and
-`abelian.colimit_H1` use the normaliser, and a `Relator` keeps that
-shape: letters are spelled only on output, and `letter_indices` turns
-stabilizer words into index words.  The enumerator scans relators as
-given.  `todd_coxeter` enumerates cosets of the
-trivial subgroup relator-first (scan-and-fill with full coincidence
+`build_presentation` emits distinct words and `pi1_presentation` uses
+the normaliser.  A `Relator` keeps that shape: letters are spelled only
+on output, and `letter_indices` turns stabilizer words into index
+words.  `todd_coxeter` scans relators as given, enumerating cosets of
+the trivial subgroup relator-first (scan-and-fill with full coincidence
 processing, lowest undefined entry defined first) until every live row
-is full, then one closure sweep composes each relator over the generator
-columns: it is both the stopping test and the proof, so a Complete(n)
-table certifies the presented group has order n.  `verify_theorem` combines
-that with an exhaustive surjectivity check to certify the presented
-group is the acting group; the table records the presentation it
-enumerated, so a table from another presentation is refused.
+is full; one closure sweep, composing each distinct product of columns
+once, then proves every relator closes, so a Complete(n) table
+certifies the presented group has order n.  `verify_theorem` adds an
+exhaustive surjectivity check to certify the presented group is the
+acting group; the table records the presentation it enumerated, so a
+table from another presentation is refused.
 
 `pi1_presentation` is the classical edge-path presentation of the
 fundamental group (generators: edges off a spanning tree; relators:
@@ -265,8 +264,8 @@ def build_presentation(A, Q):
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Standardized table of the enumerated `presentation`; row[2i] is the
-    gen-i image, row[2i+1] its inverse."""
+    """Compacted (not standardized) table of the enumerated `presentation`,
+    live cosets in index order; row[2i] is the gen-i image, row[2i+1] its inverse."""
 
     presentation: Presentation
     table: tuple
@@ -292,10 +291,12 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     Returns a CosetTable with status "complete" (order = group order) or
     "exhausted" (more than max_cosets would be needed).  HLT (scan every
     relator at each live coset, then fill its row) stops once every live
-    row is full.  One sweep of the standardized table then finishes and
+    row is full.  One sweep of the compacted table then finishes and
     proves it: every column is a permutation and every relator, composed
-    over the columns, is the identity; else the coset a relator fails to
-    close at coincides with the one it reaches, and the sweep repeats.
+    over the columns, is the identity; else the least coset the first
+    failing relator moves coincides with its image, and the sweep repeats.
+    Each step (composite, column) -> composite is composed once, memoised
+    on composites numbered from the identity, 0.
     """
     rels = [tuple(2 * i + (e < 0) for i, e in r.word) for r in P.relators]
     width = 2 * len(P.generators)
@@ -410,19 +411,27 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
             tuple(-1 if c == -1 else renumber[rep(c)] for c in table[k]) for k in live
         )
         n = len(live)
-        for row in final:
-            assert all(0 <= c < n for c in row), "dangling coset reference"
         identity = list(range(n))
-        cols = [[row[x] for row in final] for x in range(width)]
-        for col in cols:
+        cols = list(zip(*final))
+        for col in cols:  # sorted to 0..n-1, so no entry is undefined or dangling
             assert sorted(col) == identity, "generator column is not a permutation"
+        # step[c][x]: the number of composite c followed by column x, or -1
+        composites, number, step = [tuple(identity)], {tuple(identity): 0}, [[-1] * width]
         for w in rels:
-            cur = identity
-            for letter in w:
-                cur = list(map(cols[letter].__getitem__, cur))
-            if cur != identity:
-                k = next(k for k in identity if cur[k] != k)
-                coincidence(live[cur[k]], live[k])
+            c = 0
+            for x in w:
+                nxt = step[c][x]
+                if nxt == -1:
+                    cur = tuple(map(cols[x].__getitem__, composites[c]))
+                    nxt = number.setdefault(cur, len(composites))
+                    if nxt == len(composites):
+                        composites.append(cur)
+                        step.append([-1] * width)
+                    step[c][x] = nxt
+                c = nxt
+            if c:
+                k, j = next((k, j) for k, j in enumerate(composites[c]) if j != k)
+                coincidence(live[j], live[k])
                 break
         else:
             return CosetTable(P, final, "complete", order=n)

@@ -9,6 +9,7 @@ from stabpres import linalg
 from stabpres.abelian import (
     AbelianInvariants,
     AbelianizedWords,
+    _derived_subgroup,
     colimit_H1,
     group_abelianization,
     homology_invariants,
@@ -20,6 +21,7 @@ from stabpres.actions import (
     Permutation,
     PermGroup,
     build_quotient,
+    close_under_product,
     refine_action,
     subdivide_action,
     validate_simplicial_action,
@@ -314,6 +316,22 @@ def test_abelianization_known_groups():
 
 def test_abelianization_octahedral_group(f3):
     assert group_abelianization(f3.action.group) == AbelianInvariants(0, (2, 2))
+
+
+def _all_pairs_derived_subgroup(G):
+    """[G,G] closed from all |G|^2 commutators g h g^-1 h^-1."""
+    commutators = {g * h * g.inverse() * h.inverse() for g in G.elements for h in G.elements}
+    return set(close_under_product(G.domain, commutators))
+
+
+def test_derived_subgroup_is_the_all_pairs_closure(f1, f2, f3, dihedral_cone):
+    # the normal closure of the generator commutators is [G,G], and the
+    # abelianization read from it is unchanged
+    cases = [(f1.action.group, (2,)), (f2.action.group, (2,)), (f3.action.group, (2, 2))]
+    cases += [(dihedral_cone(n, 0).group, (2,) if n % 2 else (2, 2)) for n in range(3, 17)]
+    for G, torsion in cases:
+        assert _derived_subgroup(G) == _all_pairs_derived_subgroup(G)
+        assert group_abelianization(G) == AbelianInvariants(0, torsion)
 
 
 # -- abelianization of presentations ------------------------------------

@@ -337,7 +337,6 @@ def test_quotient_flip():
     assert Q.projection == {"a": "a", "b": "a", "m": "m"}
     assert Q.lifts(("a",)) == (("a",), ("b",))
     assert Q.lifts(("a", "m")) == (("a", "m"), ("b", "m"))
-    assert Q.project_simplex(("b", "m")) == ("a", "m")
     assert Q.project_path(("a", "m", "b")) == ("a", "m", "a")
 
 

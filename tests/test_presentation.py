@@ -103,10 +103,9 @@ def _reference_words(A):
 
 
 def _raw_builder_words(monkeypatch, pipelines):
-    """Every (word, tag) the builders hand the relator normaliser for these
-    pipelines, their colimits and both pi1 presentations, plus the raw
-    words of their stabilizer presentations."""
-    import stabpres.abelian as abelian
+    """Every (word, tag) the builders hand the relator normaliser for both
+    pi1 presentations of these pipelines, plus the raw words of their
+    stabilizer presentations."""
     import stabpres.presentation as presentation
 
     raw = []
@@ -118,10 +117,8 @@ def _raw_builder_words(monkeypatch, pipelines):
         return normalise(tagged_words)
 
     monkeypatch.setattr(presentation, "_distinct_relators", recording)
-    monkeypatch.setattr(abelian, "_distinct_relators", recording)
     for A, Q, _, _ in pipelines:
         raw.extend(_reference_words(A))
-        abelian.colimit_H1(A, Q)
         for K in (A.complex, Q.quotient):
             pi1_presentation(K, min(K.vertices))
     return raw
@@ -134,7 +131,9 @@ def test_canonical_cyclic_key_matches_all_rotations(monkeypatch, f1, f2, f3):
         for _ in range(20_000)
     ]
     raw = _raw_builder_words(monkeypatch, (f1, f2, f3))
-    assert len(raw) > 15_000  # 14,598 from f3's presentation alone
+    # 14,598 from f3's presentation alone, the rest from f1, f2 and the
+    # pi1 triangle words
+    assert len(raw) == 14_814
     words += [word for word, _ in raw]
     for word in words:
         for w in (word, cyclic_reduce(word)):
@@ -313,19 +312,24 @@ def test_tc_exhausts_on_infinite_group():
     assert T.status == "exhausted" and T.bound == 50 and T.order is None
 
 
-def test_tc_table_is_complete_and_closed(f2):
-    T = f2.table
-    assert T.status == "complete" and T.order == 6
-    n = T.order
-    for i in range(len(T.presentation.generators)):
-        col = [T.table[c][2 * i] for c in range(n)]
-        inv = [T.table[c][2 * i + 1] for c in range(n)]
-        assert sorted(col) == list(range(n))
-        for c in range(n):
-            assert inv[col[c]] == c
-    for r in f2.presentation.relators:
-        for c in range(n):
-            assert T.trace(c, r.word) == c
+def test_tc_table_is_complete_and_closed(f2, f3, dihedral_cone):
+    # every relator traced letter by letter at every coset, apart from the
+    # sweep's composite memo
+    D16 = dihedral_cone(16, 1)
+    cases = [(f2.table, 6), (f3.table, 48)]
+    cases.append((todd_coxeter(build_presentation(D16, build_quotient(D16))), 32))
+    for T, order in cases:
+        assert T.status == "complete" and T.order == order
+        n = T.order
+        for i in range(len(T.presentation.generators)):
+            col = [T.table[c][2 * i] for c in range(n)]
+            inv = [T.table[c][2 * i + 1] for c in range(n)]
+            assert sorted(col) == list(range(n))
+            for c in range(n):
+                assert inv[col[c]] == c
+        for r in T.presentation.relators:
+            for c in range(n):
+                assert T.trace(c, r.word) == c
 
 
 def test_tc_closure_sweep_processes_a_coincidence():
@@ -336,6 +340,19 @@ def test_tc_closure_sweep_processes_a_coincidence():
     T = todd_coxeter(_pres(["a", "b"], [B, a, a, B], [a, a], [a, B, a]))
     assert (T.status, T.order) == ("complete", 2)
     assert T.table == ((1, 1, 0, 0), (0, 0, 1, 1))
+
+
+def test_tc_closure_sweep_fails_after_a_memoised_prefix():
+    # a^-1 b^-1 a b^-1 closes on the full table; a^-1 b^-1 b^-1, the first
+    # relator that fails, starts from the memoised composite of a^-1 b^-1
+    A, a, B = ("a", -1), ("a", 1), ("b", -1)
+    T = todd_coxeter(_pres(["a", "b"], [A, B, a, B], [A, B, B], [B, B, a]))
+    assert (T.status, T.order) == ("complete", 2)
+    assert T.table == ((0, 0, 1, 1), (1, 1, 0, 0))
+    # here the first relator, b, fails at the first composite numbered
+    b = ("b", 1)
+    T = todd_coxeter(_pres(["a", "b"], [b], [a, B, A, A], [a, b, a], [A, A, A, B]))
+    assert (T.status, T.order, T.table) == ("complete", 1, ((0, 0, 0, 0),))
 
 
 def _sweep_cases(sources):
