@@ -30,6 +30,7 @@ from itertools import chain
 
 from .actions import close_under_product
 from .complexes import boundary_matrices
+from .errors import MalformedInput
 from .linalg import _eye, invariant_factors, smith_normal_form
 from .presentation import (
     Presentation,
@@ -51,9 +52,10 @@ class AbelianInvariants:
     torsion: tuple
 
     def __post_init__(self):
-        assert all(d > 1 for d in self.torsion)
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            assert b % a == 0, "torsion not a divisibility chain"
+        if not all(d > 1 for d in self.torsion):
+            raise MalformedInput(f"torsion factors must exceed 1, got {self.torsion}")
+        if any(b % a for a, b in zip(self.torsion, self.torsion[1:])):
+            raise MalformedInput(f"torsion {self.torsion} is not a divisibility chain")
 
     @classmethod
     def from_relation_matrix(cls, rows, n_columns):
@@ -202,8 +204,9 @@ def _contracted_relations(P):
     raw = []
     for r in P.relators:
         vec = {}
-        for i, e in r.word:
-            vec[i] = vec.get(i, 0) + e
+        for x in r.word:
+            i = x >> 1
+            vec[i] = vec.get(i, 0) + (-1 if x & 1 else 1)
         raw.append({i: c for i, c in vec.items() if c})
 
     parent = list(range(n))
@@ -292,12 +295,12 @@ def colimit_H1(A, Q):
     repeated rows, so no normaliser runs.  Nothing is chosen: Q is not
     read, and stays in the signature for existing callers.
     """
-    letters, gen_of, local = _local_words(A)
+    letters, code_of, local = _local_words(A)
     G = A.group
     gens = [(s, G.number[s], G.inverse_of[G.number[s]]) for s in G.generators]
     orbit = (
-        (((a, 1), (gen_of[s(v), G.product(G.product(t, g), tinv)], -1)), "orbit")
-        for (v, g), a in gen_of.items()
+        ((a, code_of[s(v), G.product(G.product(t, g), tinv)] + 1), "orbit")
+        for (v, g), a in code_of.items()
         for s, t, tinv in gens
     )
     P = Presentation(letters, tuple(Relator(w, tag) for w, tag in chain(local, orbit)))

@@ -13,19 +13,21 @@ Every relator evaluates to the identity under psi by construction;
 `verify_theorem` psi-checks each relator once, for any presentation it
 is given, by folding element numbers through the group's product memo
 (`actions.PermGroup.product`).  The builders work on element numbers
-too and emit words over generator indices, (index, +1|-1) pairs:
-`build_presentation` emits distinct words and `pi1_presentation` uses
-the normaliser.  A `Relator` keeps that shape: letters are spelled only
-on output, and `letter_indices` turns stabilizer words into index
-words.  `todd_coxeter` scans relators as given, enumerating cosets of
-the trivial subgroup relator-first (scan-and-fill with full coincidence
-processing, lowest undefined entry defined first) until every live row
-is full; one closure sweep, composing each distinct product of columns
-once, then proves every relator closes, so a Complete(n) table
-certifies the presented group has order n.  `verify_theorem` adds an
-exhaustive surjectivity check to certify the presented group is the
-acting group; the table records the presentation it enumerated, so a
-table from another presentation is refused.
+too and emit words of letter codes, one int per letter: code x is
+generator x >> 1, inverted when x & 1 is set, so x ^ 1 is its inverse
+and x is the letter's `todd_coxeter` column.  `build_presentation`
+emits distinct words and `pi1_presentation` uses the normaliser.  A
+`Relator` keeps the codes from builder to certificate: letters are
+spelled only on output, and `letter_indices` turns stabilizer words
+into generator indices.  `todd_coxeter` scans relators as stored,
+enumerating cosets of the trivial subgroup relator-first (scan-and-fill
+with full coincidence processing, lowest undefined entry defined first)
+until every live row is full; one closure sweep, composing each
+distinct product of columns once, then proves every relator closes, so
+a Complete(n) table certifies the presented group has order n.
+`verify_theorem` adds an exhaustive surjectivity check to certify the
+presented group is the acting group; the table records the presentation
+it enumerated, so a table from another presentation is refused.
 
 `pi1_presentation` is the classical edge-path presentation of the
 fundamental group (generators: edges off a spanning tree; relators:
@@ -67,9 +69,10 @@ class EdgeSymbol:
 
 @dataclass(frozen=True)
 class Relator:
-    """A word over generator indices: letter (i, e) is generator i to the power e."""
+    """A word of letter codes: code x is generator x >> 1, inverted when
+    x & 1 is set."""
 
-    word: tuple  # of (generator index, +1|-1)
+    word: tuple  # of int codes in range(2 * generator count); x ^ 1 inverts x
     tag: str  # "mult" | "edge" | "conj" | "tri" | "orbit"
 
 
@@ -79,10 +82,12 @@ class Presentation:
     relators: tuple
 
     def __post_init__(self):
-        # relator letters index lists, where a negative index would wrap around
-        letters = {(i, e) for i in range(len(self.generators)) for e in (1, -1)}
-        if not letters.issuperset(chain.from_iterable(r.word for r in self.relators)):
-            raise UnknownSymbol(next(x for r in self.relators for x in r.word if x not in letters))
+        # letter codes index table rows and lists, where a negative code would
+        # wrap around and anything but an int would fail deep in an enumeration
+        letters = tuple(chain.from_iterable(r.word for r in self.relators))
+        codes = range(2 * len(self.generators))
+        if not (set(map(type, letters)) <= {int} and set(letters) <= set(codes)):
+            raise UnknownSymbol(next(x for x in letters if type(x) is not int or x not in codes))
 
     @cached_property
     def gen_index(self):
@@ -100,10 +105,8 @@ class Presentation:
 
     def to_text(self):
         names = [s.name for s in self.generators]
-        rels = ", ".join(
-            " ".join(names[i] + ("" if e > 0 else "^-1") for i, e in r.word)
-            for r in self.relators
-        )
+        spelled = [name + inverse for name in names for inverse in ("", "^-1")]
+        rels = ", ".join(" ".join(map(spelled.__getitem__, r.word)) for r in self.relators)
         return f"< {', '.join(names)} | {rels} >"
 
     def to_json_obj(self):
@@ -111,7 +114,7 @@ class Presentation:
         return {
             "generators": names,
             "relators": [
-                {"tag": r.tag, "word": [[names[i], e] for i, e in r.word]}
+                {"tag": r.tag, "word": [[names[x >> 1], -1 if x & 1 else 1] for x in r.word]}
                 for r in self.relators
             ],
         }
@@ -121,12 +124,13 @@ class Presentation:
 
 
 def free_reduce(word):
+    """Cancel each adjacent pair of a letter code x and its inverse x ^ 1."""
     out = []
-    for sym, exp in word:
-        if out and out[-1][0] == sym and out[-1][1] == -exp:
+    for x in word:
+        if out and out[-1] == x ^ 1:
             out.pop()
         else:
-            out.append((sym, exp))
+            out.append(x)
     return tuple(out)
 
 
@@ -137,7 +141,7 @@ def cyclic_reduce(word):
 def _strip_cancelling_ends(word):
     """The cyclic reduction of a freely reduced word."""
     lo, hi = 0, len(word) - 1
-    while lo < hi and word[lo][0] == word[hi][0] and word[lo][1] == -word[hi][1]:
+    while lo < hi and word[lo] == word[hi] ^ 1:
         lo += 1
         hi -= 1
     return word[lo : hi + 1]
@@ -147,7 +151,7 @@ def _canonical_cyclic_key(word):
     """Lexicographic minimum over rotations of the word and its inverse:
     only those starting at the least letter are built."""
     w = list(word)
-    wi = [(i, -e) for i, e in reversed(w)]
+    wi = [x ^ 1 for x in reversed(w)]
     least = min(w + wi, default=None)
     rotations = (seq[r:] + seq[:r] for seq in (w, wi) for r, x in enumerate(seq) if x == least)
     return min(map(tuple, rotations), default=())
@@ -155,7 +159,7 @@ def _canonical_cyclic_key(word):
 
 def _distinct_relators(tagged_words):
     """The one relator normaliser: freely reduce each (word, tag), whose
-    word is over generator indices, and keep it unless it cyclically
+    word is of letter codes, and keep it unless it cyclically
     reduces to the empty word or repeats a kept relator up to rotation
     and inversion."""
     relators = []
@@ -171,8 +175,8 @@ def _distinct_relators(tagged_words):
 
 def _local_words(A):
     """The letters g@v of a validated action in generator order, the
-    generator index of each keyed by (v, number of g), and an iterator
-    over its tagged `mult` and `edge` words over generator indices: the
+    letter code 2i of each keyed by (v, number of g), and an iterator
+    over its tagged `mult` and `edge` words of letter codes: the
     relators that hold within one vertex or edge stabilizer.  A `mult`
     word g@v . g^-1@v is emitted only for g no later than g^-1, as its
     other order is a rotation of it."""
@@ -181,10 +185,10 @@ def _local_words(A):
     G = A.group
     stab = {v: [G.number[g] for g in s[1:]] for v, s in G.stabilizers.items()}
     letters = []
-    gen_of = {}
+    code_of = {}
     for v in A.complex.sorted_vertices:
         for g in stab[v]:
-            gen_of[v, g] = len(letters)
+            code_of[v, g] = 2 * len(letters)
             letters.append(StabilizerLetter(G.elements[g], v))
 
     def words():
@@ -194,17 +198,17 @@ def _local_words(A):
             for g, h in product(stab[v], stab[v]):
                 k = G.product(g, h)
                 if k:  # element 0 is the identity
-                    yield ((gen_of[v, g], 1), (gen_of[v, h], 1), (gen_of[v, k], -1)), "mult"
+                    yield (code_of[v, g], code_of[v, h], code_of[v, k] + 1), "mult"
                 elif g <= h:
-                    yield ((gen_of[v, g], 1), (gen_of[v, h], 1)), "mult"
+                    yield (code_of[v, g], code_of[v, h]), "mult"
 
         for u, w in A.complex.sorted_edges:
             for g in edge_stabilizer(A, (u, w))[1:]:
                 # legal precisely because pointwise = setwise stabilizers here
                 i = G.number[g]
-                yield ((gen_of[u, i], 1), (gen_of[w, i], -1)), "edge"
+                yield (code_of[u, i], code_of[w, i] + 1), "edge"
 
-    return tuple(letters), gen_of, words()
+    return tuple(letters), code_of, words()
 
 
 def build_presentation(A, Q):
@@ -231,12 +235,12 @@ def build_presentation(A, Q):
     empty word, and is skipped.  Relators are not evaluated here:
     `verify_theorem` psi-checks each one once.
     """
-    generators, gen_of, local = _local_words(A)
+    generators, code_of, local = _local_words(A)
     G = A.group
-    # gen_of lists (v, g) in generator order: vertices sorted, then each
+    # code_of lists (v, g) in generator order: vertices sorted, then each
     # stabilizer in canonical order
     by_vertex = {}
-    for (v, g), a in gen_of.items():
+    for (v, g), a in code_of.items():
         by_vertex.setdefault(v, []).append((g, a))
 
     def conj_words():
@@ -249,10 +253,10 @@ def build_presentation(A, Q):
                     for h, b in letters_w:
                         if b == a:
                             continue
-                        c = gen_of[xw, G.product(G.product(g, h), ginv)]
-                        if c == b and b < a and (v, h) in gen_of:
+                        c = code_of[xw, G.product(G.product(g, h), ginv)]
+                        if c == b and b < a and (v, h) in code_of:
                             continue
-                        yield ((a, 1), (b, 1), (a, -1), (c, -1)), "conj"
+                        yield (a, b, a + 1, c + 1), "conj"
 
     relators = (Relator(word, tag) for word, tag in chain(local, conj_words()))
     return Presentation(generators, tuple(relators))
@@ -265,7 +269,8 @@ def build_presentation(A, Q):
 @dataclass(frozen=True)
 class CosetTable:
     """Compacted (not standardized) table of the enumerated `presentation`,
-    live cosets in index order; row[2i] is the gen-i image, row[2i+1] its inverse."""
+    live cosets in index order; row[x] is the image under letter code x,
+    so row[2i] is the gen-i image and row[2i+1] its inverse."""
 
     presentation: Presentation
     table: tuple
@@ -274,10 +279,11 @@ class CosetTable:
     bound: object = None  # the max_cosets hit when exhausted
 
     def trace(self, coset, word):
-        """Follow a word of (generator index, +1|-1) pairs, the relator
-        shape, through the table."""
-        for i, e in word:
-            coset = self.table[coset][2 * i + (e < 0)]
+        """Follow a word of letter codes, the relator shape, through the
+        table: code x is column x."""
+        table = self.table
+        for x in word:
+            coset = table[coset][x]
         return coset
 
 
@@ -296,9 +302,10 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     over the columns, is the identity; else the least coset the first
     failing relator moves coincides with its image, and the sweep repeats.
     Each step (composite, column) -> composite is composed once, memoised
-    on composites numbered from the identity, 0.
+    on composites numbered from the identity, 0.  A relator's letter codes
+    are its columns, so its word is scanned as stored.
     """
-    rels = [tuple(2 * i + (e < 0) for i, e in r.word) for r in P.relators]
+    rels = [r.word for r in P.relators]
     width = 2 * len(P.generators)
 
     table = [[-1] * width]
@@ -384,9 +391,17 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
                 alpha += 1
                 continue
             for w in rels:
-                scan_and_fill(alpha, w)
-                if rep(alpha) != alpha:
-                    break
+                # most relators already close at alpha: trace forward, and
+                # scan and fill only a trace that stops or ends elsewhere
+                f = alpha
+                for x in w:
+                    f = table[f][x]
+                    if f < 0:
+                        break
+                if f != alpha:
+                    scan_and_fill(alpha, w)
+                    if rep(alpha) != alpha:
+                        break
             if rep(alpha) == alpha:
                 for x in range(width):
                     if table[alpha][x] == -1:
@@ -414,7 +429,8 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
         identity = list(range(n))
         cols = list(zip(*final))
         for col in cols:  # sorted to 0..n-1, so no entry is undefined or dangling
-            assert sorted(col) == identity, "generator column is not a permutation"
+            if sorted(col) != identity:
+                raise AssertionError("generator column is not a permutation")
         # step[c][x]: the number of composite c followed by column x, or -1
         composites, number, step = [tuple(identity)], {tuple(identity): 0}, [[-1] * width]
         for w in rels:
@@ -441,7 +457,7 @@ def word_to_coset(T, w):
     """Trace a stabilizer word from coset 0; identity letters contribute nothing."""
     if T.status != "complete":
         raise PreconditionUnvalidated("coset table is not complete")
-    return T.trace(0, ((i, 1) for i in T.presentation.letter_indices(w)))
+    return T.trace(0, (2 * i for i in T.presentation.letter_indices(w)))
 
 
 @dataclass(frozen=True)
@@ -469,17 +485,22 @@ def verify_theorem(A, Q, P, T):
     """
     G = A.group
     checks = []
-    numbers = [G.number.get(s.element) for s in P.generators]
+    # the element number of each letter code: g, then g^-1, per generator
+    numbers = []
+    for s in P.generators:
+        g = G.number.get(s.element)
+        numbers += (g, None) if g is None else (g, G.inverse_of[g])
+    product = G.product
     for r in P.relators:
         acc = 0  # the identity's number
-        for i, e in r.word:
-            g = numbers[i]
+        for x in r.word:
+            g = numbers[x]
             if g is None:
                 raise CertificateFailed(
                     "relators_psi_identity",
-                    f"letter {P.generators[i].name} is not an element of the acting group",
+                    f"letter {P.generators[x >> 1].name} is not an element of the acting group",
                 )
-            acc = G.product(acc, g if e > 0 else G.inverse_of[g])
+            acc = product(acc, g)
         if acc:
             raise CertificateFailed(
                 "relators_psi_identity",
@@ -548,13 +569,13 @@ def pi1_presentation(K, basepoint):
         raise Disconnected(basepoint, missing)
 
     generators = tuple(EdgeSymbol(e) for e in K.sorted_edges if e not in tree)
-    gen_of = {s.edge: i for i, s in enumerate(generators)}
+    code_of = {s.edge: 2 * i for i, s in enumerate(generators)}
 
     def step(u, w):
         e = simplex((u, w))
         if e in tree:
             return None
-        return (gen_of[e], 1 if (u, w) == e else -1)
+        return code_of[e] + ((u, w) != e)
 
     words = (
         ([s for s in (step(a, b), step(b, c), step(c, a)) if s is not None], "tri")

@@ -33,7 +33,7 @@ from stabpres.complexes import (
     boundary_matrices,
     validate_complex,
 )
-from stabpres.errors import UnknownSymbol
+from stabpres.errors import MalformedInput, UnknownSymbol
 from stabpres.fixtures import (
     cycle_complex,
     f1_flip,
@@ -46,7 +46,7 @@ from stabpres.fixtures import (
 )
 from stabpres.homotopy import random_nondegenerate_disc
 from stabpres.linalg import det_bareiss, invariant_factors, matmul, smith_normal_form
-from stabpres.presentation import build_presentation, todd_coxeter
+from stabpres.presentation import Presentation, Relator, build_presentation, todd_coxeter
 
 
 def _fraction_rank(M):
@@ -169,8 +169,11 @@ def test_invariants_basics():
     assert AbelianInvariants(0, (2, 2)).order() == 4
     assert AbelianInvariants(1, ()).order() is None
     assert AbelianInvariants(0, (2,)).to_json_obj() == {"rank": 0, "torsion": [2]}
-    with pytest.raises(AssertionError):
+    # a real exception, so the check holds under python -O too
+    with pytest.raises(MalformedInput):
         AbelianInvariants(0, (3, 2))  # not a divisibility chain
+    with pytest.raises(MalformedInput):
+        AbelianInvariants(0, (1, 2))  # a factor of 1 is not torsion
 
 
 def test_invariants_from_relation_matrix():
@@ -342,6 +345,41 @@ def test_presentation_abelianization_matches_group(f1, f2, f3):
         assert presentation_abelianization(pipe.presentation) == group_abelianization(
             pipe.action.group
         )
+
+
+def _two_letter_presentation(*code_words):
+    """<a, b | code_words>, a and b two stabilizer letters with the letter
+    codes 0 (a), 1 (a^-1), 2 (b) and 3 (b^-1); returns P and the one-letter
+    words a and b."""
+    dom = ("1", "2", "3", "4")
+    flip = Permutation.from_cycles(dom, [["1", "2"]])
+    a, b = StabilizerLetter(flip, "3"), StabilizerLetter(flip, "4")
+    P = Presentation((a, b), tuple(Relator(w, "mult") for w in code_words))
+    return P, StabilizerWord((a,)), StabilizerWord((b,))
+
+
+def test_letter_signs_abelianize_to_z2():
+    # <a, b | a b^-1, a b> = Z/2: a = b and a^2 = 1; with the signs
+    # dropped both relators would be a + b, leaving Z
+    P, a, b = _two_letter_presentation((0, 3), (0, 2))
+    assert presentation_abelianization(P) == AbelianInvariants(0, (2,))
+    words = AbelianizedWords(P)
+    one = words.image(StabilizerWord(()))
+    assert words.image(a) == words.image(b) != one
+    assert words.image(a * a) == words.image(a * b) == one
+
+
+def test_letter_signs_abelianize_to_z_plus_z2():
+    # <a, b | a^-1 b^-1 a b, a^2> = Z + Z/2: the commutator is the zero
+    # row; with the signs dropped it would be 2a + 2b, leaving Z/2 + Z/2
+    P, a, b = _two_letter_presentation((1, 3, 0, 2), (0, 0))
+    assert presentation_abelianization(P) == AbelianInvariants(1, (2,))
+    words = AbelianizedWords(P)
+    one = words.image(StabilizerWord(()))
+    assert words.image(a) != one and words.image(a * a) == one
+    b_powers = {words.image(w) for w in (b, b * b, b * b * b, b * b * b * b)}
+    assert len(b_powers | {one}) == 5  # b has infinite order
+    assert words.image(a) not in b_powers
 
 
 def test_abelianized_word_images(f1):

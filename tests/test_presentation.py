@@ -32,13 +32,18 @@ from stabpres.presentation import (
 )
 
 
+def _code_pres(generators, *code_words):
+    """Synthetic presentation over plain string symbols, its relator words
+    given as letter codes."""
+    return Presentation(tuple(generators), tuple(Relator(tuple(w), "mult") for w in code_words))
+
+
 def _pres(generators, *relator_words):
     """Synthetic presentation over plain string symbols, its relator words
-    spelled in those symbols."""
+    spelled in those symbols as (symbol, +1|-1) letters."""
     index = {s: i for i, s in enumerate(generators)}
-    return Presentation(
-        tuple(generators),
-        tuple(Relator(tuple((index[s], e) for s, e in w), "mult") for w in relator_words),
+    return _code_pres(
+        generators, *(tuple(2 * index[s] + (e < 0) for s, e in w) for w in relator_words)
     )
 
 
@@ -46,23 +51,27 @@ def _pres(generators, *relator_words):
 
 
 def test_free_reduce():
-    w = (("a", 1), ("b", 1), ("b", -1), ("a", 1))
-    assert free_reduce(w) == (("a", 1), ("a", 1))
-    assert free_reduce((("a", 1), ("a", -1))) == ()
+    a, A, b, B = 0, 1, 2, 3  # the codes of a, a^-1, b and b^-1
+    assert free_reduce((a, b, B, a)) == (a, a)
+    assert free_reduce((a, A)) == ()
+    assert free_reduce((B, a, A, b, a)) == (a,)
+    assert free_reduce((a, B)) == (a, B)  # codes 0 and 3 are not inverse
     assert free_reduce(()) == ()
 
 
 def test_cyclic_reduce():
-    w = (("a", -1), ("b", 1), ("a", 1))
-    assert cyclic_reduce(w) == (("b", 1),)
-    assert cyclic_reduce((("a", 1), ("a", -1))) == ()
+    a, A, b, B = 0, 1, 2, 3  # the codes of a, a^-1, b and b^-1
+    assert cyclic_reduce((A, b, a)) == (b,)
+    assert cyclic_reduce((a, A)) == ()
+    assert cyclic_reduce((B, a, a, b)) == (a, a)
+    assert cyclic_reduce((a, b, B, A, b)) == (b,)
 
 
 def _all_rotations_key(word):
     """The canonical cyclic key as first written: every rotation of the
     word and of its inverse, built and compared."""
     w = list(word)
-    wi = [(i, -e) for i, e in reversed(w)]
+    wi = [x ^ 1 for x in reversed(w)]
     best = None
     for seq in (w, wi):
         n = len(seq)
@@ -78,28 +87,28 @@ def _reference_words(A):
     presentation, every ordered pair of letters included, as the builder
     emitted them before it skipped rotations, inverses and empty words."""
     G = A.group
-    gen_of = {}
+    code_of = {}
     for v in A.complex.sorted_vertices:
         for g in G.stabilizers[v][1:]:
-            gen_of[v, G.number[g]] = len(gen_of)
+            code_of[v, G.number[g]] = 2 * len(code_of)
     for v in A.complex.sorted_vertices:
         stab = [G.number[g] for g in G.stabilizers[v][1:]]
         for g in stab:
             for h in stab:
                 k = G.product(g, h)
-                word = [(gen_of[v, g], 1), (gen_of[v, h], 1)]
+                word = [code_of[v, g], code_of[v, h]]
                 if k:
-                    word.append((gen_of[v, k], -1))
+                    word.append(code_of[v, k] ^ 1)
                 yield word, "mult"
     for u, w in A.complex.sorted_edges:
         for g in G.stabilizers[u][1:]:
             if g(w) == w:
-                yield [(gen_of[u, G.number[g]], 1), (gen_of[w, G.number[g]], -1)], "edge"
-    for (v, g), a in gen_of.items():
-        for (w, h), b in gen_of.items():
+                yield [code_of[u, G.number[g]], code_of[w, G.number[g]] ^ 1], "edge"
+    for (v, g), a in code_of.items():
+        for (w, h), b in code_of.items():
             k = G.product(G.product(g, h), G.inverse_of[g])
-            c = gen_of[G.elements[g](w), k]
-            yield [(a, 1), (b, 1), (a, -1), (c, -1)], "conj"
+            c = code_of[G.elements[g](w), k]
+            yield [a, b, a ^ 1, c ^ 1], "conj"
 
 
 def _raw_builder_words(monkeypatch, pipelines):
@@ -127,7 +136,7 @@ def _raw_builder_words(monkeypatch, pipelines):
 def test_canonical_cyclic_key_matches_all_rotations(monkeypatch, f1, f2, f3):
     rng = random.Random(12)
     words = [
-        [(rng.randrange(4), rng.choice((1, -1))) for _ in range(rng.randint(0, 9))]
+        [2 * rng.randrange(4) + (rng.choice((1, -1)) < 0) for _ in range(rng.randint(0, 9))]
         for _ in range(20_000)
     ]
     raw = _raw_builder_words(monkeypatch, (f1, f2, f3))
@@ -165,7 +174,7 @@ def test_builder_skip_counts_on_f3(f3):
     assert Counter(tag for _, tag in words) == {"mult": 602, "edge": 72, "conj": 13924}
     # (g, g^-1) rotations: a two-letter mult word whose first letter is the later one
     rotations = sum(1 for w, tag in words if tag == "mult" and len(w) == 2 and w[0] > w[1])
-    conj = {(w[0][0], w[1][0]): w[3][0] for w, tag in words if tag == "conj"}
+    conj = {(w[0], w[1]): w[3] ^ 1 for w, tag in words if tag == "conj"}
     self_pairs = sum(1 for a, b in conj if a == b)
     # a b a^-1 b^-1 whose inverse is the earlier word of (b, a)
     mutual = sum(1 for (a, b), c in conj.items() if c == b and b < a and conj[b, a] == a)
@@ -224,9 +233,9 @@ def test_relators_evaluate_to_identity(f2):
     P = f2.presentation
     for r in P.relators:
         acc = identity
-        for i, e in r.word:
-            s = P.generators[i]
-            acc = acc * (s.element if e > 0 else s.element.inverse())
+        for x in r.word:
+            s = P.generators[x >> 1]
+            acc = acc * (s.element.inverse() if x & 1 else s.element)
         assert acc == identity
 
 
@@ -234,22 +243,25 @@ def test_edge_relators_cover_edge_stabilizers(f2):
     P = f2.presentation
     edge_rels = [r for r in P.relators if r.tag == "edge"]
     for r in edge_rels:
-        (i1, e1), (i2, e2) = r.word
-        s1, s2 = P.generators[i1], P.generators[i2]
-        assert (e1, e2) == (1, -1)
+        x1, x2 = r.word
+        s1, s2 = P.generators[x1 >> 1], P.generators[x2 >> 1]
+        assert (x1 & 1, x2 & 1) == (0, 1)
         assert s1.element == s2.element
         assert s1.vertex != s2.vertex
 
 
 @pytest.mark.parametrize(
     "word",
-    [((-1, 1),), ((1, 1), (0, 1)), ((0, 2),)],
-    ids=["negative-index", "index-past-generators", "exponent-2"],
+    [(-1,), (2, 0), ((0, 2),), ((0, 1),), (0.0,)],
+    ids=["negative-index", "index-past-generators", "exponent-2", "index-sign-pair", "float"],
 )
 def test_presentation_rejects_letters_outside_generators(word):
-    # relators index tables and lists, where -1 would wrap around silently
-    with pytest.raises(UnknownSymbol):
-        Presentation(("a",), (Relator(((0, 1),), "mult"), Relator(word, "mult")))
+    # letter codes index tables and lists, where -1 would wrap around
+    # silently; one generator has the codes 0 and 1 only, and an
+    # (index, exponent) pair, the old letter spelling, is no code
+    with pytest.raises(UnknownSymbol) as exc:
+        Presentation(("a",), (Relator((0, 1), "mult"), Relator(word, "mult")))
+    assert exc.value.symbol == word[0]
 
 
 def test_presentation_to_json_digests(f3, dihedral_cone):
@@ -368,11 +380,18 @@ def _sweep_cases(sources):
     rng = random.Random(1)
     for _ in range(2000):
         gens = ("a", "b", "c")[: rng.randint(1, 3)]
+        # a generator, then a sign, per letter: the draws of the words as
+        # first spelled, in (symbol, +1|-1) letters
         words = [
-            free_reduce([(rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(1, 8))])
+            free_reduce(
+                [
+                    2 * gens.index(rng.choice(gens)) + (rng.choice((1, -1)) < 0)
+                    for _ in range(rng.randint(1, 8))
+                ]
+            )
             for _ in range(rng.randint(0, 4))
         ]
-        yield _pres(gens, *words), rng.choice((5, 50, 2000))
+        yield _code_pres(gens, *words), rng.choice((5, 50, 2000))
 
 
 def test_tc_enumeration_sweep_digest(f1, f2, f3):
@@ -443,7 +462,7 @@ def test_verify_theorem_passes(f1, f2):
 
 def test_verify_theorem_rejects_bad_relator(f1):
     P = f1.presentation
-    bad = Presentation(P.generators, P.relators + (Relator(((0, 1),), "mult"),))
+    bad = Presentation(P.generators, P.relators + (Relator((0,), "mult"),))
     with pytest.raises(CertificateFailed) as exc:
         verify_theorem(f1.action, f1.quotient, bad, f1.table)
     assert exc.value.check == "relators_psi_identity"
@@ -502,10 +521,8 @@ def test_verify_theorem_rejects_letter_outside_group(f2):
     assert swap not in A.group
     extra = StabilizerLetter(swap, v)
     # swap squares to the identity, so only the membership test catches it
-    x = len(P.generators)  # the index of extra
-    P_extra = Presentation(
-        P.generators + (extra,), P.relators + (Relator(((x, 1), (x, 1)), "mult"),)
-    )
+    x = 2 * len(P.generators)  # the letter code of extra
+    P_extra = Presentation(P.generators + (extra,), P.relators + (Relator((x, x), "mult"),))
     with pytest.raises(CertificateFailed) as exc:
         verify_theorem(A, Q, P_extra, T)
     assert exc.value.check == "relators_psi_identity"
