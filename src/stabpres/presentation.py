@@ -10,21 +10,29 @@ Relators come in three families; `abelian.colimit_H1` reuses the first two:
   conj  g@v . h@w . g@v^-1 . (ghg^-1)@g(w)^-1   (all ordered vertex pairs)
 
 Every relator evaluates to the identity under psi by construction;
-`verify_theorem` psi-checks each relator once, for any presentation it
-is given, by folding element numbers through the group's product memo
-(`actions.PermGroup.product`).  The builders work on element numbers
-too and emit words of letter codes, one int per letter: code x is
-generator x >> 1, inverted when x & 1 is set, so x ^ 1 is its inverse
-and x is the letter's `todd_coxeter` column.  `build_presentation`
-emits distinct words and `pi1_presentation` uses the normaliser.  A
-`Relator` keeps the codes from builder to certificate: letters are
-spelled only on output, and `letter_indices` turns stabilizer words
-into generator indices.  `todd_coxeter` scans relators as stored,
-enumerating cosets of the trivial subgroup relator-first (scan-and-fill
-with full coincidence processing, lowest undefined entry defined first)
-until every live row is full; one closure sweep, composing each
-distinct product of columns once, then proves every relator closes, so
-a Complete(n) table certifies the presented group has order n.
+`verify_theorem` psi-checks every relator, for any presentation it is
+given, through the group's product memo (`actions.PermGroup.product`).
+The builders work on element numbers too and emit words of letter
+codes, one int per letter: code x is generator x >> 1, inverted when
+x & 1 is set, so x ^ 1 is its inverse and x is the letter's
+`todd_coxeter` column.  `build_presentation` emits distinct words,
+conjugating once per element pair, and `pi1_presentation` uses the
+normaliser.  A `Relator` keeps the codes from builder to certificate:
+letters are spelled only on output, and `letter_indices` turns
+stabilizer words into generator indices.
+
+The canonical presentation has many relators but names few group words
+(f3: 13,995 relators, 1,291 distinct words of element numbers).  A
+`Presentation` flattens its letters once, grouped by word length, and
+`relator_words` maps them through a code -> value list into the set of
+distinct value words, so the per-word checks below run once per
+distinct word; relators are scanned in order only to name the first
+failure.  `todd_coxeter` scans relators as stored, enumerating cosets
+of the trivial subgroup relator-first (scan-and-fill with full
+coincidence processing, lowest undefined entry defined first) until
+every live row is full; one closure sweep, folding each distinct word
+of column classes once, then proves every relator closes, so a
+Complete(n) table certifies the presented group has order n.
 `verify_theorem` adds an exhaustive surjectivity check to certify the
 presented group is the acting group; the table records the presentation
 it enumerated, so a table from another presentation is refused.
@@ -38,9 +46,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, groupby, product
+from operator import attrgetter
 
 from .armstrong import StabilizerLetter, armstrong_express, psi_evaluate
 from .complexes import simplex
@@ -80,14 +89,35 @@ class Relator:
 class Presentation:
     generators: tuple
     relators: tuple
+    # word length -> the letters of every relator of that length, flattened
+    _letters_by_length: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # flattened once, so `relator_words` maps the letters with one
+        # C-level pass per length
+        words = sorted(map(attrgetter("word"), self.relators), key=len)
+        flat = {n: tuple(chain.from_iterable(ws)) for n, ws in groupby(words, len)}
+        object.__setattr__(self, "_letters_by_length", flat)
         # letter codes index table rows and lists, where a negative code would
-        # wrap around and anything but an int would fail deep in an enumeration
-        letters = tuple(chain.from_iterable(r.word for r in self.relators))
+        # wrap around and anything but an int would fail deep in an
+        # enumeration; types are read off every letter, as True == 1 and
+        # 0.0 == 0 would hide in a set of letters
+        letters = flat.values()
         codes = range(2 * len(self.generators))
-        if not (set(map(type, letters)) <= {int} and set(letters) <= set(codes)):
+        if not (
+            set(map(type, chain.from_iterable(letters))) <= {int}
+            and set(chain.from_iterable(letters)) <= set(codes)
+        ):
+            letters = chain.from_iterable(r.word for r in self.relators)
             raise UnknownSymbol(next(x for x in letters if type(x) is not int or x not in codes))
+
+    def relator_words(self, image):
+        """The distinct words image[x1] .. image[xn] of the relators x1 .. xn,
+        as a set of tuples; empty words are left out."""
+        words = set()
+        for n, letters in self._letters_by_length.items():
+            words.update(zip(*[iter(map(image.__getitem__, letters))] * n))
+        return words
 
     @cached_property
     def gen_index(self):
@@ -233,7 +263,7 @@ def build_presentation(A, Q):
     No mult word reduces (g and h are not the identity), nor any edge
     word (its ends differ); a conj word reduces only when a = b, to the
     empty word, and is skipped.  Relators are not evaluated here:
-    `verify_theorem` psi-checks each one once.
+    `verify_theorem` psi-checks them.
     """
     generators, code_of, local = _local_words(A)
     G = A.group
@@ -244,16 +274,21 @@ def build_presentation(A, Q):
         by_vertex.setdefault(v, []).append((g, a))
 
     def conj_words():
+        conjugates = {}  # number of g -> {number of h: number of g h g^-1}
         for v, letters_v in by_vertex.items():
             for g, a in letters_v:
                 x = G.elements[g]
                 ginv = G.inverse_of[g]
+                conj = conjugates.setdefault(g, {})
                 for w, letters_w in by_vertex.items():
                     xw = x(w)
                     for h, b in letters_w:
                         if b == a:
                             continue
-                        c = code_of[xw, G.product(G.product(g, h), ginv)]
+                        k = conj.get(h)
+                        if k is None:
+                            k = conj[h] = G.product(G.product(g, h), ginv)
+                        c = code_of[xw, k]
                         if c == b and b < a and (v, h) in code_of:
                             continue
                         yield (a, b, a + 1, c + 1), "conj"
@@ -300,9 +335,11 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     row is full.  One sweep of the compacted table then finishes and
     proves it: every column is a permutation and every relator, composed
     over the columns, is the identity; else the least coset the first
-    failing relator moves coincides with its image, and the sweep repeats.
-    Each step (composite, column) -> composite is composed once, memoised
-    on composites numbered from the identity, 0.  A relator's letter codes
+    failing relator, in relator order, moves coincides with its image,
+    and the sweep repeats.  Letters with equal columns share a class, so
+    the sweep folds each distinct word of classes once; each step
+    (composite, class) -> composite is composed once, memoised on
+    composites numbered from the identity, 0.  A relator's letter codes
     are its columns, so its word is scanned as stored.
     """
     rels = [r.word for r in P.relators]
@@ -427,30 +464,40 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
         )
         n = len(live)
         identity = list(range(n))
-        cols = list(zip(*final))
-        for col in cols:  # sorted to 0..n-1, so no entry is undefined or dangling
+        # letters with one column share a class, numbered in column order
+        class_of = {}
+        classes = [class_of.setdefault(col, len(class_of)) for col in zip(*final)]
+        columns = list(class_of)
+        for col in columns:  # sorted to 0..n-1, so no entry is undefined or dangling
             if sorted(col) != identity:
                 raise AssertionError("generator column is not a permutation")
-        # step[c][x]: the number of composite c followed by column x, or -1
-        composites, number, step = [tuple(identity)], {tuple(identity): 0}, [[-1] * width]
-        for w in rels:
+        # step[c][k]: the number of composite c followed by class k, or -1
+        composites, number = [tuple(identity)], {tuple(identity): 0}
+        step = [[-1] * len(columns)]
+
+        def fold(word):  # the composite number of a word of classes
             c = 0
-            for x in w:
-                nxt = step[c][x]
+            for k in word:
+                nxt = step[c][k]
                 if nxt == -1:
-                    cur = tuple(map(cols[x].__getitem__, composites[c]))
+                    cur = tuple(map(columns[k].__getitem__, composites[c]))
                     nxt = number.setdefault(cur, len(composites))
                     if nxt == len(composites):
                         composites.append(cur)
-                        step.append([-1] * width)
-                    step[c][x] = nxt
+                        step.append([-1] * len(columns))
+                    step[c][k] = nxt
                 c = nxt
-            if c:
-                k, j = next((k, j) for k, j in enumerate(composites[c]) if j != k)
-                coincidence(live[j], live[k])
-                break
-        else:
+            return c
+
+        failing = {w: c for w in P.relator_words(classes) if (c := fold(w))}
+        if not failing:
             return CosetTable(P, final, "complete", order=n)
+        # the first failing relator in order separates the least coset its
+        # composite moves from that coset's image
+        class_words = (tuple(map(classes.__getitem__, w)) for w in rels)
+        c = failing[next(w for w in class_words if w in failing)]
+        k, j = next((k, j) for k, j in enumerate(composites[c]) if j != k)
+        coincidence(live[j], live[k])
 
 
 def word_to_coset(T, w):
@@ -482,6 +529,10 @@ def verify_theorem(A, Q, P, T):
     group element is hit by the expression procedure (psi is onto).
     Together these pin the presented group down to G.  Raises
     CertificateFailed on the first violation, else returns the certificate.
+
+    Check (i) folds each distinct word of element numbers once; only when
+    a word fails, or names a letter outside G, are the relators walked in
+    order, so the failure names the first failing relator.
     """
     G = A.group
     checks = []
@@ -491,21 +542,28 @@ def verify_theorem(A, Q, P, T):
         g = G.number.get(s.element)
         numbers += (g, None) if g is None else (g, G.inverse_of[g])
     product = G.product
-    for r in P.relators:
+
+    def psi(word):  # the element number of a word of element numbers
         acc = 0  # the identity's number
-        for x in r.word:
-            g = numbers[x]
-            if g is None:
+        for g in word:
+            acc = product(acc, g)
+        return acc
+
+    if any(None in w or psi(w) for w in P.relator_words(numbers)):
+        # name the first failing relator, in relator order
+        for r in P.relators:
+            x = next((x for x in r.word if numbers[x] is None), None)
+            if x is not None:
                 raise CertificateFailed(
                     "relators_psi_identity",
                     f"letter {P.generators[x >> 1].name} is not an element of the acting group",
                 )
-            acc = product(acc, g)
-        if acc:
-            raise CertificateFailed(
-                "relators_psi_identity",
-                f"{r.tag} relator evaluates to {G.elements[acc].cycle_string()}",
-            )
+            acc = psi(map(numbers.__getitem__, r.word))
+            if acc:
+                raise CertificateFailed(
+                    "relators_psi_identity",
+                    f"{r.tag} relator evaluates to {G.elements[acc].cycle_string()}",
+                )
     checks.append(("relators_psi_identity", f"{len(P.relators)} relators"))
 
     if T.status != "complete":

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from stabpres.actions import (
+    PermGroup,
     Permutation,
     build_quotient,
     close_under_product,
@@ -252,16 +253,26 @@ def test_edge_relators_cover_edge_stabilizers(f2):
 
 @pytest.mark.parametrize(
     "word",
-    [(-1,), (2, 0), ((0, 2),), ((0, 1),), (0.0,)],
-    ids=["negative-index", "index-past-generators", "exponent-2", "index-sign-pair", "float"],
+    [(-1,), (2, 0), ((0, 2),), ((0, 1),), (0.0,), (True, 0)],
+    ids=[
+        "negative-index",
+        "index-past-generators",
+        "exponent-2",
+        "index-sign-pair",
+        "float",
+        "bool",
+    ],
 )
 def test_presentation_rejects_letters_outside_generators(word):
     # letter codes index tables and lists, where -1 would wrap around
     # silently; one generator has the codes 0 and 1 only, and an
-    # (index, exponent) pair, the old letter spelling, is no code
+    # (index, exponent) pair, the old letter spelling, is no code; True
+    # equals and hashes like the code 1 held by the relator before it, of
+    # the same length, so a check over the set of letters would let it
+    # through
     with pytest.raises(UnknownSymbol) as exc:
         Presentation(("a",), (Relator((0, 1), "mult"), Relator(word, "mult")))
-    assert exc.value.symbol == word[0]
+    assert (type(exc.value.symbol), exc.value.symbol) == (type(word[0]), word[0])
 
 
 def test_presentation_to_json_digests(f3, dihedral_cone):
@@ -365,6 +376,23 @@ def test_tc_closure_sweep_fails_after_a_memoised_prefix():
     b = ("b", 1)
     T = todd_coxeter(_pres(["a", "b"], [b], [a, B, A, A], [a, b, a], [A, A, A, B]))
     assert (T.status, T.order, T.table) == ("complete", 1, ((0, 0, 0, 0),))
+
+
+def test_tc_closure_sweep_fails_on_a_table_with_equal_columns():
+    # HLT stops with six full rows, on which b^-1 a^-1 c and c b^-1 fail
+    # to close; the sweep merges the cosets the first of them separates,
+    # and the table it proves has equal b and c columns, so those letters
+    # share a class of the sweep's memo
+    a, A, b, B, c = ("a", 1), ("a", -1), ("b", 1), ("b", -1), ("c", 1)
+    P = _pres(["a", "b", "c"], [a, a, a], [B, B, A], [B, A, c], [b, a, b], [c, B])
+    T = todd_coxeter(P)
+    assert (T.status, T.order) == ("complete", 2)
+    assert T.table == ((0, 0, 1, 1, 1, 1), (1, 1, 0, 0, 0, 0))
+    # a reference sweep, apart from the class memo: every relator, in
+    # order, traced letter by letter at every coset
+    for r in P.relators:
+        for coset in range(T.order):
+            assert T.trace(coset, r.word) == coset
 
 
 def _sweep_cases(sources):
@@ -529,6 +557,21 @@ def test_verify_theorem_rejects_letter_outside_group(f2):
     assert f"letter {extra.name} is not an element of the acting group" in str(exc.value)
 
 
+def test_verify_theorem_names_the_first_failing_relator(f2):
+    # two relators with distinct nonidentity values: the message names the
+    # tag and value of the one first in relator order, either way round
+    A, Q, P, T = f2
+    i = next(i for i, s in enumerate(P.generators) if s.element != P.generators[0].element)
+    first, second = Relator((0,), "edge"), Relator((2 * i,), "conj")
+    for r, other in ((first, second), (second, first)):
+        bad = Presentation(P.generators, P.relators + (r, other))
+        with pytest.raises(CertificateFailed) as exc:
+            verify_theorem(A, Q, bad, T)
+        assert exc.value.check == "relators_psi_identity"
+        value = P.generators[r.word[0] >> 1].element.cycle_string()
+        assert f"{r.tag} relator evaluates to {value}" in str(exc.value)
+
+
 def _counting_products(monkeypatch):
     """Count every Permutation product from now on."""
     calls = [0]
@@ -554,6 +597,28 @@ def test_product_memo_bounds_permutation_products(monkeypatch):
     calls[0] = 0
     verify_theorem(A, Q, P, T)
     assert calls[0] <= 160
+
+
+def test_group_products_fold_each_distinct_word_once(monkeypatch):
+    # a fresh f3 group; the builder conjugates once per element pair and
+    # the psi-check folds each distinct word of element numbers once,
+    # where a fold per relator made 28,214 and 55,144 calls
+    A = refine_action(f3_octahedral())
+    Q = build_quotient(A)
+    calls = [0]
+    product = PermGroup.product
+
+    def counted(G, i, j):
+        calls[0] += 1
+        return product(G, i, j)
+
+    monkeypatch.setattr(PermGroup, "product", counted)
+    P = build_presentation(A, Q)
+    assert calls[0] == 2650
+    T = todd_coxeter(P)
+    calls[0] = 0
+    verify_theorem(A, Q, P, T)
+    assert calls[0] == 4872
 
 
 # -- fundamental group presentations ------------------------------------
