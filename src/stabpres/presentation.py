@@ -22,17 +22,17 @@ letters are spelled only on output, and `letter_indices` turns
 stabilizer words into generator indices.
 
 The canonical presentation has many relators but names few group words
-(f3: 13,995 relators, 1,291 distinct words of element numbers).  A
-`Presentation` flattens its letters once, grouped by word length, and
-`relator_words` maps them through a code -> value list into the set of
-distinct value words, so the per-word checks below run once per
-distinct word; relators are scanned in order only to name the first
-failure.  `todd_coxeter` scans relators as stored, enumerating cosets
-of the trivial subgroup relator-first (scan-and-fill with full
-coincidence processing, lowest undefined entry defined first) until
-every live row is full; one closure sweep, folding each distinct word
-of column classes once, then proves every relator closes, so a
-Complete(n) table certifies the presented group has order n.
+(f3: 13,995 relators, 1,291 distinct words of element numbers).
+`Presentation.relator_words` maps the relators through a code -> value
+list into the set of distinct value words, so the per-word checks below
+run once per distinct word; `verify_theorem` walks the relators in
+order only to name the first failure.  `todd_coxeter` scans relators
+as stored, enumerating cosets of the trivial subgroup relator-first
+(scan-and-fill with full coincidence processing, lowest undefined entry
+defined first) until every live row is full; one closure sweep, folding
+each distinct word of column classes once, then proves every relator
+closes, so a Complete(n) table certifies the presented group has
+order n.
 `verify_theorem` adds an exhaustive surjectivity check to certify the
 presented group is the acting group; the table records the presentation
 it enumerated, so a table from another presentation is refused.
@@ -46,10 +46,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby, product
-from operator import attrgetter
+from itertools import chain, product
 
 from .armstrong import StabilizerLetter, armstrong_express, psi_evaluate
 from .complexes import simplex
@@ -89,35 +88,18 @@ class Relator:
 class Presentation:
     generators: tuple
     relators: tuple
-    # word length -> the letters of every relator of that length, flattened
-    _letters_by_length: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # flattened once, so `relator_words` maps the letters with one
-        # C-level pass per length
-        words = sorted(map(attrgetter("word"), self.relators), key=len)
-        flat = {n: tuple(chain.from_iterable(ws)) for n, ws in groupby(words, len)}
-        object.__setattr__(self, "_letters_by_length", flat)
         # letter codes index table rows and lists, where a negative code would
-        # wrap around and anything but an int would fail deep in an
-        # enumeration; types are read off every letter, as True == 1 and
-        # 0.0 == 0 would hide in a set of letters
-        letters = flat.values()
+        # wrap around and anything but an int would fail deep in an enumeration
+        letters = tuple(chain.from_iterable(r.word for r in self.relators))
         codes = range(2 * len(self.generators))
-        if not (
-            set(map(type, chain.from_iterable(letters))) <= {int}
-            and set(chain.from_iterable(letters)) <= set(codes)
-        ):
-            letters = chain.from_iterable(r.word for r in self.relators)
+        if not (set(map(type, letters)) <= {int} and set(letters) <= set(codes)):
             raise UnknownSymbol(next(x for x in letters if type(x) is not int or x not in codes))
 
     def relator_words(self, image):
-        """The distinct words image[x1] .. image[xn] of the relators x1 .. xn,
-        as a set of tuples; empty words are left out."""
-        words = set()
-        for n, letters in self._letters_by_length.items():
-            words.update(zip(*[iter(map(image.__getitem__, letters))] * n))
-        return words
+        """The distinct words image[x1] .. image[xn] of the relators x1 .. xn."""
+        return {tuple(map(image.__getitem__, r.word)) for r in self.relators}
 
     @cached_property
     def gen_index(self):
@@ -334,13 +316,15 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     relator at each live coset, then fill its row) stops once every live
     row is full.  One sweep of the compacted table then finishes and
     proves it: every column is a permutation and every relator, composed
-    over the columns, is the identity; else the least coset the first
-    failing relator, in relator order, moves coincides with its image,
-    and the sweep repeats.  Letters with equal columns share a class, so
-    the sweep folds each distinct word of classes once; each step
-    (composite, class) -> composite is composed once, memoised on
-    composites numbered from the identity, 0.  A relator's letter codes
-    are its columns, so its word is scanned as stored.
+    over the columns, is the identity; else the least coset a failing
+    relator moves coincides with its image, and the sweep repeats.
+    Whichever relator fails, the sweeps end in the least congruence under
+    which every relator closes, so the table does not depend on it.
+    Letters with equal columns share a class, so the sweep folds each
+    distinct word of classes once; each step (composite, class) ->
+    composite is composed once, memoised on composites numbered from the
+    identity, 0.  A relator's letter codes are its columns, so its word
+    is scanned as stored.
     """
     rels = [r.word for r in P.relators]
     width = 2 * len(P.generators)
@@ -489,13 +473,10 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
                 c = nxt
             return c
 
-        failing = {w: c for w in P.relator_words(classes) if (c := fold(w))}
-        if not failing:
+        c = next((c for w in P.relator_words(classes) if (c := fold(w))), 0)
+        if not c:
             return CosetTable(P, final, "complete", order=n)
-        # the first failing relator in order separates the least coset its
-        # composite moves from that coset's image
-        class_words = (tuple(map(classes.__getitem__, w)) for w in rels)
-        c = failing[next(w for w in class_words if w in failing)]
+        # the least coset a failing relator moves coincides with its image
         k, j = next((k, j) for k, j in enumerate(composites[c]) if j != k)
         coincidence(live[j], live[k])
 

@@ -267,9 +267,8 @@ def test_presentation_rejects_letters_outside_generators(word):
     # letter codes index tables and lists, where -1 would wrap around
     # silently; one generator has the codes 0 and 1 only, and an
     # (index, exponent) pair, the old letter spelling, is no code; True
-    # equals and hashes like the code 1 held by the relator before it, of
-    # the same length, so a check over the set of letters would let it
-    # through
+    # equals and hashes like the code 1 held by the relator before it, so
+    # a check over the set of letters would let it through
     with pytest.raises(UnknownSymbol) as exc:
         Presentation(("a",), (Relator((0, 1), "mult"), Relator(word, "mult")))
     assert (type(exc.value.symbol), exc.value.symbol) == (type(word[0]), word[0])
@@ -380,9 +379,9 @@ def test_tc_closure_sweep_fails_after_a_memoised_prefix():
 
 def test_tc_closure_sweep_fails_on_a_table_with_equal_columns():
     # HLT stops with six full rows, on which b^-1 a^-1 c and c b^-1 fail
-    # to close; the sweep merges the cosets the first of them separates,
-    # and the table it proves has equal b and c columns, so those letters
-    # share a class of the sweep's memo
+    # to close; the sweep merges the cosets whichever of them it folds
+    # first separates, and the table it proves has equal b and c columns,
+    # so those letters share a class of the sweep's memo
     a, A, b, B, c = ("a", 1), ("a", -1), ("b", 1), ("b", -1), ("c", 1)
     P = _pres(["a", "b", "c"], [a, a, a], [B, B, A], [B, A, c], [b, a, b], [c, B])
     T = todd_coxeter(P)
