@@ -282,15 +282,33 @@ def validate_simplicial_action(K, generators, cap=GROUP_CAP):
 def check_without_rotations(A):
     """Does every setwise simplex stabilizer fix the simplex pointwise?
 
-    Returns (True, None) or (False, (element, simplex)).
+    Returns (True, None) or (False, (element, simplex)): the first element
+    in canonical order that fixes some simplex setwise but not pointwise,
+    with the least such simplex, edges before triangles.  An element does
+    that only by swapping the two ends of an edge or 3-cycling a
+    triangle, and a triangle it fixes setwise through a transposition has
+    a swapped edge, which sorts first.  So each element's permutation is
+    scanned once for 2-cycles that are edges and 3-cycles that are
+    triangles, not applied to every simplex.
     """
-    simps = list(A.complex.sorted_edges) + list(A.complex.sorted_triangles)
+    K = A.complex
     for g in A.group.elements:
-        if g.is_identity():
-            continue
-        for s in simps:
-            if g.apply(s) == s and any(g(v) != v for v in s):
-                return False, (g, s)
+        d, p = g.domain, g.perm  # the domain is the sorted vertex tuple
+        edges, tris = [], []
+        for i, j in enumerate(p):
+            if j <= i:
+                continue
+            k = p[j]
+            if k == i:
+                e = (d[i], d[j])
+                if e in K.edges:
+                    edges.append(e)
+            elif k > i and p[k] == i:  # i is the least point of its 3-cycle
+                t = (d[i], d[min(j, k)], d[max(j, k)])
+                if t in K.triangles:
+                    tris.append(t)
+        if edges or tris:
+            return False, (g, min(edges or tris))
     return True, None
 
 

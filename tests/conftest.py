@@ -22,9 +22,13 @@ _bench_inputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_bench_inputs)
 
 
+def _raw_dihedral_cone(n, seed):
+    return sp.action_from_json_obj(_bench_inputs.dihedral_cone_obj(n, seed))
+
+
 @functools.cache
 def _dihedral_cone(n, seed):
-    return sp.refine_action(sp.action_from_json_obj(_bench_inputs.dihedral_cone_obj(n, seed)))
+    return sp.refine_action(_raw_dihedral_cone(n, seed))
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +36,12 @@ def dihedral_cone():
     """(n, seed) -> the refined action of D_n on the cone over an n-gon,
     its vertex labels shuffled by the seed."""
     return _dihedral_cone
+
+
+@pytest.fixture(scope="session")
+def raw_dihedral_cone():
+    """(n, seed) -> the same action before refinement."""
+    return _raw_dihedral_cone
 
 
 def _pipeline(builder, max_cosets=10**5):

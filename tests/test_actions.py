@@ -1,5 +1,6 @@
 """Group actions on complexes: validation, orbits, refinement, quotients."""
 
+import itertools
 import random
 
 import pytest
@@ -175,6 +176,50 @@ def test_without_rotations_clean_cases():
     for build in (f1_flip, f5_antipodal, c6_rotation):
         ok, witness = check_without_rotations(build())
         assert ok and witness is None
+
+
+def _rotation_witness_reference(A):
+    """Every nonidentity element against every edge, then every triangle."""
+    simps = list(A.complex.sorted_edges) + list(A.complex.sorted_triangles)
+    for g in A.group.elements:
+        if g.is_identity():
+            continue
+        for s in simps:
+            if g.apply(s) == s and any(g(v) != v for v in s):
+                return False, (g, s)
+    return True, None
+
+
+def _a4_tetrahedron():
+    """A4 on the boundary of a tetrahedron: its first element, (2 3 4),
+    3-cycles a face and fixes a vertex; (1 2)(3 4) swaps two edges."""
+    tetra = ("1", "2", "3", "4")
+    return action_from_json_obj(
+        {
+            "complex": {
+                "vertices": list(tetra),
+                "edges": [list(e) for e in itertools.combinations(tetra, 2)],
+                "triangles": [list(t) for t in itertools.combinations(tetra, 3)],
+            },
+            "generators": [[["1", "2", "3"]], [["1", "2"], ["3", "4"]]],
+        }
+    )
+
+
+def test_without_rotations_matches_reference(raw_dihedral_cone):
+    # f1-f5 and the unrefined cones D3-D16 at seeds 0-2, each as given and
+    # subdivided once: 94 actions, 45 with rotations, all but f4's found
+    # on an edge; then a face witness with edges present
+    actions = [build() for build in (f1_flip, f2_s3, f3_octahedral, f4_rotation, f5_antipodal)]
+    actions += [raw_dihedral_cone(n, seed) for n in range(3, 17) for seed in range(3)]
+    actions += [subdivide_action(A) for A in actions]
+    results = [check_without_rotations(A) for A in actions]
+    assert results == [_rotation_witness_reference(A) for A in actions]
+    assert (len(results), sum(not ok for ok, _ in results)) == (94, 45)
+    A4 = _a4_tetrahedron()
+    ok, (g, s) = check_without_rotations(A4)
+    assert (ok, g.cycle_string(), s) == (False, "(2 3 4)", ("2", "3", "4"))
+    assert (ok, (g, s)) == _rotation_witness_reference(A4)
 
 
 # -- orbits, stabilizers, transporters ----------------------------------

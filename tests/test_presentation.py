@@ -378,12 +378,14 @@ def test_tc_closure_sweep_fails_after_a_memoised_prefix():
 
 
 def test_tc_closure_sweep_fails_on_a_table_with_equal_columns():
-    # HLT stops with six full rows, on which b^-1 a^-1 c and c b^-1 fail
-    # to close; the sweep merges the cosets whichever of them it folds
-    # first separates, and the table it proves has equal b and c columns,
-    # so those letters share a class of the sweep's memo
-    a, A, b, B, c = ("a", 1), ("a", -1), ("b", 1), ("b", -1), ("c", 1)
-    P = _pres(["a", "b", "c"], [a, a, a], [B, B, A], [B, A, c], [b, a, b], [c, B])
+    # no relator x y names two generators, so no letter is eliminated; HLT
+    # stops with four full rows, on which a c b a^-1, b a^-1 b^-1 and
+    # a^-1 b^-1 b^-1 fail to close at cosets 2 and 3; the sweep merges them
+    # whichever of those it folds first, and the a and a^-1 columns (and
+    # c and c^-1) are equal on both tables it folds, so those letters
+    # share a class of the sweep's memo
+    a, A, b, B, c, C = ("a", 1), ("a", -1), ("b", 1), ("b", -1), ("c", 1), ("c", -1)
+    P = _pres(["a", "b", "c"], [a, c, b, A], [b, A, B], [A, A], [A, B, B], [A, A, C, C])
     T = todd_coxeter(P)
     assert (T.status, T.order) == ("complete", 2)
     assert T.table == ((0, 0, 1, 1, 1, 1), (1, 1, 0, 0, 0, 0))
@@ -433,7 +435,22 @@ def test_tc_enumeration_sweep_digest(f1, f2, f3):
     for P, bound in _sweep_cases(sources):
         T = todd_coxeter(P, max_cosets=bound)
         digest.update(repr((T.status, T.order, T.bound, T.table)).encode())
-    assert digest.hexdigest() == "710d5207ed8ca7d412511e99d2e2341387b5289ef08840a93da8072888804628"
+    assert digest.hexdigest() == "17bd9e39cfca910e5e096313ff8eded114b2e47241976471ddc48fdfa121fd9c"
+
+
+def test_tc_coset_need(f2, f3, dihedral_cone):
+    # the least max_cosets that completes, pinned; eliminating the letters
+    # that edge and mult relators x y make equal leaves f3's 118 generators
+    # 41 to enumerate over, and it needs 389 cosets, where all 118 needed 578
+    assert todd_coxeter(f3.presentation, max_cosets=389).order == 48
+    assert todd_coxeter(f3.presentation, max_cosets=388).status == "exhausted"
+    assert todd_coxeter(f2.presentation, max_cosets=6).order == 6
+    # the cones complete at |G|, with no coincidence
+    for n in (8, 12, 16):
+        for seed in (0, 1):
+            A = dihedral_cone(n, seed)
+            T = todd_coxeter(build_presentation(A, build_quotient(A)), max_cosets=2 * n)
+            assert (T.status, T.order) == ("complete", 2 * n)
 
 
 def test_tc_fixture_orders(f1, f3):
