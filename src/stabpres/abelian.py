@@ -10,7 +10,9 @@ only what that pass leaves: nothing for the boundary maps of Sd^2(f3).
 
   homology_invariants      simplicial H1/H2: the Smith diagonal of d2,
                            and rank d1 from the component count
-  group_abelianization     G/[G,G], [G,G] the normal closure of [s, t]
+  group_abelianization     G/[G,G], [G,G] the normal closure of [s, t],
+                           split off one cyclic factor of largest order
+                           at a time
   presentation_abelianization   coker of the relator exponent matrix,
                            after contracting generator identifications
   AbelianizedWords         stabilizer words mapped into that cokernel
@@ -104,65 +106,36 @@ def homology_invariants(K, k):
 
 
 def group_abelianization(G):
-    """G/[G,G] decomposed by element order statistics, independent of any
-    presentation and of the Smith machinery.  It multiplies permutations
-    directly and reads no product memo (`PermGroup.product`), so the
-    oracle stays independent of the memo the colimit side is built with.
+    """G/[G,G] split into cyclic factors, independent of any presentation
+    and of the Smith machinery.  It multiplies permutations directly and
+    reads no product memo (`PermGroup.product`), so the oracle stays
+    independent of the memo the colimit side is built with.
 
-    For each prime p the number of cosets killed by p^j determines the
-    p-primary type (v_p of the count ratios is the conjugate partition);
-    the primary types merge largest-with-largest into invariant factors.
+    In a finite abelian group a cyclic subgroup of largest order is a
+    direct summand, so its order is the largest invariant factor and the
+    other factors are those of the quotient by it.  Starting from
+    N = [G,G], each round takes the first element g whose order modulo N
+    is largest, records that order and replaces N by N<g> (the products
+    n g^k), until N = G; the recorded orders, last first, are the
+    invariant factors.
     """
-    elements = G.elements
-    derived = _derived_subgroup(G)
-    reps = []
-    seen = set()
-    for g in elements:
-        if g in seen:
-            continue
-        reps.append(g)
-        seen.update(g * d for d in derived)
+    N = _derived_subgroup(G)
     orders = []
-    for g in reps:
-        o = 1
-        p = g
-        while p not in derived:
-            p = p * g
-            o += 1
-        orders.append(o)
-
-    primary = {}
-    for p in _prime_factors(len(reps)):
-        mults = []  # mults[j-1] = number of cyclic p-factors of exponent >= j
-        prev = 1
-        j = 1
-        while True:
-            pj = p**j
-            c = sum(1 for o in orders if pj % o == 0)
-            if c == prev:
-                break
-            ratio, rem = divmod(c, prev)
-            assert rem == 0
-            m = 0
-            while ratio > 1:
-                assert ratio % p == 0
-                ratio //= p
-                m += 1
-            mults.append(m)
-            prev = c
-            j += 1
-        top = mults[0] if mults else 0
-        primary[p] = [sum(1 for m in mults if m >= i) for i in range(1, top + 1)]
-
-    depth = max((len(v) for v in primary.values()), default=0)
-    factors = []
-    for i in range(depth):
-        d = 1
-        for p, exps in primary.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        factors.append(d)
-    return AbelianInvariants(0, tuple(reversed(factors)))
+    while len(N) < G.order():
+        top, best = 1, None
+        for g in G.elements:
+            o, p = 1, g
+            while p not in N:
+                p = p * g
+                o += 1
+            if o > top:
+                top, best = o, g
+        layer = N
+        for _ in range(top - 1):
+            layer = {n * best for n in layer}
+            N |= layer
+        orders.append(top)
+    return AbelianInvariants(0, tuple(reversed(orders)))
 
 
 def _derived_subgroup(G):
@@ -175,20 +148,6 @@ def _derived_subgroup(G):
         if not new:
             return derived
         normal |= new
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _contracted_relations(P):

@@ -53,6 +53,7 @@ from .errors import (
 )
 
 GROUP_CAP = 100_000
+MAX_SUBDIVISIONS = 2
 
 
 class Permutation:
@@ -177,7 +178,7 @@ def parse_cycles(text):
     return cycles
 
 
-def close_under_product(domain, perms, cap=GROUP_CAP):
+def close_under_product(domain, perms):
     """Generate the subgroup containing the given permutations (BFS closure)."""
     identity = Permutation.identity(domain)
     elements = {identity}
@@ -189,8 +190,8 @@ def close_under_product(domain, perms, cap=GROUP_CAP):
             for g in gens:
                 q = g * p
                 if q not in elements:
-                    if len(elements) >= cap:
-                        raise GroupTooLarge(cap)
+                    if len(elements) >= GROUP_CAP:
+                        raise GroupTooLarge(GROUP_CAP)
                     elements.add(q)
                     nxt.append(q)
         frontier = nxt
@@ -200,15 +201,14 @@ def close_under_product(domain, perms, cap=GROUP_CAP):
 class PermGroup:
     """A finite permutation group, fully enumerated on first use."""
 
-    def __init__(self, domain, generators, cap=GROUP_CAP):
+    def __init__(self, domain, generators):
         self.domain = domain
         self.generators = tuple(generators)
-        self.cap = cap
         self._products = {}  # (i, j) -> number of elements[i] * elements[j]
 
     @cached_property
     def elements(self):
-        return close_under_product(self.domain, self.generators, self.cap)
+        return close_under_product(self.domain, self.generators)
 
     @cached_property
     def identity(self):
@@ -260,7 +260,7 @@ class GroupAction:
     subdivisions: int = 0
 
 
-def validate_simplicial_action(K, generators, cap=GROUP_CAP):
+def validate_simplicial_action(K, generators):
     """Check each generator is a simplicial automorphism; enumerate the group."""
     domain = K.sorted_vertices
     perms = list(generators)
@@ -274,7 +274,7 @@ def validate_simplicial_action(K, generators, cap=GROUP_CAP):
         for t in K.sorted_triangles:
             if g.apply(t) not in K.triangles:
                 raise NotSimplicial(g.cycle_string(), t)
-    group = PermGroup(domain, perms, cap)
+    group = PermGroup(domain, perms)
     group.elements  # force enumeration so GroupTooLarge surfaces here
     return GroupAction(K, group)
 
@@ -354,8 +354,8 @@ def all_transporters(subgroup, x, y):
     return tuple(g for g in subgroup if g(x) == y)
 
 
-def refine_action_tracked(A, max_subdivisions=2):
-    """Subdivide (at most max_subdivisions times) until the action is
+def refine_action_tracked(A):
+    """Subdivide (at most `MAX_SUBDIVISIONS` times) until the action is
     without rotations and simplex orbits form a simplicial quotient.
 
     Returns (refined action, lift, quotient): lift sends any element of
@@ -377,8 +377,8 @@ def refine_action_tracked(A, max_subdivisions=2):
                 break
         else:
             detail = rotation_string(witness)
-        if len(stages) == max_subdivisions:
-            raise RefinementFailed(detail, max_subdivisions)
+        if len(stages) == MAX_SUBDIVISIONS:
+            raise RefinementFailed(detail, MAX_SUBDIVISIONS)
         subdivided = subdivide_action(current)
         stages.append((current.complex, subdivided.complex))
         current = subdivided
@@ -391,8 +391,8 @@ def refine_action_tracked(A, max_subdivisions=2):
     return refined, lift, quotient
 
 
-def refine_action(A, max_subdivisions=2):
-    return refine_action_tracked(A, max_subdivisions)[0]
+def refine_action(A):
+    return refine_action_tracked(A)[0]
 
 
 def _induced_on_subdivision(K, sd, g):
@@ -405,7 +405,7 @@ def subdivide_action(A):
     """Barycentric subdivision of the complex with the induced action."""
     sd, _ = barycentric_subdivision(A.complex)
     gens = [_induced_on_subdivision(A.complex, sd, g) for g in A.group.generators]
-    refined = validate_simplicial_action(sd, gens, cap=A.group.cap)
+    refined = validate_simplicial_action(sd, gens)
     return replace(refined, subdivisions=A.subdivisions + 1)
 
 
@@ -460,7 +460,7 @@ def build_quotient(A):
     return QuotientData(quotient, proj, lift)
 
 
-def action_from_json_obj(obj, cap=GROUP_CAP):
+def action_from_json_obj(obj):
     """Load {"complex": ..., "generators": [[[...cycle...], ...], ...]}."""
     if not isinstance(obj, dict):
         raise MalformedInput("action must be a JSON object")
@@ -477,7 +477,7 @@ def action_from_json_obj(obj, cap=GROUP_CAP):
             raise MalformedInput(f"generator {g!r} must be a list of cycles")
         cycles = [[str(v) for v in c] for c in g]
         gens.append(Permutation.from_cycles(domain, cycles))
-    return validate_simplicial_action(K, gens, cap)
+    return validate_simplicial_action(K, gens)
 
 
 def action_to_json_obj(A):
@@ -500,5 +500,5 @@ def _read_json(path):
         raise MalformedInput(f"bad JSON in {path}: {exc}") from exc
 
 
-def load_action(path, cap=GROUP_CAP):
-    return action_from_json_obj(_read_json(path), cap)
+def load_action(path):
+    return action_from_json_obj(_read_json(path))

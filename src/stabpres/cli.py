@@ -101,12 +101,12 @@ def _bound(value, flag, env, fallback, minimum):
     return value
 
 
-def _emit(report, fmt, text_lines):
+def _emit(report, fmt, text_lines, file=None):
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(json.dumps(report, sort_keys=True, indent=2), file=file)
     else:
         for line in text_lines:
-            print(line)
+            print(line, file=file)
 
 
 def _fail(code, kind, detail):
@@ -282,15 +282,8 @@ def _cmd_abelianize(args):
         f"colimit H1: {col}",
         f"match: {'yes' if match else 'no'}",
     ]
-    if not match:
-        if args.format == "json":
-            print(json.dumps(report, sort_keys=True, indent=2), file=sys.stderr)
-        else:
-            for line in lines:
-                print(line, file=sys.stderr)
-        return EXIT_INVALID
-    _emit(report, args.format, lines)
-    return EXIT_OK
+    _emit(report, args.format, lines, None if match else sys.stderr)
+    return EXIT_OK if match else EXIT_INVALID
 
 
 def _cmd_homology(args):

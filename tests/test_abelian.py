@@ -153,6 +153,8 @@ def test_snf_preserves_determinant():
 
 
 def test_det_bareiss_examples():
+    assert det_bareiss([]) == 1
+    assert det_bareiss([[0, 1], [0, 2]]) == 0  # no pivot in the first column
     assert det_bareiss([[2]]) == 2
     assert det_bareiss([[1, 2], [3, 4]]) == -2
     assert det_bareiss([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
@@ -296,6 +298,13 @@ def _perm_group(domain, cycles_list):
     return PermGroup(tuple(domain), gens)
 
 
+def _cyclic_product(*lengths):
+    """Z/n_1 x Z/n_2 x ..., one n_i-cycle on its own points for each factor."""
+    points = iter(f"p{i:02d}" for i in range(sum(lengths)))
+    cycles = [[[next(points) for _ in range(n)]] for n in lengths]
+    return _perm_group(tuple(sorted(v for (cyc,) in cycles for v in cyc)), cycles)
+
+
 def test_abelianization_known_groups():
     trivial = _perm_group(("1",), [])
     assert group_abelianization(trivial) == AbelianInvariants(0, ())
@@ -316,9 +325,37 @@ def test_abelianization_known_groups():
     )
     assert group_abelianization(z2xz4) == AbelianInvariants(0, (2, 4))
 
+    # products of cyclic groups, one cycle each; Z/4 x Z/6 = Z/2 x Z/12
+    # fails a split of the first element of order > 1 instead of one of
+    # largest order
+    for lengths, torsion in [
+        ((2, 2, 4), (2, 2, 4)),
+        ((4, 6), (2, 12)),
+        ((3, 9), (3, 9)),
+        ((8,), (8,)),
+    ]:
+        assert group_abelianization(_cyclic_product(*lengths)) == AbelianInvariants(0, torsion)
+
+    s3xz4 = _perm_group(
+        tuple("1234567"), [[["1", "2"]], [["1", "2", "3"]], [["4", "5", "6", "7"]]]
+    )
+    assert s3xz4.order() == 24
+    assert group_abelianization(s3xz4) == AbelianInvariants(0, (2, 4))
+
 
 def test_abelianization_octahedral_group(f3):
     assert group_abelianization(f3.action.group) == AbelianInvariants(0, (2, 2))
+
+
+def test_abelianization_reads_no_product_memo_and_no_smith(f3, monkeypatch):
+    # the oracle stays independent of the machinery the colimit side uses
+    def refuse(*args, **kwargs):
+        raise AssertionError("the G^ab oracle must not call this")
+
+    monkeypatch.setattr(PermGroup, "product", refuse)
+    monkeypatch.setattr(linalg, "_smith", refuse)
+    assert group_abelianization(f3.action.group) == AbelianInvariants(0, (2, 2))
+    assert group_abelianization(_cyclic_product(4, 6)) == AbelianInvariants(0, (2, 12))
 
 
 def _all_pairs_derived_subgroup(G):
@@ -380,6 +417,19 @@ def test_letter_signs_abelianize_to_z_plus_z2():
     b_powers = {words.image(w) for w in (b, b * b, b * b * b, b * b * b * b)}
     assert len(b_powers | {one}) == 5  # b has infinite order
     assert words.image(a) not in b_powers
+
+
+def test_abelianized_words_without_relation_rows():
+    # <a, b | a b^-1> contracts to one column and no rows left: the image
+    # is Z, read in the identity basis
+    P, a, b = _two_letter_presentation((0, 3))
+    assert presentation_abelianization(P) == AbelianInvariants(1, ())
+    words = AbelianizedWords(P)
+    assert words.image(a) == words.image(b) == (1,)
+    # <a | >: a^k maps to (k,)
+    words = AbelianizedWords(Presentation(P.generators[:1], ()))
+    for k in range(4):
+        assert words.image(StabilizerWord(P.generators[:1] * k)) == (k,)
 
 
 def test_abelianized_word_images(f1):

@@ -26,6 +26,7 @@ from stabpres.actions import (
     subdivide_action,
     validate_simplicial_action,
 )
+from stabpres.complexes import validate_complex
 from stabpres.errors import (
     GroupTooLarge,
     MalformedInput,
@@ -109,6 +110,10 @@ def test_permutation_rejects_nonbijection():
         Permutation.from_mapping(("a", "b"), {"a": "a", "b": "a"})
     with pytest.raises(UnknownVertex):
         Permutation.from_cycles(("a", "b"), [["a", "zz"]])
+    with pytest.raises(MalformedInput, match="too short"):
+        Permutation.from_cycles(("a", "b"), [["a"]])
+    with pytest.raises(MalformedInput, match="appears in two cycles"):
+        Permutation.from_cycles(("a", "b", "c"), [["a", "b"], ["b", "c"]])
 
 
 def test_parse_cycles():
@@ -123,7 +128,7 @@ def test_parse_cycles():
         parse_cycles("a b")
 
 
-def test_close_under_product_s3():
+def test_close_under_product_s3(monkeypatch):
     dom = ("1", "2", "3")
     gens = [
         Permutation.from_cycles(dom, [["1", "2"]]),
@@ -133,8 +138,9 @@ def test_close_under_product_s3():
     assert len(elems) == 6
     assert Permutation.identity(dom) in elems
     # closure caps out rather than looping
+    monkeypatch.setattr("stabpres.actions.GROUP_CAP", 4)
     with pytest.raises(GroupTooLarge):
-        close_under_product(dom, gens, cap=4)
+        close_under_product(dom, gens)
 
 
 # -- action validation --------------------------------------------------
@@ -145,6 +151,12 @@ def test_validate_action_rejects_nonsimplicial():
     # swapping an endpoint with the middle tears the other edge
     with pytest.raises(NotSimplicial):
         validate_simplicial_action(K, [Permutation.from_cycles(K.sorted_vertices, [["a", "m"]])])
+    # every edge of the complete graph on 1..4 survives (3 4), but the one
+    # triangle 123 goes to 124, which is not there
+    pairs = [list(e) for e in itertools.combinations("1234", 2)]
+    K4 = validate_complex(list("1234"), pairs, [["1", "2", "3"]])
+    with pytest.raises(NotSimplicial):
+        validate_simplicial_action(K4, [Permutation.from_cycles(K4.sorted_vertices, [["3", "4"]])])
 
 
 def test_validate_action_rejects_wrong_domain():
@@ -154,11 +166,12 @@ def test_validate_action_rejects_wrong_domain():
         validate_simplicial_action(K, [g])
 
 
-def test_validate_action_group_cap():
+def test_validate_action_group_cap(monkeypatch):
     A = f3_octahedral()
     assert A.group.order() == 48
+    monkeypatch.setattr("stabpres.actions.GROUP_CAP", 10)
     with pytest.raises(GroupTooLarge):
-        validate_simplicial_action(A.complex, A.group.generators, cap=10)
+        validate_simplicial_action(A.complex, A.group.generators)
 
 
 def test_without_rotations_witness():
@@ -236,6 +249,8 @@ def test_orbits_and_stabilizers_flip():
     assert [g.cycle_string() for g in stabilizer(A, "a")] == ["()"]
     with pytest.raises(UnknownVertex):
         stabilizer(A, "zz")
+    with pytest.raises(UnknownVertex):
+        orbit_of_vertex(A, "zz")
 
 
 def test_transporter_flip():
@@ -356,9 +371,10 @@ def test_refinement_tracks_element_lift():
         ),
     ],
 )
-def test_refinement_failure_reports_rounds_and_witness(build, rounds, witness):
+def test_refinement_failure_reports_rounds_and_witness(monkeypatch, build, rounds, witness):
+    monkeypatch.setattr("stabpres.actions.MAX_SUBDIVISIONS", rounds)
     with pytest.raises(RefinementFailed) as exc:
-        refine_action(build(), max_subdivisions=rounds)
+        refine_action(build())
     head, _, detail = str(exc.value).partition(": ")
     assert head.endswith(f"after {rounds} subdivision{'' if rounds == 1 else 's'}")
     assert detail == witness
@@ -454,5 +470,12 @@ def test_action_from_json_rejects_malformed():
             {
                 "complex": {"vertices": ["a"], "edges": [], "triangles": []},
                 "generators": ["(a b)"],
+            }
+        )
+    with pytest.raises(MalformedInput, match="generators must be a list"):
+        action_from_json_obj(
+            {
+                "complex": {"vertices": ["a"], "edges": [], "triangles": []},
+                "generators": "(a b)",
             }
         )

@@ -94,6 +94,8 @@ def test_find_path_basics():
     assert find_path(K, "a", "b").vertices == ("a", "m", "b")
     assert find_path(K, "a", "a").vertices == ("a",)
     assert find_path(K, "a", "b", seed=0) == find_path(K, "a", "b", seed=0)
+    with pytest.raises(UnknownVertex):
+        find_path(K, "a", "zz")
 
 
 def test_find_path_disconnected():
@@ -129,6 +131,8 @@ def test_express_validates_inputs():
     outsider = Permutation.from_cycles(A.complex.sorted_vertices, [["a", "m"]])
     with pytest.raises(PreconditionUnvalidated):
         armstrong_express(A, Q, "a", outsider)
+    with pytest.raises(PreconditionUnvalidated, match="without rotations"):
+        armstrong_express(f1_flip(), Q, "a", A.group.identity)
 
 
 def test_express_every_element(f1, f2):

@@ -49,6 +49,9 @@ def test_missing_faces_all_reported():
         validate_complex(["a", "b", "c"], [["a", "b"]], [["a", "b", "c"]])
     kinds = [kind for kind, _ in exc.value.violations]
     assert kinds.count("MissingFace") == 2  # bc and ca (ac) both absent
+    with pytest.raises(InvalidComplex) as exc:
+        validate_complex(["a"], [["a", "b"]])
+    assert exc.value.violations == (("MissingFace", "vertex 'b' of edge ('a', 'b')"),)
 
 
 def test_duplicate_and_degenerate_reported():
@@ -56,6 +59,14 @@ def test_duplicate_and_degenerate_reported():
         validate_complex(["a", "a", "b"], [["a", "b"], ["b", "a"], ["a", "a"]])
     kinds = sorted(kind for kind, _ in exc.value.violations)
     assert kinds == ["DegenerateSimplex", "DuplicateSimplex", "DuplicateSimplex"]
+    edges = [["a", "b"], ["a", "c"], ["b", "c"]]
+    triangles = [["a", "b", "c"], ["c", "b", "a"], ["a", "b", "a"]]
+    with pytest.raises(InvalidComplex) as exc:
+        validate_complex(["a", "b", "c"], edges, triangles)
+    assert exc.value.violations == (
+        ("DuplicateSimplex", "triangle ('a', 'b', 'c')"),
+        ("DegenerateSimplex", "triangle ('a', 'b', 'a')"),
+    )
 
 
 def test_complex_json_round_trip():
@@ -71,6 +82,8 @@ def test_complex_json_malformed():
         complex_from_json_obj({"vertices": [1, 2]})
     with pytest.raises(MalformedInput):
         complex_from_json_obj({"vertices": ["a"], "edges": "nope"})
+    with pytest.raises(MalformedInput, match="missing key: 'vertices'"):
+        complex_from_json_obj({"edges": []})
 
 
 def _star_oracle(K, s):

@@ -29,6 +29,7 @@ from stabpres.homotopy import (
     BACK,
     TRI,
     DegenerateDisc,
+    DiscCollapse,
     Move,
     MoveLog,
     apply_move,
@@ -73,6 +74,12 @@ def test_illegal_moves_rejected():
         apply_move(K, loop2, Move(BACK, 1))
     # the same deletion away from the basepoint is fine
     assert apply_move(K, loop2, Move(BACK, 0)).vertices == ("m", "a", "m")
+    with pytest.raises(IllegalMove, match="tri position 2 out of range"):
+        apply_move(K, loop, Move(TRI, 2, "b"))
+    with pytest.raises(IllegalMove, match="no backtrack at 0"):
+        apply_move(K, validate_path(K, ["a", "m", "b", "m", "a"]), Move(BACK, 0))
+    with pytest.raises(IllegalMove, match="unknown move kind 'flip'"):
+        apply_move(K, loop, Move("flip", 0))
 
 
 def test_move_log_json_round_trip():
@@ -94,6 +101,14 @@ def test_move_log_rejects_non_integer_position(pos):
     obj = {"initial": ["1", "2", "1"], "moves": [{"kind": BACK, "pos": pos}]}
     with pytest.raises(MalformedInput):
         move_log_from_json_obj(obj, K)
+
+
+def test_move_log_rejects_unknown_kind_and_missing_key():
+    K = solid_triangle()
+    with pytest.raises(MalformedInput, match="unknown move kind 'flip'"):
+        move_log_from_json_obj({"initial": ["1"], "moves": [{"kind": "flip", "pos": 0}]}, K)
+    with pytest.raises(MalformedInput, match="bad move log: 'moves'"):
+        move_log_from_json_obj({"initial": ["1"]}, K)
 
 
 # -- loop contraction ---------------------------------------------------
@@ -119,6 +134,14 @@ def test_contract_triangle_boundary():
     assert log.final_loop(K).vertices == ("1",)
     tri, back = log.move_counts()
     assert 2 * back - tri == 3  # accounting identity for a length-3 loop
+
+
+def test_contract_refuses_a_loop_not_based_at_the_basepoint():
+    K = interval_complex()
+    with pytest.raises(IllegalMove, match="not a loop based at 'm'"):
+        contract_loop(K, validate_path(K, ["a", "m", "a"]), "m")
+    with pytest.raises(IllegalMove, match="not a loop based at 'a'"):
+        contract_loop(K, validate_path(K, ["a", "m"]), "a")
 
 
 def test_contract_respects_budget():
@@ -427,6 +450,18 @@ def test_verify_collapse_rejects_tampering():
     other = collapse_disc(random_nondegenerate_disc(6, 1)).boundary_log
     with pytest.raises(NotCollapsible, match="does not start at the disc's boundary"):
         verify_collapse(replace(cert, boundary_log=other))
+
+
+def test_verify_collapse_rejects_an_edge_removed_twice():
+    # on a triangulated disc no log reaches this check: a log crosses an
+    # edge at most twice, once per triangle or boundary side, and the move
+    # that removes the edge uses up the rest.  A degenerate walk can cross
+    # a - m four times; the first backtrack removes it with two crossings left
+    K = interval_complex()
+    walk = validate_path(K, ["a", "m", "a", "m", "a"])
+    cert = DiscCollapse(DegenerateDisc(K, walk), MoveLog(walk, (Move(BACK, 0), Move(BACK, 0))))
+    with pytest.raises(NotCollapsible, match="removes the absent edge \\('a', 'm'\\)"):
+        verify_collapse(cert)
 
 
 def test_verify_collapse_rejects_a_triangle_crossed_twice():
