@@ -254,13 +254,13 @@ def _cmd_verify(args):
         "group_order": cert.group_order,
         "enumerated_order": cert.enumerated_order,
         "generators": len(P.generators),
-        "relators": len(P.relators),
+        "relators": len(P),
         "subdivisions": A.subdivisions,
         "checks": cert.to_json_obj()["checks"],
     }
     lines = [
         f"Complete({T.order}) = |G| = {cert.group_order}",
-        f"presentation: {len(P.generators)} generators, {len(P.relators)} relators",
+        f"presentation: {len(P.generators)} generators, {len(P)} relators",
         f"subdivisions: {A.subdivisions}",
     ] + [f"  {c['name']}: {c['detail']}" for c in report["checks"]]
     _emit(report, args.format, lines)
@@ -269,6 +269,7 @@ def _cmd_verify(args):
 
 def _cmd_abelianize(args):
     A, _, Q = refine_action_tracked(load_action(args.action))
+    _require_hypotheses(A.complex, Q.quotient, args.max_cosets)
     gab = group_abelianization(A.group)
     col = colimit_H1(A, Q)
     match = gab == col
@@ -342,6 +343,7 @@ def _build_parser():
 
     p = sub.add_parser("abelianize", help="compare colimit H1 with G^ab")
     common(p)
+    p.set_defaults(max_cosets=None)  # the hypothesis checks' bound, from the environment
 
     p = sub.add_parser("homology", help="H1 or H2 of a complex or action")
     p.add_argument("path", help="complex or action JSON file")

@@ -9,41 +9,25 @@ Relators come in three families; `abelian.colimit_H1` reuses the first two:
   edge  g@u . g@w^-1                   (u-w an edge, g fixing both ends)
   conj  g@v . h@w . g@v^-1 . (ghg^-1)@g(w)^-1   (all ordered vertex pairs)
 
-Every relator evaluates to the identity under psi by construction;
-`verify_theorem` psi-checks every relator, for any presentation it is
-given, through the group's product memo (`actions.PermGroup.product`).
-The builders work on element numbers too and emit words of letter
-codes, one int per letter: code x is generator x >> 1, inverted when
-x & 1 is set, so x ^ 1 is its inverse and x is the letter's
-`todd_coxeter` column.  `build_presentation` emits distinct words,
-conjugating once per element pair, and `pi1_presentation` uses the
-normaliser.  A `Relator` keeps the codes from builder to certificate:
-letters are spelled only on output, and `letter_indices` turns
-stabilizer words into generator indices.
-
-The canonical presentation has many relators but names few group words
-(f3: 13,995 relators, 1,291 distinct words of element numbers).
+A relator is a word of letter codes: code x is generator x >> 1,
+inverted when x & 1 is set, so x ^ 1 is its inverse and x is the
+letter's `todd_coxeter` column; letters are spelled only on output.  A
+`Presentation` holds the mult and edge words as `Relator`s, and the conj
+family, most relators (f3: 13,335 of 13,995), as a `ConjRule`.
 `Presentation.relator_words` maps the relators through a code -> value
-list into the set of distinct value words, so the per-word checks below
-run once per distinct word; `verify_theorem` walks the relators in
-order only to name the first failure.  `todd_coxeter` first takes a
-Tietze step: the relators x y of two generators (the `edge` relators,
-and the `mult` relators g@v . g^-1@v) eliminate the later generator's
-letters (f3: 118 generators leave 41, and 13,995 relators 3,415 words).
-It then enumerates cosets of the trivial subgroup over the distinct
-words, relator-first (scan-and-fill with full coincidence processing,
-lowest undefined entry defined first), until every live row is full; one
-closure sweep, folding each distinct word of column classes once, then
-proves every relator closes, so a Complete(n) table certifies the
-presented group has order n.  The table has a column for every letter
-code, so its readers never see the step.
-`verify_theorem` adds an exhaustive surjectivity check to certify the
-presented group is the acting group; the table records the presentation
-it enumerated, so a table from another presentation is refused.
+list into the distinct value words (f3: 1,291 of element numbers),
+reading the rule without forming its relators, so the checks below run
+once per word.  `todd_coxeter` takes a Tietze step, enumerates cosets
+of the trivial subgroup and proves that the table closes every
+relator, so Complete(n) certifies the presented group has order n.
+`verify_theorem` psi-checks every relator and adds an exhaustive
+surjectivity check, so the presented group is the acting group; the
+table records the presentation it enumerated, so a table from another
+presentation is refused.
 
 `pi1_presentation` is the classical edge-path presentation of the
 fundamental group (generators: edges off a spanning tree; relators:
-triangle boundaries), fed to the same enumerator.
+triangle boundaries), normalised and fed to the same enumerator.
 """
 
 from __future__ import annotations
@@ -52,7 +36,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, count, product
 
 from .armstrong import StabilizerLetter, armstrong_express, psi_evaluate
 from .complexes import simplex
@@ -89,21 +73,83 @@ class Relator:
 
 
 @dataclass(frozen=True)
+class ConjRule:
+    """The `conj` relators a b a^-1 c^-1, one per ordered pair of letters
+    a = g@v and b = h@w but the pairs `skip` lists for a; c is the letter
+    (ghg^-1)@g(w), and `conjugate[g]` lists the code of c^-1 for each b.
+
+    The skips are the words the normaliser would drop: b = a, whose word
+    reduces to nothing, and b < a with c = b (g fixes w, gh = hg) and h
+    fixing v, whose word inverts the earlier word of (b, a).  No other
+    rotation or inversion keeps the sign pattern ++--."""
+
+    element: tuple = ()  # the element number g of each letter g@v, by generator
+    conjugate: tuple = ()  # by element number g: the code of c^-1 for each b, or None
+    skip: tuple = ()  # by letter a: the codes b of the pairs left out
+
+    def __len__(self):
+        return len(self.element) ** 2 - sum(map(len, self.skip))
+
+
+@dataclass(frozen=True)
 class Presentation:
+    """Generators, the relators held as `Relator`s, then the `conj` rule's.
+    `len`, `counts_by_tag` and `relator_words` read the rule as it is;
+    only `relators` spells out every relator."""
+
     generators: tuple
-    relators: tuple
+    explicit: tuple  # of Relator
+    conj: ConjRule = ConjRule()
 
     def __post_init__(self):
+        n = len(self.generators)
+        rule = self.conj
+        rows = [rule.conjugate[g] for g in dict.fromkeys(rule.element)]
+        if rule.element and {len(rule.element), len(rule.skip), *map(len, rows)} != {n}:
+            raise ValueError("a conj rule needs one entry per generator")
         # letter codes index table rows and lists, where a negative code would
         # wrap around and anything but an int would fail deep in an enumeration
-        letters = tuple(chain.from_iterable(r.word for r in self.relators))
-        codes = range(2 * len(self.generators))
+        letters = tuple(chain(chain.from_iterable(r.word for r in self.explicit), *rows, *rule.skip))
+        codes = range(2 * n)
         if not (set(map(type, letters)) <= {int} and set(letters) <= set(codes)):
             raise UnknownSymbol(next(x for x in letters if type(x) is not int or x not in codes))
 
+    def __len__(self):
+        return len(self.explicit) + len(self.conj)
+
+    @cached_property
+    def relators(self):
+        """Every relator in order: the explicit ones, then the rule's by
+        letter a, then by letter b."""
+        rule = self.conj
+        conj = (
+            Relator((a, b, a + 1, c_inv), "conj")
+            for a, g, skip in zip(count(0, 2), rule.element, rule.skip)
+            for b, c_inv in zip(count(0, 2), rule.conjugate[g])
+            if b not in skip
+        )
+        return self.explicit + tuple(conj)
+
     def relator_words(self, image):
-        """The distinct words image[x1] .. image[xn] of the relators x1 .. xn."""
-        return {tuple(map(image.__getitem__, r.word)) for r in self.relators}
+        """The distinct words image[x1] .. image[xn] of the relators x1 .. xn,
+        in the order of their first relator.
+
+        The rule word of (a, b) is image[a] image[b] image[a+1] image[c^-1],
+        and c depends on a only through its element g.  So a letter a
+        whose image[a], image[a+1] and g repeat an earlier letter's makes
+        that letter's words again, apart from the pairs either skips."""
+        words = dict.fromkeys(tuple(map(image.__getitem__, r.word)) for r in self.explicit)
+        rule = self.conj
+        every = range(0, len(image), 2)
+        first = {}  # (image[a], image[a + 1], g) -> the skips of its first letter
+        for a, g, skip in zip(count(0, 2), rule.element, rule.skip):
+            x, x_inv, row = image[a], image[a + 1], rule.conjugate[g]
+            key = (x, x_inv, g)
+            for b in first.get(key, every):
+                if b not in skip:
+                    words[x, image[b], x_inv, image[row[b >> 1]]] = None
+            first.setdefault(key, sorted(skip))
+        return words
 
     @cached_property
     def gen_index(self):
@@ -117,7 +163,9 @@ class Presentation:
             raise UnknownSymbol(exc.args[0]) from None
 
     def counts_by_tag(self):
-        return dict(Counter(r.tag for r in self.relators))
+        counts = Counter(r.tag for r in self.explicit)
+        counts["conj"] += len(self.conj)
+        return {tag: n for tag, n in counts.items() if n}
 
     def to_text(self):
         names = [s.name for s in self.generators]
@@ -228,59 +276,36 @@ def _local_words(A):
 
 
 def build_presentation(A, Q):
-    """Assemble the stabilizer presentation for a validated action: the
-    `mult` and `edge` words of `_local_words`, then the `conj` family.
+    """The stabilizer presentation of a validated action: the `mult` and
+    `edge` words of `_local_words` as `Relator`s, then the `conj` family
+    as a `ConjRule`, conjugating once per element pair.
 
-    The words come out freely reduced and distinct up to rotation and
-    inversion, so no normaliser runs.  Their sign patterns are ++- and ++
-    (mult), +- (edge) and ++-- (conj), and the first two letters of a
-    word name the pair it was emitted for.  Only the identity rotation
-    keeps ++-, +- or ++--; inversion keeps +- (the reversed edge, never
-    emitted) and ++--.  So the only coincidences are:
-
-      - g@v . g^-1@v and its rotation g^-1@v . g@v; `_local_words`
-        emits the first;
-      - a b a^-1 c^-1, for a = g@v, b = h@w and c = (ghg^-1)@g(w), and
-        its inverse c a b^-1 a^-1.  That is the word of the pair (c, a)
-        exactly when c = b and that pair's conjugate (hgh^-1)@h(v) is a:
-        g fixes w, h fixes v and gh = hg.  Only the pair with the lesser
-        first letter, emitted first, is kept.
-
-    No mult word reduces (g and h are not the identity), nor any edge
-    word (its ends differ); a conj word reduces only when a = b, to the
-    empty word, and is skipped.  Relators are not evaluated here:
-    `verify_theorem` psi-checks them.
+    The words are freely reduced and distinct up to rotation and
+    inversion, so no normaliser runs.  A mult word has the signs ++- or
+    ++, and an edge word +-; only the identity rotation keeps those, and
+    inversion keeps +- only for the reversed edge, never emitted.  So the
+    one coincidence is g@v . g^-1@v and its rotation, which
+    `_local_words` emits once; the conj skips are the rule's.  Relators
+    are not evaluated here: `verify_theorem` psi-checks them.
     """
     generators, code_of, local = _local_words(A)
     G = A.group
-    # code_of lists (v, g) in generator order: vertices sorted, then each
-    # stabilizer in canonical order
-    by_vertex = {}
-    for (v, g), a in code_of.items():
-        by_vertex.setdefault(v, []).append((g, a))
-
-    def conj_words():
-        conjugates = {}  # number of g -> {number of h: number of g h g^-1}
-        for v, letters_v in by_vertex.items():
-            for g, a in letters_v:
-                x = G.elements[g]
-                ginv = G.inverse_of[g]
-                conj = conjugates.setdefault(g, {})
-                for w, letters_w in by_vertex.items():
-                    xw = x(w)
-                    for h, b in letters_w:
-                        if b == a:
-                            continue
-                        k = conj.get(h)
-                        if k is None:
-                            k = conj[h] = G.product(G.product(g, h), ginv)
-                        c = code_of[xw, k]
-                        if c == b and b < a and (v, h) in code_of:
-                            continue
-                        yield (a, b, a + 1, c + 1), "conj"
-
-    relators = (Relator(word, tag) for word, tag in chain(local, conj_words()))
-    return Presentation(generators, tuple(relators))
+    letters = list(code_of)  # (v, g) of each letter g@v, in generator order
+    element = tuple(g for _, g in letters)
+    elements = dict.fromkeys(element)
+    conjugate = [None] * G.order()
+    fixed = {}  # g -> the codes b = h@w with c = b: g fixes w, gh = hg
+    for g in elements:
+        x, ginv = G.elements[g], G.inverse_of[g]
+        k = {h: G.product(G.product(g, h), ginv) for h in elements}
+        conjugate[g] = row = tuple(code_of[x(w), k[h]] + 1 for w, h in letters)
+        fixed[g] = [b for b, c_inv in zip(count(0, 2), row) if b + 1 == c_inv]
+    skip = tuple(
+        tuple(b for b in fixed[g] if b == a or (b < a and (v, element[b >> 1]) in code_of))
+        for a, (v, g) in zip(count(0, 2), letters)
+    )
+    rule = ConjRule(element, tuple(conjugate), skip)
+    return Presentation(generators, tuple(Relator(word, tag) for word, tag in local), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -318,30 +343,25 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     Returns a CosetTable with status "complete" (order = group order) or
     "exhausted" (more than max_cosets would be needed).
 
-    A Tietze step runs first.  A relator x y whose letters belong to two
-    generators says y = x^-1; one pass over the relators unions such
-    generators, the later one's letters made equal to the earlier one's,
-    and maps every letter code to a compact code of its earliest equal
-    letter.  The mapped words present the same group as P.  HLT (scan
-    every word at each live coset, then fill its row) runs over the
-    compact codes, on the distinct mapped words in the order of their
-    first relator, less those that map to c c^-1, and stops once every
-    live row is full.  The compacted table copies each compact column to
-    every letter mapped to it, so it has a column per letter code of P.
+    A Tietze step runs first: a relator x y of two generators says
+    y = x^-1, so one pass over the two-letter relators unions such
+    generators and maps every letter code to a compact code of its
+    class's earliest letter.  HLT (scan every word at each live coset,
+    then fill its row) runs over the compact codes, on the distinct
+    mapped words in the order of their first relator, less those that
+    map to c c^-1, and stops once every live row is full.
 
-    One sweep of the compacted table then finishes and proves it: every
-    column is a permutation and every distinct mapped word, those HLT
-    skipped included, composed over the columns, is the identity; else
-    the least coset a failing word moves coincides with its image, and
-    the sweep repeats.  A letter code and its compact code share one
-    column, so each relator of P has its mapped word's class word, and
-    the sweep proves that every relator of P closes.  Whichever word
-    fails, the sweeps end in the least congruence under which every word
-    closes, so the table does not depend on it.
-    Letters with equal columns share a class, so the sweep folds each
-    distinct word of classes once; each step (composite, class) ->
-    composite is composed once, memoised on composites numbered from the
-    identity, 0.
+    One sweep then finishes and proves the table: every column is a
+    permutation and every distinct mapped word, those HLT skipped
+    included, is the identity over the columns; else the least coset a
+    failing word moves coincides with its image, and the sweep repeats.
+    Whichever word fails, the sweeps end in the least congruence under
+    which every word closes, so the table does not depend on it.  Letters
+    with equal columns share a class, and each distinct word of classes
+    is folded once, each step (composite, class) -> composite composed
+    once.  The table copies each compact column to every letter mapped to
+    it, so it has a column per letter code of P, and proves that every
+    relator of P closes.
     """
     # equal[x]: a letter code equal to x, of an earlier generator unless x
     # is its class's root; the roots of x and x ^ 1 are always inverse
@@ -352,7 +372,7 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
             equal[x] = x = equal[equal[x]]
         return x
 
-    for r in P.relators:
+    for r in P.explicit:  # every rule word has four letters
         if len(r.word) == 2:
             x, y = r.word
             a, b = sorted((root(x), root(y ^ 1)))  # x y = 1, so x = y^-1
@@ -363,7 +383,7 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     for x in range(len(equal)):
         a = root(x)
         code.append(2 * compact.setdefault(a >> 1, len(compact)) + (a & 1))
-    words = dict.fromkeys(tuple(map(code.__getitem__, r.word)) for r in P.relators)
+    words = P.relator_words(code)
     rels = [w for w in words if len(w) != 2 or w[0] != w[1] ^ 1]
     width = 2 * len(compact)
 
@@ -571,21 +591,17 @@ def verify_theorem(A, Q, P, T):
         return acc
 
     if any(None in w or psi(w) for w in P.relator_words(numbers)):
-        # name the first failing relator, in relator order
-        for r in P.relators:
-            x = next((x for x in r.word if numbers[x] is None), None)
-            if x is not None:
-                raise CertificateFailed(
-                    "relators_psi_identity",
-                    f"letter {P.generators[x >> 1].name} is not an element of the acting group",
-                )
-            acc = psi(map(numbers.__getitem__, r.word))
-            if acc:
-                raise CertificateFailed(
-                    "relators_psi_identity",
-                    f"{r.tag} relator evaluates to {G.elements[acc].cycle_string()}",
-                )
-    checks.append(("relators_psi_identity", f"{len(P.relators)} relators"))
+        for r in P.relators:  # name the first failing relator, in relator order
+            values = [numbers[x] for x in r.word]
+            if None in values:
+                x = r.word[values.index(None)]
+                detail = f"letter {P.generators[x >> 1].name} is not an element of the acting group"
+            elif acc := psi(values):
+                detail = f"{r.tag} relator evaluates to {G.elements[acc].cycle_string()}"
+            else:
+                continue
+            raise CertificateFailed("relators_psi_identity", detail)
+    checks.append(("relators_psi_identity", f"{len(P)} relators"))
 
     if T.status != "complete":
         raise CertificateFailed("enumeration_complete", f"status {T.status}")
@@ -601,7 +617,7 @@ def verify_theorem(A, Q, P, T):
         raise CertificateFailed(
             "order_matches",
             f"table enumerated from another presentation ({len(E.generators)} generators, "
-            f"{len(E.relators)} relators; certifying {len(P.generators)}, {len(P.relators)})",
+            f"{len(E)} relators; certifying {len(P.generators)}, {len(P)})",
         )
     checks.append(("order_matches", f"{order}"))
 

@@ -290,6 +290,17 @@ def test_abelianize_mismatch_reports_on_stderr(fixture_dir, capsys, clean_env, m
     }
 
 
+def test_abelianize_requires_the_hypotheses(fixture_dir, capsys, clean_env):
+    # f5's quotient is the projective plane, so the H1 identity does not
+    # apply: abelianize names the failed hypothesis, as verify does
+    path = str(fixture_dir / "f5.json")
+    code, out, err = run(capsys, "abelianize", path)
+    assert (code, out, err) == (1, "", "error (two_connected): pi1 has order 2\n")
+    code, out, err = run(capsys, "abelianize", path, "--format", "json")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"detail": "pi1 has order 2", "error": "two_connected", "exit": 1}
+
+
 # -- homology -----------------------------------------------------------
 
 

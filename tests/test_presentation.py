@@ -4,9 +4,11 @@ import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import combinations, islice
 
 import pytest
 
+from stabpres.abelian import is_simply_connected, is_two_connected
 from stabpres.actions import (
     PermGroup,
     Permutation,
@@ -19,6 +21,7 @@ from stabpres.armstrong import StabilizerLetter, StabilizerWord
 from stabpres.errors import CertificateFailed, Disconnected, UnknownSymbol, UnknownVertex
 from stabpres.fixtures import cycle_complex, f3_octahedral, f5_antipodal, solid_triangle
 from stabpres.presentation import (
+    ConjRule,
     Presentation,
     Relator,
     _canonical_cyclic_key,
@@ -201,6 +204,126 @@ def test_build_presentation_needs_no_cyclic_key(monkeypatch, f3):
     P = build_presentation(f3.action, f3.quotient)
     assert calls[0] == 0
     assert P == f3.presentation
+
+
+# -- the conj rule --------------------------------------------------------
+
+
+def _no_conj_relator(monkeypatch):
+    """Let `stabpres.presentation` form its local `Relator`s but no conj
+    one; the returned function makes it refuse every `Relator`."""
+    import stabpres.presentation as presentation
+
+    def local_only(word, tag):
+        if tag == "conj":
+            raise AssertionError("a conj Relator was formed")
+        return Relator(word, tag)
+
+    def refuse(word, tag):
+        raise AssertionError(f"a {tag} Relator was formed")
+
+    monkeypatch.setattr(presentation, "Relator", local_only)
+    return lambda: monkeypatch.setattr(presentation, "Relator", refuse)
+
+
+def test_certify_forms_no_relator_past_the_local_words(monkeypatch, dihedral_cone):
+    cases = [(refine_action(f3_octahedral()), 13_995), (dihedral_cone(16, 1), 9_723)]
+    for A, relators in cases:
+        refuse = _no_conj_relator(monkeypatch)
+        Q = build_quotient(A)
+        P = build_presentation(A, Q)
+        refuse()
+        assert len(P) == relators
+        T = todd_coxeter(P)
+        cert = verify_theorem(A, Q, P, T)
+        assert T.order == cert.group_order == A.group.order()
+        assert cert.checks[0] == ("relators_psi_identity", f"{relators} relators")
+
+
+@pytest.mark.parametrize(
+    "case", ["f2", "f3", *(f"D{n}/{s}" for n in range(3, 17) for s in range(3))]
+)
+def test_explicit_copy_of_the_rule_enumerates_alike(case, request, dihedral_cone):
+    if case.startswith("D"):
+        n, seed = map(int, case[1:].split("/"))
+        A = dihedral_cone(n, seed)
+        P = build_presentation(A, build_quotient(A))
+    else:
+        A, _, P, _ = request.getfixturevalue(case)
+    E = Presentation(P.generators, P.relators)
+    assert E.conj == ConjRule() and len(E.explicit) == len(E) == len(P)
+    assert E.counts_by_tag() == P.counts_by_tag()
+    assert todd_coxeter(E).table == todd_coxeter(P).table
+    # the same distinct words, in the same order, under images that merge
+    # letters: by element number, at random, and a later letter of a's
+    # element merged into a where a skips a pair that the later one keeps,
+    # the case where a repeated letter must add words of its own
+    G = A.group
+    numbers = [G.number[s.element] for s in P.generators for _ in (0, 1)]
+    numbers[1::2] = map(G.inverse_of.__getitem__, numbers[1::2])
+    rng = random.Random(case)
+    images = [numbers, [rng.randrange(3) for _ in numbers], list(range(len(numbers)))]
+    rule = P.conj
+    merges = (
+        (i, j)
+        for i, j in combinations(range(len(rule.element)), 2)
+        if rule.element[i] == rule.element[j] and set(rule.skip[i]) - set(rule.skip[j])
+    )
+    for i, j in islice(merges, 3):
+        images.append(list(range(len(numbers))))
+        images[-1][2 * j : 2 * j + 2] = (2 * i, 2 * i + 1)
+    for image in images:
+        assert list(P.relator_words(image)) == list(E.relator_words(image))
+
+
+@pytest.mark.parametrize(
+    "conjugate, skip",
+    [
+        ((1, 4), ((0,), (2,))),
+        ((1, -1), ((0,), (2,))),
+        ((1, 3.0), ((0,), (2,))),
+        ((1, True), ((0,), (2,))),
+        ((1, 3), ((0,), (4,))),
+        ((1, 3), ((0,), ("2",))),
+    ],
+    ids=["past-generators", "negative", "float", "bool", "skip-past", "skip-str"],
+)
+def test_rule_rejects_codes_outside_the_letters(conjugate, skip):
+    # two letters a and b of element 1, as in the test below; True equals
+    # the code 1 but is no int code
+    bad = next(x for x in (*conjugate, *skip[1]) if type(x) is not int or x not in range(4))
+    with pytest.raises(UnknownSymbol) as exc:
+        Presentation(("a", "b"), (), ConjRule((1, 1), (None, conjugate), skip))
+    assert (type(exc.value.symbol), exc.value.symbol) == (type(bad), bad)
+
+
+def test_rule_words_and_shape():
+    rule = ConjRule((1, 1), (None, (1, 3)), ((0,), (2,)))
+    P = Presentation(("a", "b"), (), rule)
+    assert [r.word for r in P.relators] == [(0, 2, 1, 3), (2, 0, 3, 1)]
+    assert (len(P), P.counts_by_tag()) == (2, {"conj": 2})
+    with pytest.raises(ValueError, match="one entry per generator"):
+        Presentation(("a",), (), rule)
+
+
+def test_d48_cone_certifies_at_scale(monkeypatch, raw_dihedral_cone):
+    # |G| = 96: 89,835 relators, of which no conj one is ever formed
+    A = refine_action(raw_dihedral_cone(48, 1))
+    Q = build_quotient(A)
+    assert is_simply_connected(A.complex) and is_two_connected(Q.quotient)
+    refuse = _no_conj_relator(monkeypatch)
+    P = build_presentation(A, Q)
+    refuse()
+    assert (len(P.generators), len(P)) == (287, 89_835)
+    T = todd_coxeter(P)
+    cert = verify_theorem(A, Q, P, T)
+    assert (T.status, T.order, cert.group_order) == ("complete", 96, 96)
+    assert [name for name, _ in cert.checks] == [
+        "relators_psi_identity",
+        "enumeration_complete",
+        "order_matches",
+        "psi_surjective",
+    ]
 
 
 # -- presentation contents ----------------------------------------------
@@ -510,6 +633,14 @@ def test_verify_theorem_rejects_bad_relator(f1):
     with pytest.raises(CertificateFailed) as exc:
         verify_theorem(f1.action, f1.quotient, bad, f1.table)
     assert exc.value.check == "relators_psi_identity"
+
+
+def test_verify_theorem_accepts_a_rebuilt_presentation(f2):
+    # an equal presentation built again, not the table's own object
+    A, Q, P, T = f2
+    rebuilt = build_presentation(A, Q)
+    assert rebuilt is not P and rebuilt == P
+    assert verify_theorem(A, Q, rebuilt, T).enumerated_order == 6
 
 
 def test_verify_theorem_rejects_wrong_order(f1, f2):
