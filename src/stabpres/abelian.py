@@ -34,13 +34,7 @@ from .actions import close_under_product
 from .complexes import boundary_matrices
 from .errors import MalformedInput
 from .linalg import _eye, invariant_factors, smith_normal_form
-from .presentation import (
-    Presentation,
-    Relator,
-    _local_words,
-    pi1_presentation,
-    todd_coxeter,
-)
+from .presentation import _local_words, pi1_presentation, todd_coxeter
 
 PI1_BOUND = 10_000
 
@@ -150,8 +144,9 @@ def _derived_subgroup(G):
         normal |= new
 
 
-def _contracted_relations(P):
-    """The relator exponent matrix with its trivial part contracted.
+def _contracted_relations(words, n):
+    """The exponent matrix of relator words of letter codes over n
+    generators, with its trivial part contracted.
 
     Rows of the shape e_i - e_j just identify generators (union-find),
     and duplicate rows collapse; the contraction is an isomorphism of the
@@ -159,13 +154,11 @@ def _contracted_relations(P):
     generator count.  Returns (rows, column, width): the sorted distinct
     nonzero rows, the column of each generator, and the column count.
     """
-    n = len(P.generators)
     raw = []
-    for r in P.relators:
+    for word in words:
         vec = {}
-        for x in r.word:
-            i = x >> 1
-            vec[i] = vec.get(i, 0) + (-1 if x & 1 else 1)
+        for x in word:
+            vec[x >> 1] = vec.get(x >> 1, 0) + (-1 if x & 1 else 1)
         raw.append({i: c for i, c in vec.items() if c})
 
     parent = list(range(n))
@@ -178,13 +171,12 @@ def _contracted_relations(P):
 
     rest = []
     for vec in raw:
-        items = sorted(vec.items())
-        if len(items) == 2 and {items[0][1], items[1][1]} == {1, -1}:
-            a, b = find(items[0][0]), find(items[1][0])
+        if sorted(vec.values()) == [-1, 1]:
+            a, b = map(find, vec)
             if a != b:
                 parent[max(a, b)] = min(a, b)
-            continue
-        rest.append(vec)
+        else:
+            rest.append(vec)
 
     classes = sorted({find(i) for i in range(n)})
     col_of = {c: j for j, c in enumerate(classes)}
@@ -202,7 +194,7 @@ def _contracted_relations(P):
 def presentation_abelianization(P):
     """Invariants of the presented group's abelianization: the cokernel
     of the contracted relator exponent matrix."""
-    rows, _, width = _contracted_relations(P)
+    rows, _, width = _contracted_relations((r.word for r in P.relators), len(P.generators))
     return AbelianInvariants.from_relation_matrix(rows, width)
 
 
@@ -216,7 +208,8 @@ class AbelianizedWords:
 
     def __init__(self, P):
         self.P = P
-        rows, self.column, width = _contracted_relations(P)
+        words = (r.word for r in P.relators)
+        rows, self.column, width = _contracted_relations(words, len(P.generators))
         if rows:
             S, _, V = smith_normal_form(rows)
             self.V = V
@@ -258,12 +251,13 @@ def colimit_H1(A, Q):
     G = A.group
     gens = [(s, G.number[s], G.inverse_of[G.number[s]]) for s in G.generators]
     orbit = (
-        ((a, code_of[s(v), G.product(G.product(t, g), tinv)] + 1), "orbit")
+        (a, code_of[s(v), G.product(G.product(t, g), tinv)] + 1)
         for (v, g), a in code_of.items()
         for s, t, tinv in gens
     )
-    P = Presentation(letters, tuple(Relator(w, tag) for w, tag in chain(local, orbit)))
-    return presentation_abelianization(P)
+    words = chain((word for word, _ in local), orbit)
+    rows, _, width = _contracted_relations(words, len(letters))
+    return AbelianInvariants.from_relation_matrix(rows, width)
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,17 @@ lexicographic order of index tuples, which is the order of image-name
 tuples over the sorted vertex list; the identity always sorts first.
 Each group numbers its elements once, by their place in the canonical
 order (`PermGroup.number`, so the identity is 0), and multiplies by
-number: `PermGroup.product(i, j)` memoizes each product the first time
-it is asked for, so repeated products cost a dict lookup and the memo
-never holds more than the products some caller needed (no |G|^2 table;
-groups reach `GROUP_CAP`).  Each group also indexes its vertex
-stabilizers once, in one pass over its elements
-(`PermGroup.stabilizers`); every stabilizer query reads that index.
-Orbits stay scans of G: their one caller, `build_quotient`, asks once
-per vertex and once per simplex orbit, so an index would add code
-without removing a repeated query.
+number.  An element is fixed by its images of a base (Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, ch. 4), and the
+canonical base keeps each sorted point whose images split elements the
+earlier ones leave together, so `PermGroup.product(i, j)` reads element
+i at element j's base images and memoizes the number by (i, j): no
+|G|^2 table (groups reach `GROUP_CAP`), and no whole-domain product.
+Each group also indexes its vertex stabilizers once, in one pass over
+its elements (`PermGroup.stabilizers`); every stabilizer query reads
+that index.  Orbits stay scans of G: their one caller, `build_quotient`,
+asks once per vertex and once per simplex orbit, so an index would add
+code without removing a repeated query.
 
 The quotient of an action is the complex whose simplices are the orbits.
 That only makes sense when the action is "without rotations" (a setwise
@@ -225,11 +227,26 @@ class PermGroup:
         number = self.number
         return tuple(number[g.inverse()] for g in self.elements)
 
+    @cached_property
+    def _base(self):
+        """(each element's base images, by number; the number by images)."""
+        images, told = [()] * self.order(), 1
+        for i in range(len(self.domain)):
+            if told == len(images):
+                break
+            split = [k + (g.perm[i],) for k, g in zip(images, self.elements)]
+            if len(set(split)) > told:
+                images, told = split, len(set(split))
+        return images, {k: i for i, k in enumerate(images)}
+
     def product(self, i, j):
-        """The number of elements[i] * elements[j], memoized by (i, j)."""
+        """The number of elements[i] * elements[j], memoized by (i, j): the
+        one element that sends each base point b to elements[i](elements[j](b))."""
         k = self._products.get((i, j))
         if k is None:
-            k = self._products[i, j] = self.number[self.elements[i] * self.elements[j]]
+            images, by_images = self._base
+            k = by_images[tuple(map(self.elements[i].perm.__getitem__, images[j]))]
+            self._products[i, j] = k
         return k
 
     @cached_property

@@ -69,7 +69,7 @@ class Relator:
     x & 1 is set."""
 
     word: tuple  # of int codes in range(2 * generator count); x ^ 1 inverts x
-    tag: str  # "mult" | "edge" | "conj" | "tri" | "orbit"
+    tag: str  # "mult" | "edge" | "conj" | "tri"
 
 
 @dataclass(frozen=True)

@@ -316,6 +316,47 @@ def test_product_memo_matches_permutation_products(build, dihedral_cone):
             assert G.product(i, j) == G.product(i, j) == number[g * h]
 
 
+def _assert_products_compose(G):
+    """On a fresh copy of G (an empty product memo), the product of every
+    pair of elements is the composed one."""
+    G = PermGroup(G.domain, G.generators)
+    elems, number = G.elements, G.number
+    pairs = list(itertools.product(range(len(elems)), repeat=2))
+    assert [G.product(i, j) for i, j in pairs] == [number[elems[i] * elems[j]] for i, j in pairs]
+
+
+def _apex_first_cone(cone):
+    # D7's cone at seed 1 names its apex x000, the least vertex, and every
+    # element fixes the apex, so the base walk skips the first sorted point
+    G = cone(7, 1).group
+    assert G.domain[0] == "x000" and all(g.perm[0] == 0 for g in G.elements)
+    return [G]
+
+
+_PRODUCT_GROUPS = {  # name -> (raw cone builder -> groups)
+    **{
+        b.__name__: lambda cone, b=b: [b().group]
+        for b in (f1_flip, f2_s3, f3_octahedral, f4_rotation, f5_antipodal)
+    },
+    # each cone at seeds 0-2, raw and refined
+    **{
+        f"D{n}-cone": lambda cone, n=n: [
+            A.group for s in range(3) for A in (cone(n, s), refine_action(cone(n, s)))
+        ]
+        for n in range(3, 25)
+    },
+    "Sd2-f3": lambda cone: [subdivide_action(subdivide_action(f3_octahedral())).group],
+    "trivial": lambda cone: [PermGroup(("a", "b"), [])],
+    "apex-first": _apex_first_cone,
+}
+
+
+@pytest.mark.parametrize("name", list(_PRODUCT_GROUPS))
+def test_products_from_base_images_match_composed_permutations(name, raw_dihedral_cone):
+    for G in _PRODUCT_GROUPS[name](raw_dihedral_cone):
+        _assert_products_compose(G)
+
+
 # -- refinement ---------------------------------------------------------
 
 

@@ -306,14 +306,29 @@ def test_rule_words_and_shape():
         Presentation(("a",), (), rule)
 
 
+def _no_permutation_product(monkeypatch):
+    """Make every `Permutation` product fail; the returned function
+    allows them again."""
+    mul = Permutation.__mul__
+
+    def refuse(a, b):
+        raise AssertionError("a Permutation product was composed")
+
+    monkeypatch.setattr(Permutation, "__mul__", refuse)
+    return lambda: monkeypatch.setattr(Permutation, "__mul__", mul)
+
+
 def test_d48_cone_certifies_at_scale(monkeypatch, raw_dihedral_cone):
-    # |G| = 96: 89,835 relators, of which no conj one is ever formed
+    # |G| = 96: 89,835 relators, of which no conj one is ever formed, and
+    # the build reads every group product from base images
     A = refine_action(raw_dihedral_cone(48, 1))
     Q = build_quotient(A)
     assert is_simply_connected(A.complex) and is_two_connected(Q.quotient)
     refuse = _no_conj_relator(monkeypatch)
+    allow = _no_permutation_product(monkeypatch)
     P = build_presentation(A, Q)
     refuse()
+    allow()
     assert (len(P.generators), len(P)) == (287, 89_835)
     T = todd_coxeter(P)
     cert = verify_theorem(A, Q, P, T)
@@ -324,6 +339,16 @@ def test_d48_cone_certifies_at_scale(monkeypatch, raw_dihedral_cone):
         "order_matches",
         "psi_surjective",
     ]
+
+
+def test_d96_cone_builds_without_permutation_products(monkeypatch, raw_dihedral_cone):
+    # |G| = 192, and every element fixes the apex, so its mult table alone
+    # multiplies every pair of nonidentity elements
+    A = refine_action(raw_dihedral_cone(96, 1))
+    Q = build_quotient(A)
+    _no_permutation_product(monkeypatch)
+    P = build_presentation(A, Q)
+    assert (len(P.generators), len(P)) == (575, 361_683)
 
 
 # -- presentation contents ----------------------------------------------
@@ -734,12 +759,13 @@ def _counting_products(monkeypatch):
 
 def test_product_memo_bounds_permutation_products(monkeypatch):
     # a fresh f3 group, so no other test has filled its product memo;
-    # without the memo these were 28,450 and 55,400 products
+    # without the memo these were 28,450 and 55,400 products, and the
+    # build composed 1,326 before products were read from base images
     A = refine_action(f3_octahedral())
     Q = build_quotient(A)
     calls = _counting_products(monkeypatch)
     P = build_presentation(A, Q)
-    assert calls[0] <= 1326
+    assert calls[0] == 0
     T = todd_coxeter(P)
     calls[0] = 0
     verify_theorem(A, Q, P, T)
