@@ -14,16 +14,13 @@ inverted when x & 1 is set, so x ^ 1 is its inverse and x is the
 letter's `todd_coxeter` column; letters are spelled only on output.  A
 `Presentation` holds the mult and edge words as `Relator`s, and the conj
 family, most relators (f3: 13,335 of 13,995), as a `ConjRule`.
-`Presentation.relator_words` maps the relators through a code -> value
-list into the distinct value words (f3: 1,291 of element numbers),
-reading the rule without forming its relators, so the checks below run
-once per word.  `todd_coxeter` takes a Tietze step, enumerates cosets
-of the trivial subgroup and proves that the table closes every
-relator, so Complete(n) certifies the presented group has order n.
-`verify_theorem` psi-checks every relator and adds an exhaustive
-surjectivity check, so the presented group is the acting group; the
-table records the presentation it enumerated, so a table from another
-presentation is refused.
+`todd_coxeter` takes a Tietze step and enumerates cosets of the trivial
+subgroup over R' of the relators R, R less each conj relator whose a or
+b is not the root of its Tietze class (f3: 2,263 of 13,995), so
+Complete(n) bounds the presented group's order by n.  `verify_theorem`
+psi-checks all of R, the rule once per element row, and that psi is
+onto; Gamma(R) is a quotient of Gamma(R'), so the presented group is
+the acting group.  A table from another presentation is refused.
 
 `pi1_presentation` is the classical edge-path presentation of the
 fundamental group (generators: edges off a spanning tree; relators:
@@ -94,8 +91,8 @@ class ConjRule:
 @dataclass(frozen=True)
 class Presentation:
     """Generators, the relators held as `Relator`s, then the `conj` rule's.
-    `len`, `counts_by_tag` and `relator_words` read the rule as it is;
-    only `relators` spells out every relator."""
+    `len`, `counts_by_tag`, `relator_words` and `verify_theorem` read the
+    rule as it is; only `relators` spells out every relator."""
 
     generators: tuple
     explicit: tuple  # of Relator
@@ -130,25 +127,25 @@ class Presentation:
         )
         return self.explicit + tuple(conj)
 
-    def relator_words(self, image):
-        """The distinct words image[x1] .. image[xn] of the relators x1 .. xn,
-        in the order of their first relator.
-
-        The rule word of (a, b) is image[a] image[b] image[a+1] image[c^-1],
-        and c depends on a only through its element g.  So a letter a
-        whose image[a], image[a+1] and g repeat an earlier letter's makes
-        that letter's words again, apart from the pairs either skips."""
-        words = dict.fromkeys(tuple(map(image.__getitem__, r.word)) for r in self.explicit)
+    def relator_words(self, image, roots):
+        """The distinct words image[x1] .. image[xn] of the relators x1 .. xn
+        of R', in the order of their first relator: every relator but each
+        conj relator a b a^-1 c^-1 with a or b not in the set `roots`.  An
+        explicit relator tagged conj is read the same way, by its first two
+        letters.  No rule word of a pair outside `roots` is formed."""
+        words = dict.fromkeys(
+            tuple(map(image.__getitem__, r.word))
+            for r in self.explicit
+            if r.tag != "conj" or roots.issuperset(r.word[:2])
+        )
         rule = self.conj
-        every = range(0, len(image), 2)
-        first = {}  # (image[a], image[a + 1], g) -> the skips of its first letter
-        for a, g, skip in zip(count(0, 2), rule.element, rule.skip):
-            x, x_inv, row = image[a], image[a + 1], rule.conjugate[g]
-            key = (x, x_inv, g)
-            for b in first.get(key, every):
+        kept = [a for a in range(0, 2 * len(rule.element), 2) if a in roots]
+        for a in kept:
+            skip, row = rule.skip[a >> 1], rule.conjugate[rule.element[a >> 1]]
+            x, x_inv = image[a], image[a + 1]
+            for b in kept:
                 if b not in skip:
                     words[x, image[b], x_inv, image[row[b >> 1]]] = None
-            first.setdefault(key, sorted(skip))
         return words
 
     @cached_property
@@ -346,10 +343,13 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     A Tietze step runs first: a relator x y of two generators says
     y = x^-1, so one pass over the two-letter relators unions such
     generators and maps every letter code to a compact code of its
-    class's earliest letter.  HLT (scan every word at each live coset,
-    then fill its row) runs over the compact codes, on the distinct
-    mapped words in the order of their first relator, less those that
-    map to c c^-1, and stops once every live row is full.
+    class's root, its earliest letter.  R' is the relators R of P less
+    each conj relator a b a^-1 c^-1 whose a or b is not a root; Gamma(R)
+    is a quotient of Gamma(R'), so Complete(n) bounds |Gamma(R)| by n,
+    and `verify_theorem` proves equality.  HLT (scan every word at each
+    live coset, then fill its row) runs over the compact codes, on the
+    distinct mapped words of R' in the order of their first relator,
+    less those that map to c c^-1, and stops once every live row is full.
 
     One sweep then finishes and proves the table: every column is a
     permutation and every distinct mapped word, those HLT skipped
@@ -361,7 +361,7 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     is folded once, each step (composite, class) -> composite composed
     once.  The table copies each compact column to every letter mapped to
     it, so it has a column per letter code of P, and proves that every
-    relator of P closes.
+    relator of R' closes.
     """
     # equal[x]: a letter code equal to x, of an earlier generator unless x
     # is its class's root; the roots of x and x ^ 1 are always inverse
@@ -383,7 +383,7 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     for x in range(len(equal)):
         a = root(x)
         code.append(2 * compact.setdefault(a >> 1, len(compact)) + (a & 1))
-    words = P.relator_words(code)
+    words = P.relator_words(code, {x for x, y in enumerate(equal) if x == y})
     rels = [w for w in words if len(w) != 2 or w[0] != w[1] ^ 1]
     width = 2 * len(compact)
 
@@ -565,15 +565,21 @@ class TheoremCertificate:
 def verify_theorem(A, Q, P, T):
     """Certify that the presented group is the acting group.
 
-    (i) every relator psi-evaluates to the identity, (ii) the enumeration
-    completed with order exactly |G|, from this presentation, (iii) every
-    group element is hit by the expression procedure (psi is onto).
-    Together these pin the presented group down to G.  Raises
-    CertificateFailed on the first violation, else returns the certificate.
+    (i) every relator of P, all of R, psi-evaluates to the identity, (ii)
+    the enumeration completed with order exactly |G|, from this
+    presentation, (iii) every group element is hit by the expression
+    procedure (psi is onto).  Raises CertificateFailed on the first
+    violation, else returns the certificate.
 
-    Check (i) folds each distinct word of element numbers once; only when
-    a word fails, or names a letter outside G, are the relators walked in
-    order, so the failure names the first failing relator.
+    Complete(|G|) on R' of `todd_coxeter` bounds |Gamma(R')|, and so its
+    quotient |Gamma(R)|, by |G|; by (i) and (iii) psi maps Gamma(R) onto
+    G, so Gamma(R) = G.
+
+    Check (i) folds each distinct explicit word of element numbers once,
+    and checks each distinct (g, rule row) once at every letter b: a rule
+    word g h g^-1 c^-1 is 1 exactly when c^-1 inverts g h g^-1.  Only when
+    a word or row fails, or a letter is not in G, are the relators walked
+    in order, so the failure names the first failing relator.
     """
     G = A.group
     checks = []
@@ -582,7 +588,9 @@ def verify_theorem(A, Q, P, T):
     for s in P.generators:
         g = G.number.get(s.element)
         numbers += (g, None) if g is None else (g, G.inverse_of[g])
-    product = G.product
+    product, inverse_of, rule = G.product, G.inverse_of, P.conj
+    h = numbers[::2]  # the element number of each generator
+    rows = dict.fromkeys(zip(h, rule.element))  # (g, the rule row it reads)
 
     def psi(word):  # the element number of a word of element numbers
         acc = 0  # the identity's number
@@ -590,7 +598,12 @@ def verify_theorem(A, Q, P, T):
             acc = product(acc, g)
         return acc
 
-    if any(None in w or psi(w) for w in P.relator_words(numbers)):
+    def row_holds(g, e):
+        value = {x: inverse_of[product(product(g, x), inverse_of[g])] for x in dict.fromkeys(h)}
+        return [numbers[c] for c in rule.conjugate[e]] == list(map(value.__getitem__, h))
+
+    explicit = {tuple(map(numbers.__getitem__, r.word)) for r in P.explicit}
+    if None in numbers or any(map(psi, explicit)) or not all(row_holds(*r) for r in rows):
         for r in P.relators:  # name the first failing relator, in relator order
             values = [numbers[x] for x in r.word]
             if None in values:

@@ -1,10 +1,10 @@
 """Stabilizer presentations, coset enumeration, and the certificate."""
 
+import functools
 import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations, islice
 
 import pytest
 
@@ -255,25 +255,18 @@ def test_explicit_copy_of_the_rule_enumerates_alike(case, request, dihedral_cone
     assert E.counts_by_tag() == P.counts_by_tag()
     assert todd_coxeter(E).table == todd_coxeter(P).table
     # the same distinct words, in the same order, under images that merge
-    # letters: by element number, at random, and a later letter of a's
-    # element merged into a where a skips a pair that the later one keeps,
-    # the case where a repeated letter must add words of its own
+    # letters (by element number, and at random) and the identity, with
+    # every letter code a root or a random half of them
     G = A.group
     numbers = [G.number[s.element] for s in P.generators for _ in (0, 1)]
     numbers[1::2] = map(G.inverse_of.__getitem__, numbers[1::2])
     rng = random.Random(case)
     images = [numbers, [rng.randrange(3) for _ in numbers], list(range(len(numbers)))]
-    rule = P.conj
-    merges = (
-        (i, j)
-        for i, j in combinations(range(len(rule.element)), 2)
-        if rule.element[i] == rule.element[j] and set(rule.skip[i]) - set(rule.skip[j])
-    )
-    for i, j in islice(merges, 3):
-        images.append(list(range(len(numbers))))
-        images[-1][2 * j : 2 * j + 2] = (2 * i, 2 * i + 1)
+    every = set(range(len(numbers)))
+    half = {x for x in every if rng.random() < 0.5}
     for image in images:
-        assert list(P.relator_words(image)) == list(E.relator_words(image))
+        for roots in (every, half):
+            assert list(P.relator_words(image, roots)) == list(E.relator_words(image, roots))
 
 
 @pytest.mark.parametrize(
@@ -346,9 +339,43 @@ def test_d96_cone_builds_without_permutation_products(monkeypatch, raw_dihedral_
     # multiplies every pair of nonidentity elements
     A = refine_action(raw_dihedral_cone(96, 1))
     Q = build_quotient(A)
-    _no_permutation_product(monkeypatch)
+    allow = _no_permutation_product(monkeypatch)
     P = build_presentation(A, Q)
+    allow()
     assert (len(P.generators), len(P)) == (575, 361_683)
+    # R' of those, the rule read at Tietze roots only, presents G
+    T = todd_coxeter(P)
+    assert (T.status, T.order) == ("complete", 192)
+    assert verify_theorem(A, Q, P, T).group_order == 192
+
+
+@functools.cache
+def _subdivided_f3(times):
+    A = refine_action(f3_octahedral())
+    for _ in range(times):
+        A = refine_action(subdivide_action(A))
+    return A
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["f1", "f2", "f3", "Sd(f3)", "Sd2(f3)", *(f"D{n}/{s}" for n in range(3, 25) for s in range(3))],
+)
+def test_r_prime_certifies(case, request, dihedral_cone):
+    # Complete(|G|) on R' within 20|G| cosets, and the certificate holds
+    if case.startswith("Sd"):
+        A = _subdivided_f3(2 if case == "Sd2(f3)" else 1)
+    elif case.startswith("D"):
+        n, seed = map(int, case[1:].split("/"))
+        A = dihedral_cone(n, seed)
+    else:
+        A = request.getfixturevalue(case).action
+    Q = build_quotient(A)
+    P = build_presentation(A, Q)
+    order = A.group.order()
+    T = todd_coxeter(P, max_cosets=20 * order)
+    assert (T.status, T.order) == ("complete", order)
+    assert verify_theorem(A, Q, P, T).group_order == order
 
 
 # -- presentation contents ----------------------------------------------
@@ -572,26 +599,31 @@ def _sweep_cases(sources):
 
 
 def test_tc_enumeration_sweep_digest(f1, f2, f3):
-    # 2,660 enumerations, pinned by one sha256 of (status, order, bound,
-    # table): the f1-f3 presentations and pi1 of X and X/G for f1, f2, f3
-    # and f5, each at max_cosets 1..59 and 10^6, then 2,000 seeded random
-    # presentations
+    # 2,660 enumerations, pinned by two sha256s of (status, order, bound,
+    # table): f3's presentation at max_cosets 1..59 and 10^6, then every
+    # other row: f1's and f2's presentations at the same bounds, pi1 of X
+    # and X/G for f1, f2, f3 and f5, and 2,000 seeded random presentations.
+    # Enumerating R' in place of R moved only f3's rows (f2's R' is 48 of
+    # its 136 relators, and every f2 table stayed as it was)
     A = refine_action(f5_antipodal())
     sources = [(p.presentation, p.action.complex, p.quotient.quotient) for p in (f1, f2, f3)]
     sources.append((None, A.complex, build_quotient(A).quotient))
-    digest = hashlib.sha256()
+    f3_rows, other_rows = hashlib.sha256(), hashlib.sha256()
     for P, bound in _sweep_cases(sources):
         T = todd_coxeter(P, max_cosets=bound)
+        digest = f3_rows if P is f3.presentation else other_rows
         digest.update(repr((T.status, T.order, T.bound, T.table)).encode())
-    assert digest.hexdigest() == "17bd9e39cfca910e5e096313ff8eded114b2e47241976471ddc48fdfa121fd9c"
+    assert f3_rows.hexdigest() == "f1f7e793df5579018c0d6fc34b856433cdc5e8a591c7a0a6fa1014df303e3da5"
+    assert other_rows.hexdigest() == "42b4d0ee8106906a7ca7e0ef5f5e31d05de64fa69cac110c65a62a8d8de0ab6f"
 
 
 def test_tc_coset_need(f2, f3, dihedral_cone):
     # the least max_cosets that completes, pinned; eliminating the letters
     # that edge and mult relators x y make equal leaves f3's 118 generators
-    # 41 to enumerate over, and it needs 389 cosets, where all 118 needed 578
-    assert todd_coxeter(f3.presentation, max_cosets=389).order == 48
-    assert todd_coxeter(f3.presentation, max_cosets=388).status == "exhausted"
+    # 41 to enumerate over, and R' of those needs 286 cosets, where all of
+    # R needed 389 and all 118 generators 578
+    assert todd_coxeter(f3.presentation, max_cosets=286).order == 48
+    assert todd_coxeter(f3.presentation, max_cosets=285).status == "exhausted"
     assert todd_coxeter(f2.presentation, max_cosets=6).order == 6
     # the cones complete at |G|, with no coincidence
     for n in (8, 12, 16):
@@ -744,6 +776,41 @@ def test_verify_theorem_names_the_first_failing_relator(f2):
         assert f"{r.tag} relator evaluates to {value}" in str(exc.value)
 
 
+def test_verify_theorem_checks_the_rule_row_by_row(f3):
+    # one entry of one rule row, at a pair some letter keeps, swapped for
+    # the inverse of a letter of another element: no explicit word moves,
+    # so only the row check sees it, and the walk names the first relator
+    # that fails, the pair's conj relator at the row's first letter
+    A, Q, P, T = f3
+    G, rule = A.group, P.conj
+    letters = range(0, 2 * len(P.generators), 2)
+    a, b = next((a, b) for a in letters for b in letters if b not in rule.skip[a >> 1])
+    g = rule.element[a >> 1]
+    old = rule.conjugate[g][b >> 1]
+    new = next(c + 1 for c in letters if rule.element[c >> 1] != rule.element[old >> 1])
+    row = list(rule.conjugate[g])
+    row[b >> 1] = new
+    conjugate = list(rule.conjugate)
+    conjugate[g] = tuple(row)
+    bad = Presentation(P.generators, P.explicit, replace(rule, conjugate=tuple(conjugate)))
+    numbers = [G.number[s.element] for s in P.generators for _ in (0, 1)]
+    numbers[1::2] = map(G.inverse_of.__getitem__, numbers[1::2])
+
+    def psi(word):
+        acc = 0
+        for x in word:
+            acc = G.product(acc, numbers[x])
+        return acc
+
+    first = next(r for r in bad.relators if psi(r.word))
+    assert first == Relator((a, b, a + 1, new), "conj")
+    with pytest.raises(CertificateFailed) as exc:
+        verify_theorem(A, Q, bad, T)
+    assert exc.value.check == "relators_psi_identity"
+    value = G.elements[psi(first.word)].cycle_string()
+    assert exc.value.witness == f"conj relator evaluates to {value}"
+
+
 def _counting_products(monkeypatch):
     """Count every Permutation product from now on."""
     calls = [0]
@@ -773,9 +840,11 @@ def test_product_memo_bounds_permutation_products(monkeypatch):
 
 
 def test_group_products_fold_each_distinct_word_once(monkeypatch):
-    # a fresh f3 group; the builder conjugates once per element pair and
-    # the psi-check folds each distinct word of element numbers once,
-    # where a fold per relator made 28,214 and 55,144 calls
+    # a fresh f3 group; the builder conjugates once per element pair, and
+    # the psi-check folds each distinct explicit word of element numbers
+    # once and conjugates once per element pair for the rule's rows, where
+    # a fold per relator made 28,214 and 55,144 calls, and a fold per
+    # distinct word of the rule too 2,650 and 4,872
     A = refine_action(f3_octahedral())
     Q = build_quotient(A)
     calls = [0]
@@ -791,7 +860,7 @@ def test_group_products_fold_each_distinct_word_once(monkeypatch):
     T = todd_coxeter(P)
     calls[0] = 0
     verify_theorem(A, Q, P, T)
-    assert calls[0] == 4872
+    assert calls[0] == 2824
 
 
 # -- fundamental group presentations ------------------------------------
