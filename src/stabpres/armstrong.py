@@ -113,34 +113,45 @@ def psi_evaluate(word, identity=None):
     return result
 
 
+def _discoveries(adjacency, u, parent, rng):
+    """Yield u's component breadth-first, each vertex as it is discovered
+    (recording its parent); an rng shuffles each expanded neighbour list."""
+    yield u
+    queue = [u]
+    for v in queue:  # grows while it is walked
+        neighbours = adjacency[v]
+        if rng is not None:
+            neighbours = list(neighbours)
+            rng.shuffle(neighbours)
+        for nb in neighbours:
+            if nb not in parent:
+                parent[nb] = v
+                queue.append(nb)
+                yield nb
+
+
 def find_path(K, u, w, seed=0):
     """Breadth-first shortest path; canonical tie-break, or a seeded
-    shuffle of each vertex's neighbours as the search expands it."""
+    shuffle of each vertex's neighbours as the search expands it.
+
+    It returns at w's first discovered neighbour.  A search run until w is
+    popped makes the same draws up to there, gives w that parent and never
+    resets one; its rng is private, so its later draws cannot change the path."""
     for v in (u, w):
         if v not in K.vertices:
             raise UnknownVertex(v)
-    adjacency = K.adjacency
-    rng = random.Random(seed) if seed else None
+    if u == w:
+        return EdgePath((u,))
+    beside_w = set(K.adjacency[w])
     parent = {u: None}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            if v == w:
-                path = []
-                while v is not None:
-                    path.append(v)
-                    v = parent[v]
-                return EdgePath(tuple(reversed(path)))
-            neighbours = adjacency[v]
-            if rng is not None:
-                neighbours = list(neighbours)
-                rng.shuffle(neighbours)
-            for nb in neighbours:
-                if nb not in parent:
-                    parent[nb] = v
-                    nxt.append(nb)
-        frontier = nxt
+    rng = random.Random(seed) if seed else None
+    for v in _discoveries(K.adjacency, u, parent, rng):
+        if v in beside_w:
+            path = [w]
+            while v is not None:
+                path.append(v)
+                v = parent[v]
+            return EdgePath(tuple(reversed(path)))
     raise Disconnected(u, w)
 
 
