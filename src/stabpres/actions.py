@@ -18,9 +18,11 @@ i at element j's base images and memoizes the number by (i, j): no
 |G|^2 table (groups reach `GROUP_CAP`), and no whole-domain product.
 Each group also indexes its vertex stabilizers once, in one pass over
 its elements (`PermGroup.stabilizers`); every stabilizer query reads
-that index.  Orbits stay scans of G: their one caller, `build_quotient`,
-asks once per vertex and once per simplex orbit, so an index would add
-code without removing a repeated query.
+that index, and lifting reads each pivot's transporters by number from
+a memo beside it (`PermGroup.transporters`).  Orbits stay scans of G:
+their one caller, `build_quotient`, asks once per vertex and once per
+simplex orbit, so an index would add code without removing a repeated
+query.
 
 The quotient of an action is the complex whose simplices are the orbits.
 That only makes sense when the action is "without rotations" (a setwise
@@ -207,6 +209,7 @@ class PermGroup:
         self.domain = domain
         self.generators = tuple(generators)
         self._products = {}  # (i, j) -> number of elements[i] * elements[j]
+        self._transporters = {}  # (v, x, y) -> numbers fixing v, sending x to y
 
     @cached_property
     def elements(self):
@@ -258,6 +261,18 @@ class PermGroup:
                 if i == j:
                     fixers[i].append(g)
         return dict(zip(self.domain, map(tuple, fixers)))
+
+    def transporters(self, v, x, y):
+        """The numbers of `all_transporters(stabilizers[v], x, y)`, in that
+        order, memoized by (v, x, y).  Lifting asks only for neighbours x
+        and y of v, so the memo holds at most |V|·deg² keys."""
+        key = (v, x, y)
+        found = self._transporters.get(key)
+        if found is None:
+            number = self.number
+            found = tuple(number[g] for g in all_transporters(self.stabilizers[v], x, y))
+            self._transporters[key] = found
+        return found
 
     def order(self):
         return len(self.elements)

@@ -20,6 +20,10 @@ stabilizer; the inverses of all recorded elements, tagged with their
 pivot vertices, form a word whose evaluation is exactly g.  The word is
 not evaluated here: its consumer (`verify_theorem`'s psi_surjective
 check, the CLI's express report) evaluates it once.
+
+Lifting runs on the group's element numbers (`PermGroup.transporters`,
+`product` and `inverse_of`), so no `Permutation` is composed or inverted
+here.  Its checks raise `LiftFailed`, which survives `python -O`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .actions import Permutation, all_transporters, stabilizer
+from .actions import Permutation
 from .complexes import EdgePath, simplex
 from .errors import (
     Disconnected,
@@ -158,8 +162,8 @@ def find_path(K, u, w, seed=0):
 def _lift_move(A, Q, lifted, move, rng):
     """Lift one base move onto the lifted path; canonical choices unless rng.
 
-    Returns the new lifted path and, for a backtrack delete, the
-    (pivot, swing) pair; a triangle insert swings nothing.
+    Returns the new lifted path and, for a backtrack delete, the pivot and
+    the swing's element number; a triangle insert swings nothing.
     """
     i = move.pos
     if move.kind == TRI:
@@ -175,12 +179,13 @@ def _lift_move(A, Q, lifted, move, rng):
         apex = rng.choice(candidates) if rng else candidates[0]
         return lifted[: i + 1] + (apex,) + lifted[i + 1 :], None
     x1, pivot, x1p = lifted[i], lifted[i + 1], lifted[i + 2]
-    # the stabilizer lists the identity first, so x1 == x1p swings by it
-    options = all_transporters(stabilizer(A, pivot), x1p, x1)
+    # the stabilizer lists the identity (number 0) first, so x1 == x1p swings by it
+    options = A.group.transporters(pivot, x1p, x1)
     if not options:
         raise LiftFailed(f"no pivot stabilizer sends {x1p!r} to {x1!r}")
     h = rng.choice(options) if rng else options[0]
-    return lifted[: i + 1] + tuple(h(v) for v in lifted[i + 3 :]), (pivot, h)
+    element = A.group.elements[h]
+    return lifted[: i + 1] + tuple(element(v) for v in lifted[i + 3 :]), (pivot, h)
 
 
 def armstrong_express(A, Q, basepoint, g, seed=0, budget=None):
@@ -205,24 +210,25 @@ def armstrong_express(A, Q, basepoint, g, seed=0, budget=None):
     log = search_contraction(
         Q.quotient, base_loop, Q.projection[basepoint], budget=budget, seed=contraction_seed
     )
+    G = A.group
     letters = []
-    composite = g
+    composite = G.number[g]  # element numbers throughout; the identity is 0
     lifted = path.vertices
     for move, after in zip(log.moves, log.replay(Q.quotient)[1:]):
         lifted, swing = _lift_move(A, Q, lifted, move, rng)
-        assert Q.project_path(lifted) == after.vertices, (
-            "projected lift disagrees with base loop after move"
-        )
+        if Q.project_path(lifted) != after.vertices:
+            raise LiftFailed("projected lift disagrees with base loop after move")
         if swing is not None:
             pivot, h = swing
-            if not h.is_identity():
-                letters.append(StabilizerLetter(h.inverse(), pivot))
-            composite = h * composite
-    assert lifted == (basepoint,), f"lifted contraction ended at {lifted}"
+            if h:
+                letters.append(StabilizerLetter(G.elements[G.inverse_of[h]], pivot))
+            composite = G.product(h, composite)
+    if lifted != (basepoint,):
+        raise LiftFailed(f"lifted contraction ended at {lifted}")
     # closing letter: composite is h_{n-1}...h_1*g, the inverse of the final
     # swing; its own inverse is the final h, so the letter element is composite.
     # StabilizerLetter raises LetterInvariantViolated unless it fixes the
     # basepoint, and the word's letters then multiply to g term by term
-    if not composite.is_identity():
-        letters.append(StabilizerLetter(composite, basepoint))
+    if composite:
+        letters.append(StabilizerLetter(G.elements[composite], basepoint))
     return StabilizerWord(tuple(letters))

@@ -87,6 +87,11 @@ class SimplicialComplex:
         from one Smith elimination shared by every loop in the complex."""
         return IntegerSolver(boundary_matrices(self)[1])
 
+    @cached_property
+    def fillings(self):
+        """Loop vertex tuple -> its solved filling, `homotopy._filling`'s memo."""
+        return {}
+
     def has_simplex(self, s):
         s = tuple(s)
         if len(s) == 1:

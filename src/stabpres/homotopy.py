@@ -18,7 +18,9 @@ filling c (d2 c = the loop's 1-chain): when H2 = 0, as for the
 2-connected quotients of the theorem, c is unique and every insert
 changes one coefficient by 1, so at least |c|_1 inserts remain.  The
 filling comes from one Smith elimination of d2 per complex
-(`SimplicialComplex.filling_solver`).
+(`SimplicialComplex.filling_solver`), and each loop's is solved once per
+complex and memoized (`SimplicialComplex.fillings`): the memo grows by
+one entry per distinct filled loop that callers submit.
 
 `collapse_disc` is the disc side of the same calculus: it collapses an
 explicit (possibly degenerate) disc to its basepoint and returns the
@@ -143,27 +145,36 @@ def default_budget(loop_len):
 def contract_loop(K, loop, basepoint, budget=None, seed=0):
     """`search_contraction`'s move log, replay-verified before it is returned."""
     log = search_contraction(K, loop, basepoint, budget, seed)
-    assert log.final_loop(K).vertices == (basepoint,), "contraction replay failed"
+    if log.final_loop(K).vertices != (basepoint,):
+        raise AssertionError("contraction replay failed")
     return log
 
 
 def _filling(K, vertices, budget):
     """The loop's integral 2-chain filling c, with d2 c equal to its
-    1-chain, as a dict keyed by triangle; None when d2 is not injective
-    (fillings then differ by 2-cycles and none bounds the moves).  Raises
-    BudgetExhausted when there is no filling: a loop that is not
-    null-homologous over Z never contracts."""
+    1-chain, as a new dict keyed by triangle, which the caller may edit;
+    None when d2 is not injective (fillings then differ by 2-cycles and
+    none bounds the moves).  Raises BudgetExhausted when there is no
+    filling: a loop that is not null-homologous over Z never contracts.
+
+    Each solved filling is memoized in `K.fillings` by the loop's vertex
+    tuple, once `solve` has checked it; a loop with no filling is not.
+    So the memo holds one entry per distinct filled loop that callers
+    submit for K."""
     solver = K.filling_solver
-    index = K.edge_index
-    chain = [0] * len(index)
-    for a, b in zip(vertices, vertices[1:]):
-        if a < b:
-            chain[index[(a, b)]] += 1
-        else:
-            chain[index[(b, a)]] -= 1
-    c = solver.solve(chain)
+    c = K.fillings.get(vertices)
     if c is None:
-        raise BudgetExhausted(budget, "the loop is not null-homologous, so no budget contracts it")
+        index = K.edge_index
+        chain = [0] * len(index)
+        for a, b in zip(vertices, vertices[1:]):
+            if a < b:
+                chain[index[(a, b)]] += 1
+            else:
+                chain[index[(b, a)]] -= 1
+        c = solver.solve(chain)
+        if c is None:
+            raise BudgetExhausted(budget, "the loop is not null-homologous, so no budget contracts it")
+        K.fillings[vertices] = c
     return dict(zip(K.sorted_triangles, c)) if solver.injective else None
 
 

@@ -328,5 +328,6 @@ class IntegerSolver:
             elif v:
                 return None
         x = [sum(row[i] * q for i, q in enumerate(y)) for row in self.V]
-        assert [sum(a * c for a, c in zip(row, x)) for row in self.M] == list(b), "M x != b"
+        if [sum(a * c for a, c in zip(row, x)) for row in self.M] != list(b):
+            raise AssertionError("M x != b")
         return x

@@ -105,6 +105,16 @@ def test_unit_pivot_pass_matches_snf_on_sparse_matrices():
         assert invariant_factors(M) == [S[i][i] for i in range(min(m, n)) if S[i][i]]
 
 
+def test_integer_solver_refuses_a_wrong_solution():
+    # a real exception, not an assert, so the check that memoized fillings
+    # rest on survives python -O
+    solver = linalg.IntegerSolver([[1, 0], [0, 1]])
+    assert solver.solve([2, 3]) == [2, 3]
+    solver.V = [[1, 1], [0, 1]]
+    with pytest.raises(AssertionError, match="M x != b"):
+        solver.solve([2, 3])
+
+
 def test_snf_triangle_boundary():
     _, d2 = boundary_matrices(solid_triangle())
     assert d2 == [[1], [-1], [1]]

@@ -6,7 +6,13 @@ import random
 import pytest
 
 from stabpres import armstrong, homotopy
-from stabpres.actions import Permutation, refine_action, build_quotient
+from stabpres.actions import (
+    Permutation,
+    all_transporters,
+    build_quotient,
+    refine_action,
+    stabilizer,
+)
 from stabpres.armstrong import (
     StabilizerLetter,
     StabilizerWord,
@@ -19,6 +25,7 @@ from stabpres.complexes import EdgePath, SimplicialComplex, barycentric_subdivis
 from stabpres.errors import (
     Disconnected,
     LetterInvariantViolated,
+    LiftFailed,
     MalformedInput,
     PreconditionUnvalidated,
     UnknownVertex,
@@ -306,3 +313,81 @@ def test_seeded_express_word_digest(f3, dihedral_cone):
     # and loops each search expands
     digest = _express_digest(f3, dihedral_cone(16, 1), (1, 2, 3, 99))
     assert digest == "b56d69b2f371b12a07c597cdb6240296a0f6dbdb0b4420fc55696d371ce4f263"
+
+
+def test_express_word_digest_from_other_basepoints(f1, f2, dihedral_cone):
+    # seeds 0-3 from each of the first three vertices of f1, f2 and the D8
+    # cone: a swing at a pivot that is not the basepoint pins the order in
+    # which the swings compose
+    digest = hashlib.sha256()
+    for A in (f1.action, f2.action, dihedral_cone(8, 1)):
+        Q = build_quotient(A)
+        for basepoint in A.complex.sorted_vertices[:3]:
+            for g in A.group.elements:
+                for seed in range(4):
+                    word = armstrong_express(A, Q, basepoint, g, seed=seed)
+                    digest.update(f"{word}\n".encode())
+    assert digest.hexdigest() == "752e494bfb645be627b66c0ba6aa41b93216ad126aab8bab369075a28cfd5b6f"
+
+
+def test_express_lifts_in_element_numbers(f3, dihedral_cone, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Permutation was composed or inverted")
+
+    expressed = []
+    for A in (f3.action, dihedral_cone(16, 1)):
+        Q = build_quotient(A)
+        A.group.inverse_of  # the group's one table of inverses
+        basepoint = min(A.complex.vertices)
+        with monkeypatch.context() as m:
+            m.setattr(Permutation, "__mul__", refuse)
+            m.setattr(Permutation, "inverse", refuse)
+            for g in A.group.elements:
+                for seed in range(4):
+                    expressed.append((A, g, armstrong_express(A, Q, basepoint, g, seed=seed)))
+    for A, g, word in expressed:
+        assert psi_evaluate(word, A.group.identity) == g
+
+
+def test_transporter_memo_matches_all_transporters(f1, f2, f3, dihedral_cone):
+    for A in [f1.action, f2.action, f3.action] + [dihedral_cone(n, 1) for n in range(3, 9)]:
+        G = A.group
+        for v, neighbours in A.complex.adjacency.items():
+            for x in neighbours:
+                for y in neighbours:
+                    expected = tuple(G.number[h] for h in all_transporters(stabilizer(A, v), x, y))
+                    assert G.transporters(v, x, y) == expected
+
+
+def _lifting_to_a_moving_element(f3):
+    """(A, Q, basepoint, g) with g moving the basepoint, so its loop moves."""
+    A, Q = f3.action, f3.quotient
+    basepoint = min(A.complex.vertices)
+    g = next(h for h in A.group.elements if h(basepoint) != basepoint)
+    return A, Q, basepoint, g
+
+
+def test_express_refuses_a_lift_off_the_base_loop(f3, monkeypatch):
+    # LiftFailed, not an assert, so the check survives python -O
+    A, Q, basepoint, g = _lifting_to_a_moving_element(f3)
+    monkeypatch.setattr(armstrong, "_lift_move", lambda A, Q, lifted, move, rng: (lifted, None))
+    with pytest.raises(LiftFailed, match="projected lift disagrees"):
+        armstrong_express(A, Q, basepoint, g)
+
+
+def test_express_refuses_a_lift_that_leaves_the_basepoint(f3, monkeypatch):
+    # moving the first lifted path by g keeps every projection, and no later
+    # move changes the first vertex, so only the final check can catch it
+    A, Q, basepoint, g = _lifting_to_a_moving_element(f3)
+    lift_move, moved = armstrong._lift_move, []
+
+    def moving_lift(*args):
+        lifted, swing = lift_move(*args)
+        if not moved:
+            moved.append(True)
+            lifted = tuple(map(g, lifted))
+        return lifted, swing
+
+    monkeypatch.setattr(armstrong, "_lift_move", moving_lift)
+    with pytest.raises(LiftFailed, match="lifted contraction ended at"):
+        armstrong_express(A, Q, basepoint, g)

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from stabpres import homotopy
 from stabpres.actions import build_quotient, refine_action
 from stabpres.armstrong import find_path
 from stabpres.complexes import EdgePath, barycentric_subdivision, validate_complex, validate_path
@@ -38,6 +39,7 @@ from stabpres.homotopy import (
     default_budget,
     move_log_from_json_obj,
     random_nondegenerate_disc,
+    search_contraction,
     verify_collapse,
 )
 
@@ -357,6 +359,37 @@ def test_contract_essential_projective_plane_loop_fails_fast():
     with pytest.raises(BudgetExhausted, match="not null-homologous"):
         contract_loop(Q.quotient, loop, Q.projection[base])
     assert time.perf_counter() - start < 1.0
+
+
+def test_fillings_are_memoized_per_complex_and_copied_out():
+    K = solid_triangle()  # a new complex, so its memo starts empty
+    loop = validate_path(K, ["1", "2", "3", "1"])
+    first = search_contraction(K, loop, "1")
+    assert list(K.fillings) == [loop.vertices]
+    assert search_contraction(K, loop, "1") == first
+    # a caller editing the filling it was given leaves the memo as it was
+    filling = homotopy._filling(K, loop.vertices, None)
+    filling[("1", "2", "3")] = 7
+    assert homotopy._filling(K, loop.vertices, None) == {("1", "2", "3"): 1}
+    assert len(K.fillings) == 1
+
+
+def test_a_loop_with_no_filling_is_not_memoized():
+    K = cycle_complex(3)
+    loop = validate_path(K, ["v0", "v1", "v2", "v0"])
+    for _ in range(2):
+        with pytest.raises(BudgetExhausted, match="not null-homologous"):
+            search_contraction(K, loop, "v0")
+    assert K.fillings == {}
+
+
+def test_contract_loop_refuses_a_log_that_does_not_replay(monkeypatch):
+    # a real exception, not an assert, so the replay check survives python -O
+    K = solid_triangle()
+    loop = validate_path(K, ["1", "2", "3", "1"])
+    monkeypatch.setattr(homotopy, "search_contraction", lambda K, loop, *args: MoveLog(loop, ()))
+    with pytest.raises(AssertionError, match="contraction replay failed"):
+        contract_loop(K, loop, "1")
 
 
 # -- degenerate discs and collapse --------------------------------------

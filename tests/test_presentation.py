@@ -827,7 +827,9 @@ def _counting_products(monkeypatch):
 def test_product_memo_bounds_permutation_products(monkeypatch):
     # a fresh f3 group, so no other test has filled its product memo;
     # without the memo these were 28,450 and 55,400 products, and the
-    # build composed 1,326 before products were read from base images
+    # build composed 1,326 before products were read from base images.
+    # verify's 96 are psi_surjective's own evaluation, one per letter of
+    # the 48 canonical words; it made 160 while express composed its swings
     A = refine_action(f3_octahedral())
     Q = build_quotient(A)
     calls = _counting_products(monkeypatch)
@@ -836,7 +838,7 @@ def test_product_memo_bounds_permutation_products(monkeypatch):
     T = todd_coxeter(P)
     calls[0] = 0
     verify_theorem(A, Q, P, T)
-    assert calls[0] <= 160
+    assert calls[0] == 96
 
 
 def test_group_products_fold_each_distinct_word_once(monkeypatch):
@@ -860,7 +862,9 @@ def test_group_products_fold_each_distinct_word_once(monkeypatch):
     T = todd_coxeter(P)
     calls[0] = 0
     verify_theorem(A, Q, P, T)
-    assert calls[0] == 2824
+    # 2,824 for the psi-check's relators, and 64 swings that the 48
+    # canonical expressions fold into their composites by number
+    assert calls[0] == 2824 + 64
 
 
 # -- fundamental group presentations ------------------------------------
