@@ -16,11 +16,17 @@ letter's `todd_coxeter` column; letters are spelled only on output.  A
 family, most relators (f3: 13,335 of 13,995), as a `ConjRule`.
 `todd_coxeter` takes a Tietze step and enumerates cosets of the trivial
 subgroup over R' of the relators R, R less each conj relator whose a or
-b is not the root of its Tietze class (f3: 2,263 of 13,995), so
-Complete(n) bounds the presented group's order by n.  `verify_theorem`
-psi-checks all of R, the rule once per element row, and that psi is
-onto; Gamma(R) is a quotient of Gamma(R'), so the presented group is
-the acting group.  A table from another presentation is refused.
+b is not the root of its Tietze class (f3: 2,263 of 13,995).  Every
+entry of a complete HLT table comes from a definition, a deduction or a
+coincidence, so each of its n labels is a coset 1 . w of Gamma(R'), the
+labels are closed under every letter, and Complete(n) bounds
+|Gamma(R')| by n with no relator checked at every coset.  When n is 1
+or |G| (the rule's element count), `todd_coxeter` returns that table;
+otherwise a closure sweep makes every relator close, so n is exact.
+`verify_theorem` psi-checks all of R, the rule once per element row,
+and that psi is onto, so |G| <= |Gamma(R)| <= |Gamma(R')| <= n = |G|:
+Gamma(R) is a quotient of Gamma(R'), and the presented group is the
+acting group.  A table from another presentation is refused.
 
 `pi1_presentation` is the classical edge-path presentation of the
 fundamental group (generators: edges off a spanning tree; relators:
@@ -313,12 +319,17 @@ def build_presentation(A, Q):
 class CosetTable:
     """Compacted (not standardized) table of the enumerated `presentation`,
     live cosets in index order; row[x] is the image under letter code x,
-    so row[2i] is the gen-i image and row[2i+1] its inverse."""
+    so row[2i] is the gen-i image and row[2i+1] its inverse.
+
+    A complete table's order is its label count n, an upper bound on the
+    order of the group R' presents.  It is exact when n is 1, and when
+    the closure sweep ran; for a rule presentation with n = |G| it is
+    exact once psi is onto, which `verify_theorem` checks."""
 
     presentation: Presentation
     table: tuple
     status: str  # "complete" | "exhausted"
-    order: object = None  # int when complete
+    order: object = None  # the label count n when complete
     bound: object = None  # the max_cosets hit when exhausted
 
     def trace(self, coset, word):
@@ -337,31 +348,44 @@ class _CosetBoundHit(Exception):
 def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     """Enumerate cosets of the trivial subgroup in the presented group.
 
-    Returns a CosetTable with status "complete" (order = group order) or
-    "exhausted" (more than max_cosets would be needed).
+    Returns a CosetTable with status "complete" (order = the label count
+    n, see below) or "exhausted" (more than max_cosets would be needed).
 
     A Tietze step runs first: a relator x y of two generators says
     y = x^-1, so one pass over the two-letter relators unions such
     generators and maps every letter code to a compact code of its
     class's root, its earliest letter.  R' is the relators R of P less
     each conj relator a b a^-1 c^-1 whose a or b is not a root; Gamma(R)
-    is a quotient of Gamma(R'), so Complete(n) bounds |Gamma(R)| by n,
-    and `verify_theorem` proves equality.  HLT (scan every word at each
-    live coset, then fill its row) runs over the compact codes, on the
-    distinct mapped words of R' in the order of their first relator,
-    less those that map to c c^-1, and stops once every live row is full.
+    is a quotient of Gamma(R').  HLT (scan every word at each live coset,
+    then fill its row) runs over the compact codes, on the distinct
+    mapped words of R' in the order of their first relator, less those
+    that map to c c^-1, and stops once every live row is full.  The
+    table is then compacted, and every column must be a permutation.
 
-    One sweep then finishes and proves the table: every column is a
-    permutation and every distinct mapped word, those HLT skipped
-    included, is the identity over the columns; else the least coset a
-    failing word moves coincides with its image, and the sweep repeats.
-    Whichever word fails, the sweeps end in the least congruence under
-    which every word closes, so the table does not depend on it.  Letters
-    with equal columns share a class, and each distinct word of classes
-    is folded once, each step (composite, class) -> composite composed
-    once.  The table copies each compact column to every letter mapped to
-    it, so it has a column per letter code of P, and proves that every
-    relator of R' closes.
+    The lemma (Todd and Coxeter 1936; Neubüser 1982): every entry of that
+    table came from a definition, a deduction from a word of R', or a
+    coincidence, so label k is the coset 1 . w_k of a word w_k and each
+    entry k . x = m holds in Gamma(R').  The labels hold 1 and are closed
+    under every letter and its inverse, so |Gamma(R')| <= n, whether or
+    not every word closes at every label.  The table is returned as it
+    is when n = 1, exact for any presentation, and when n = |G|, the
+    rule's element count (`build_presentation` writes one rule row per
+    element number): psi onto G with psi(R) = 1, which `verify_theorem`
+    checks, gives |G| <= |Gamma(R)| <= |Gamma(R')| <= n, so the table is
+    the regular action of G, on which every word of R' closes.
+
+    Otherwise, presentations without a rule (pi1) and counts that are not
+    |G| included, `_close` sweeps: every distinct mapped word, those HLT
+    skipped included, must be the identity over the columns; else the
+    least coset a failing word moves coincides with its image, and the
+    sweep repeats.  Whichever word fails, the sweeps end in the least
+    congruence under which every word closes, so the table does not
+    depend on it, and n is exact.  Letters with equal columns share a
+    class, and each distinct word of classes is folded once, each step
+    (composite, class) -> composite composed once.
+
+    The table copies each compact column to every letter mapped to it,
+    so it has a column per letter code of P.
     """
     # equal[x]: a letter code equal to x, of an earlier generator unless x
     # is its class's root; the roots of x and x ^ 1 are always inverse
@@ -496,25 +520,46 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     except _CosetBoundHit:
         return CosetTable(P, (), "exhausted", bound=max_cosets)
 
-    # Definitions and deductions bound the order by n; a complete table on
-    # which every relator closes is a transitive action on n points.
-    while True:
-        live = [k for k in range(len(table)) if rep(k) == k]
+    live = []  # the coset of each row of the compacted table
+
+    def compacted():
+        live[:] = [k for k in range(len(table)) if rep(k) == k]
         renumber = {k: i for i, k in enumerate(live)}
         final = tuple(
             tuple(-1 if c == -1 else renumber[rep(c)] for c in table[k]) for k in live
         )
-        n = len(live)
-        identity = list(range(n))
+        identity = list(range(len(live)))
+        for col in set(zip(*final)):  # sorted to 0..n-1, so no entry is undefined or dangling
+            if sorted(col) != identity:
+                raise AssertionError("generator column is not a permutation")
+        return final
+
+    def coincide(j, k):
+        coincidence(live[j], live[k])
+        return compacted()
+
+    # the lemma: n = 1 and n = |G| need no sweep
+    final = compacted()
+    if len(final) not in (1, len(P.conj.conjugate)):
+        final = _close(final, words, coincide)
+    full_width = tuple(tuple(map(row.__getitem__, code)) for row in final)
+    return CosetTable(P, full_width, "complete", order=len(final))
+
+
+def _close(final, words, coincide):
+    """The closure sweep of `todd_coxeter`: `final` is a complete compacted
+    table whose columns are permutations, `words` the distinct mapped words
+    of R' over its columns, and `coincide(j, k)` processes rows j and k as
+    a coincidence and returns the table compacted again.  Returns the first
+    table on which every word is the identity over the columns."""
+    while True:
+        identity = tuple(range(len(final)))
         # compact letters with one column share a class, numbered in column order
         class_of = {}
         classes = [class_of.setdefault(col, len(class_of)) for col in zip(*final)]
         columns = list(class_of)
-        for col in columns:  # sorted to 0..n-1, so no entry is undefined or dangling
-            if sorted(col) != identity:
-                raise AssertionError("generator column is not a permutation")
         # step[c][k]: the number of composite c followed by class k, or -1
-        composites, number = [tuple(identity)], {tuple(identity): 0}
+        composites, number = [identity], {identity: 0}
         step = [[-1] * len(columns)]
 
         def fold(word):  # the composite number of a word of classes
@@ -534,11 +579,10 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
         class_words = {tuple(map(classes.__getitem__, w)) for w in words}
         c = next((c for w in class_words if (c := fold(w))), 0)
         if not c:
-            full_width = tuple(tuple(map(row.__getitem__, code)) for row in final)
-            return CosetTable(P, full_width, "complete", order=n)
+            return final
         # the least coset a failing word moves coincides with its image
         k, j = next((k, j) for k, j in enumerate(composites[c]) if j != k)
-        coincidence(live[j], live[k])
+        final = coincide(j, k)
 
 
 def word_to_coset(T, w):
@@ -573,7 +617,11 @@ def verify_theorem(A, Q, P, T):
 
     Complete(|G|) on R' of `todd_coxeter` bounds |Gamma(R')|, and so its
     quotient |Gamma(R)|, by |G|; by (i) and (iii) psi maps Gamma(R) onto
-    G, so Gamma(R) = G.
+    G, so Gamma(R) = G.  The bound is the lemma of `todd_coxeter`: it
+    holds for HLT's table whether or not the closure sweep ran, which it
+    does not when the label count is |G|.  So (ii) refuses any order but
+    |G| and any table from another presentation, and (i) and (iii) are
+    what make the label count exact.
 
     Check (i) folds each distinct explicit word of element numbers once,
     and checks each distinct (g, rule row) once at every letter b: a rule

@@ -253,6 +253,7 @@ def test_explicit_copy_of_the_rule_enumerates_alike(case, request, dihedral_cone
     E = Presentation(P.generators, P.relators)
     assert E.conj == ConjRule() and len(E.explicit) == len(E) == len(P)
     assert E.counts_by_tag() == P.counts_by_tag()
+    # E has no rule, so its table is swept; P's, at |G| labels, is not
     assert todd_coxeter(E).table == todd_coxeter(P).table
     # the same distinct words, in the same order, under images that merge
     # letters (by element number, and at random) and the identity, with
@@ -311,6 +312,32 @@ def _no_permutation_product(monkeypatch):
     return lambda: monkeypatch.setattr(Permutation, "__mul__", mul)
 
 
+@pytest.fixture
+def no_sweep(monkeypatch):
+    """Make `todd_coxeter`'s closure sweep fail."""
+    import stabpres.presentation as presentation
+
+    def refuse(*args):
+        raise AssertionError("the closure sweep ran")
+
+    monkeypatch.setattr(presentation, "_close", refuse)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """A one-item list counting the closure sweeps `todd_coxeter` runs."""
+    import stabpres.presentation as presentation
+
+    close, calls = presentation._close, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return close(*args)
+
+    monkeypatch.setattr(presentation, "_close", counted)
+    return calls
+
+
 def test_d48_cone_certifies_at_scale(monkeypatch, raw_dihedral_cone):
     # |G| = 96: 89,835 relators, of which no conj one is ever formed, and
     # the build reads every group product from base images
@@ -334,9 +361,10 @@ def test_d48_cone_certifies_at_scale(monkeypatch, raw_dihedral_cone):
     ]
 
 
-def test_d96_cone_builds_without_permutation_products(monkeypatch, raw_dihedral_cone):
+def test_d96_cone_builds_without_permutation_products(monkeypatch, raw_dihedral_cone, no_sweep):
     # |G| = 192, and every element fixes the apex, so its mult table alone
-    # multiplies every pair of nonidentity elements
+    # multiplies every pair of nonidentity elements; HLT ends at |G| labels,
+    # so no closure sweep runs
     A = refine_action(raw_dihedral_cone(96, 1))
     Q = build_quotient(A)
     allow = _no_permutation_product(monkeypatch)
@@ -361,8 +389,9 @@ def _subdivided_f3(times):
     "case",
     ["f1", "f2", "f3", "Sd(f3)", "Sd2(f3)", *(f"D{n}/{s}" for n in range(3, 25) for s in range(3))],
 )
-def test_r_prime_certifies(case, request, dihedral_cone):
-    # Complete(|G|) on R' within 20|G| cosets, and the certificate holds
+def test_r_prime_certifies(case, request, dihedral_cone, no_sweep):
+    # Complete(|G|) on R' within 20|G| cosets, read off HLT's labels with no
+    # closure sweep, and the certificate holds
     if case.startswith("Sd"):
         A = _subdivided_f3(2 if case == "Sd2(f3)" else 1)
     elif case.startswith("D"):
@@ -529,7 +558,7 @@ def test_tc_table_is_complete_and_closed(f2, f3, dihedral_cone):
                 assert T.trace(c, r.word) == c
 
 
-def test_tc_closure_sweep_processes_a_coincidence():
+def test_tc_closure_sweep_processes_a_coincidence(sweeps):
     # the table is full after coset 0; the closure sweep then finds that
     # ab^-1a fails to close and merges the cosets it separates (the table
     # is the one a full HLT scan of every coset returns)
@@ -537,9 +566,26 @@ def test_tc_closure_sweep_processes_a_coincidence():
     T = todd_coxeter(_pres(["a", "b"], [B, a, a, B], [a, a], [a, B, a]))
     assert (T.status, T.order) == ("complete", 2)
     assert T.table == ((1, 1, 0, 0), (0, 0, 1, 1))
+    assert sweeps == [1]
 
 
-def test_tc_closure_sweep_fails_after_a_memoised_prefix():
+def test_tc_rule_presentation_sweeps_when_the_count_is_not_the_order(sweeps):
+    # the relators above, with a rule of two letters of element 1 that
+    # skips every pair: the rule adds no relator but says |G| = 2, and HLT
+    # stops at 4 labels, an upper bound that is not |G|, so the sweep runs
+    # and returns the same table
+    a, B = 0, 3
+    rule = ConjRule(element=(1, 1), conjugate=(None, (1, 3)), skip=((0, 2), (0, 2)))
+    words = [(B, a, a, B), (a, a), (a, B, a)]
+    P = Presentation(("a", "b"), tuple(Relator(w, "mult") for w in words), rule)
+    assert len(P.conj) == 0 and len(P.conj.conjugate) == 2
+    T = todd_coxeter(P)
+    assert (T.status, T.order) == ("complete", 2)
+    assert T.table == ((1, 1, 0, 0), (0, 0, 1, 1))
+    assert sweeps == [1]
+
+
+def test_tc_closure_sweep_fails_after_a_memoised_prefix(sweeps):
     # a^-1 b^-1 a b^-1 closes on the full table; a^-1 b^-1 b^-1, the first
     # relator that fails, starts from the memoised composite of a^-1 b^-1
     A, a, B = ("a", -1), ("a", 1), ("b", -1)
@@ -550,9 +596,10 @@ def test_tc_closure_sweep_fails_after_a_memoised_prefix():
     b = ("b", 1)
     T = todd_coxeter(_pres(["a", "b"], [b], [a, B, A, A], [a, b, a], [A, A, A, B]))
     assert (T.status, T.order, T.table) == ("complete", 1, ((0, 0, 0, 0),))
+    assert sweeps == [2]
 
 
-def test_tc_closure_sweep_fails_on_a_table_with_equal_columns():
+def test_tc_closure_sweep_fails_on_a_table_with_equal_columns(sweeps):
     # no relator x y names two generators, so no letter is eliminated; HLT
     # stops with four full rows, on which a c b a^-1, b a^-1 b^-1 and
     # a^-1 b^-1 b^-1 fail to close at cosets 2 and 3; the sweep merges them
@@ -564,6 +611,7 @@ def test_tc_closure_sweep_fails_on_a_table_with_equal_columns():
     T = todd_coxeter(P)
     assert (T.status, T.order) == ("complete", 2)
     assert T.table == ((0, 0, 1, 1, 1, 1), (1, 1, 0, 0, 0, 0))
+    assert sweeps == [1]
     # a reference sweep, apart from the class memo: every relator, in
     # order, traced letter by letter at every coset
     for r in P.relators:
@@ -604,7 +652,10 @@ def test_tc_enumeration_sweep_digest(f1, f2, f3):
     # other row: f1's and f2's presentations at the same bounds, pi1 of X
     # and X/G for f1, f2, f3 and f5, and 2,000 seeded random presentations.
     # Enumerating R' in place of R moved only f3's rows (f2's R' is 48 of
-    # its 136 relators, and every f2 table stayed as it was)
+    # its 136 relators, and every f2 table stayed as it was).  The complete
+    # rows of f1-f3's rule presentations are HLT's tables at |G| labels,
+    # not swept; the pi1 and random rows are swept.  Both sha256s are
+    # those of tables swept in every row
     A = refine_action(f5_antipodal())
     sources = [(p.presentation, p.action.complex, p.quotient.quotient) for p in (f1, f2, f3)]
     sources.append((None, A.complex, build_quotient(A).quotient))
@@ -883,7 +934,7 @@ def test_pi1_hollow_triangle_infinite():
     assert T.status == "exhausted"
 
 
-def test_pi1_projective_plane():
+def test_pi1_projective_plane(sweeps):
     from stabpres.actions import build_quotient, refine_action
 
     Q = build_quotient(refine_action(f5_antipodal()))
@@ -891,6 +942,16 @@ def test_pi1_projective_plane():
     P = pi1_presentation(K, min(K.vertices))
     T = todd_coxeter(P)
     assert T.status == "complete" and T.order == 2
+    # a "no" verdict needs the exact order, which only the sweep proves
+    verdict = is_two_connected(K)
+    assert (verdict.verdict, verdict.witness) == ("no", "pi1 has order 2")
+    assert sweeps == [2]
+
+
+def test_pi1_yes_verdicts_skip_the_sweep(f1, f2, f3, no_sweep):
+    # Complete(1) proves pi1 trivial with no sweep
+    for p in (f1, f2, f3):
+        assert is_simply_connected(p.action.complex).verdict == "yes"
 
 
 def test_pi1_requires_connected():
