@@ -8,7 +8,7 @@ clearing its column is exact over Z and contributes an invariant
 factor 1.  The dense `_smith` sees only the rest, which is empty for
 the boundary maps of Sd^2(f3) and Sd^3(f3) and a column of +-2 for d2
 of RP^2.  `smith_normal_form` and `IntegerSolver` stay dense and
-tracked: `smith_normal_form` asserts U*M*V == S and the diagonal
+tracked: `smith_normal_form` checks U*M*V == S and the diagonal
 divisibility chain on every call, and `IntegerSolver` keeps the
 transforms to solve M x = b over Z.  U and V are products of
 elementary operations, so they are unimodular by construction;
@@ -191,25 +191,27 @@ def smith_normal_form(M):
     """Diagonalize M over Z: returns (S, U, V) with U*M*V == S, U and V
     unimodular, and S's diagonal a divisibility chain d1 | d2 | ...
 
-    U*M*V == S, the zero off-diagonal and the chain are asserted before
-    returning.  Unimodularity holds by construction (see `_smith`); for
-    matrices of at most _BAREISS_LIMIT rows and columns it is also
-    recomputed by fraction-free elimination.
+    U*M*V == S, the zero off-diagonal and the chain are checked before
+    returning, raising AssertionError even under python -O.
+    Unimodularity holds by construction (see `_smith`); for matrices of
+    at most _BAREISS_LIMIT rows and columns it is also recomputed by
+    fraction-free elimination.
     """
     m = len(M)
     n = len(M[0]) if m else 0
     A, U, V = _smith(M, track=True)
-    for i in range(m):
-        for j in range(n):
-            if i != j:
-                assert A[i][j] == 0, "SNF left off-diagonal residue"
+    if any(A[i][j] for i in range(m) for j in range(n) if i != j):
+        raise AssertionError("SNF left off-diagonal residue")
     diag = [A[i][i] for i in range(min(m, n))]
-    for a, b in zip(diag, diag[1:]):
-        assert (a == 0 and b == 0) or (a != 0 and b % a == 0), "divisibility chain broken"
-    assert matmul(matmul(U, [list(r) for r in M]), V) == A, "U*M*V != S"
+    if not all((a == 0 and b == 0) or (a != 0 and b % a == 0) for a, b in zip(diag, diag[1:])):
+        raise AssertionError("divisibility chain broken")
+    if matmul(matmul(U, [list(r) for r in M]), V) != A:
+        raise AssertionError("U*M*V != S")
     if max(m, n) <= _BAREISS_LIMIT:
-        assert abs(det_bareiss(U)) == 1, "U not unimodular"
-        assert abs(det_bareiss(V)) == 1, "V not unimodular"
+        if abs(det_bareiss(U)) != 1:
+            raise AssertionError("U not unimodular")
+        if abs(det_bareiss(V)) != 1:
+            raise AssertionError("V not unimodular")
     return A, U, V
 
 

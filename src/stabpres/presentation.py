@@ -20,13 +20,14 @@ b is not the root of its Tietze class (f3: 2,263 of 13,995).  Every
 entry of a complete HLT table comes from a definition, a deduction or a
 coincidence, so each of its n labels is a coset 1 . w of Gamma(R'), the
 labels are closed under every letter, and Complete(n) bounds
-|Gamma(R')| by n with no relator checked at every coset.  When n is 1
-or |G| (the rule's element count), `todd_coxeter` returns that table;
-otherwise a closure sweep makes every relator close, so n is exact.
-`verify_theorem` psi-checks all of R, the rule once per element row,
-and that psi is onto, so |G| <= |Gamma(R)| <= |Gamma(R')| <= n = |G|:
-Gamma(R) is a quotient of Gamma(R'), and the presented group is the
-acting group.  A table from another presentation is refused.
+|Gamma(R')| by n with no relator checked at every coset.  When n is
+|G| (the rule's element count), `todd_coxeter` returns that table;
+otherwise HLT scans on until every relator closes at every label, so n
+is exact.  `verify_theorem` psi-checks all of R, the rule once per
+element row, and that psi is onto, so |G| <= |Gamma(R)| <= |Gamma(R')|
+<= n = |G|: Gamma(R) is a quotient of Gamma(R'), and the presented
+group is the acting group.  A table from another presentation is
+refused.
 
 `pi1_presentation` is the classical edge-path presentation of the
 fundamental group (generators: edges off a spanning tree; relators:
@@ -322,9 +323,9 @@ class CosetTable:
     so row[2i] is the gen-i image and row[2i+1] its inverse.
 
     A complete table's order is its label count n, an upper bound on the
-    order of the group R' presents.  It is exact when n is 1, and when
-    the closure sweep ran; for a rule presentation with n = |G| it is
-    exact once psi is onto, which `verify_theorem` checks."""
+    order of the group R' presents.  It is exact when HLT scanned every
+    label; for a rule presentation with n = |G|, where HLT stops early,
+    it is exact once psi is onto, which `verify_theorem` checks."""
 
     presentation: Presentation
     table: tuple
@@ -359,8 +360,9 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     is a quotient of Gamma(R').  HLT (scan every word at each live coset,
     then fill its row) runs over the compact codes, on the distinct
     mapped words of R' in the order of their first relator, less those
-    that map to c c^-1, and stops once every live row is full.  The
-    table is then compacted, and every column must be a permutation.
+    that map to c c^-1; once every live row is full the table is
+    complete, and HLT may stop there (see below).  The table is then
+    compacted, and every column must be a permutation.
 
     The lemma (Todd and Coxeter 1936; Neubüser 1982): every entry of that
     table came from a definition, a deduction from a word of R', or a
@@ -368,21 +370,19 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     entry k . x = m holds in Gamma(R').  The labels hold 1 and are closed
     under every letter and its inverse, so |Gamma(R')| <= n, whether or
     not every word closes at every label.  The table is returned as it
-    is when n = 1, exact for any presentation, and when n = |G|, the
-    rule's element count (`build_presentation` writes one rule row per
-    element number): psi onto G with psi(R) = 1, which `verify_theorem`
-    checks, gives |G| <= |Gamma(R)| <= |Gamma(R')| <= n, so the table is
-    the regular action of G, on which every word of R' closes.
+    is when n = |G|, the rule's element count (`build_presentation`
+    writes one rule row per element number): psi onto G with psi(R) = 1,
+    which `verify_theorem` checks, gives |G| <= |Gamma(R)| <=
+    |Gamma(R')| <= n, so the table is the regular action of G, on which
+    every word of R' closes.
 
     Otherwise, presentations without a rule (pi1) and counts that are not
-    |G| included, `_close` sweeps: every distinct mapped word, those HLT
-    skipped included, must be the identity over the columns; else the
-    least coset a failing word moves coincides with its image, and the
-    sweep repeats.  Whichever word fails, the sweeps end in the least
-    congruence under which every word closes, so the table does not
-    depend on it, and n is exact.  Letters with equal columns share a
-    class, and each distinct word of classes is folded once, each step
-    (composite, class) -> composite composed once.
+    |G| included, HLT scans on over the rows it has not processed.  Every
+    row is full, so no coset is defined; a word that fails to close is a
+    coincidence.  Once the last row is passed every word closes at every
+    live coset (Neubüser 1982), so the table is the complete one's
+    quotient by the least congruence under which every word closes, each
+    class named by its least coset, and n is exact.
 
     The table copies each compact column to every letter mapped to it,
     so it has a column per letter code of P.
@@ -487,7 +487,7 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
             define(f, word[i])
 
     alpha = 0
-    full = 0  # every live row below `full` is full
+    full = 0  # every live row below `full` is full; None once HLT scans on
     try:
         while alpha < len(table):
             if rep(alpha) != alpha:
@@ -510,79 +510,31 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
                     if table[alpha][x] == -1:
                         define(alpha, x)
             alpha += 1
+            if full is None:
+                continue
             # processed rows stay full under coincidences, so the table is
             # complete once every live row from alpha on is full
             full = max(full, alpha)
             while full < len(table) and (parent[full] != full or -1 not in table[full]):
                 full += 1
             if full == len(table):
-                break
+                # the lemma: at |G| labels the table is returned as it is;
+                # at any other count every live row is scanned, so n is exact
+                if sum(k == p for k, p in enumerate(parent)) == len(P.conj.conjugate):
+                    break
+                full = None
     except _CosetBoundHit:
         return CosetTable(P, (), "exhausted", bound=max_cosets)
 
-    live = []  # the coset of each row of the compacted table
-
-    def compacted():
-        live[:] = [k for k in range(len(table)) if rep(k) == k]
-        renumber = {k: i for i, k in enumerate(live)}
-        final = tuple(
-            tuple(-1 if c == -1 else renumber[rep(c)] for c in table[k]) for k in live
-        )
-        identity = list(range(len(live)))
-        for col in set(zip(*final)):  # sorted to 0..n-1, so no entry is undefined or dangling
-            if sorted(col) != identity:
-                raise AssertionError("generator column is not a permutation")
-        return final
-
-    def coincide(j, k):
-        coincidence(live[j], live[k])
-        return compacted()
-
-    # the lemma: n = 1 and n = |G| need no sweep
-    final = compacted()
-    if len(final) not in (1, len(P.conj.conjugate)):
-        final = _close(final, words, coincide)
+    live = [k for k in range(len(table)) if rep(k) == k]
+    renumber = {k: i for i, k in enumerate(live)}
+    final = tuple(tuple(-1 if c == -1 else renumber[rep(c)] for c in table[k]) for k in live)
+    identity = list(range(len(live)))
+    for col in set(zip(*final)):  # sorted to 0..n-1, so no entry is undefined or dangling
+        if sorted(col) != identity:
+            raise AssertionError("generator column is not a permutation")
     full_width = tuple(tuple(map(row.__getitem__, code)) for row in final)
     return CosetTable(P, full_width, "complete", order=len(final))
-
-
-def _close(final, words, coincide):
-    """The closure sweep of `todd_coxeter`: `final` is a complete compacted
-    table whose columns are permutations, `words` the distinct mapped words
-    of R' over its columns, and `coincide(j, k)` processes rows j and k as
-    a coincidence and returns the table compacted again.  Returns the first
-    table on which every word is the identity over the columns."""
-    while True:
-        identity = tuple(range(len(final)))
-        # compact letters with one column share a class, numbered in column order
-        class_of = {}
-        classes = [class_of.setdefault(col, len(class_of)) for col in zip(*final)]
-        columns = list(class_of)
-        # step[c][k]: the number of composite c followed by class k, or -1
-        composites, number = [identity], {identity: 0}
-        step = [[-1] * len(columns)]
-
-        def fold(word):  # the composite number of a word of classes
-            c = 0
-            for k in word:
-                nxt = step[c][k]
-                if nxt == -1:
-                    cur = tuple(map(columns[k].__getitem__, composites[c]))
-                    nxt = number.setdefault(cur, len(composites))
-                    if nxt == len(composites):
-                        composites.append(cur)
-                        step.append([-1] * len(columns))
-                    step[c][k] = nxt
-                c = nxt
-            return c
-
-        class_words = {tuple(map(classes.__getitem__, w)) for w in words}
-        c = next((c for w in class_words if (c := fold(w))), 0)
-        if not c:
-            return final
-        # the least coset a failing word moves coincides with its image
-        k, j = next((k, j) for k, j in enumerate(composites[c]) if j != k)
-        final = coincide(j, k)
 
 
 def word_to_coset(T, w):
@@ -618,8 +570,8 @@ def verify_theorem(A, Q, P, T):
     Complete(|G|) on R' of `todd_coxeter` bounds |Gamma(R')|, and so its
     quotient |Gamma(R)|, by |G|; by (i) and (iii) psi maps Gamma(R) onto
     G, so Gamma(R) = G.  The bound is the lemma of `todd_coxeter`: it
-    holds for HLT's table whether or not the closure sweep ran, which it
-    does not when the label count is |G|.  So (ii) refuses any order but
+    holds for HLT's table whether or not every label was scanned, which
+    it is not when the label count is |G|.  So (ii) refuses any order but
     |G| and any table from another presentation, and (i) and (iii) are
     what make the label count exact.
 

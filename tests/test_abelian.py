@@ -115,6 +115,22 @@ def test_integer_solver_refuses_a_wrong_solution():
         solver.solve([2, 3])
 
 
+def test_smith_normal_form_refuses_a_wrong_transform(monkeypatch):
+    # a real exception, not an assert, so the check on the V that
+    # AbelianizedWords reads survives python -O; this V is unimodular
+    smith = linalg._smith
+
+    def wrong_v(M, track):
+        A, U, V = smith(M, track)
+        V[0][1] += 1
+        return A, U, V
+
+    assert linalg.smith_normal_form([[1, 0], [0, 1]])[2] == [[1, 0], [0, 1]]
+    monkeypatch.setattr(linalg, "_smith", wrong_v)
+    with pytest.raises(AssertionError, match=r"U\*M\*V != S"):
+        linalg.smith_normal_form([[1, 0], [0, 1]])
+
+
 def test_snf_triangle_boundary():
     _, d2 = boundary_matrices(solid_triangle())
     assert d2 == [[1], [-1], [1]]

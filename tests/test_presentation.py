@@ -253,7 +253,8 @@ def test_explicit_copy_of_the_rule_enumerates_alike(case, request, dihedral_cone
     E = Presentation(P.generators, P.relators)
     assert E.conj == ConjRule() and len(E.explicit) == len(E) == len(P)
     assert E.counts_by_tag() == P.counts_by_tag()
-    # E has no rule, so its table is swept; P's, at |G| labels, is not
+    # E has no rule, so HLT scans every coset of its table; P's stops at
+    # |G| labels
     assert todd_coxeter(E).table == todd_coxeter(P).table
     # the same distinct words, in the same order, under images that merge
     # letters (by element number, and at random) and the identity, with
@@ -313,29 +314,37 @@ def _no_permutation_product(monkeypatch):
 
 
 @pytest.fixture
-def no_sweep(monkeypatch):
-    """Make `todd_coxeter`'s closure sweep fail."""
-    import stabpres.presentation as presentation
+def traces(monkeypatch):
+    """Per `relator_words` call, [r, t]: r the returned words not of the
+    form c c^-1, and t the times the returned words were iterated since.
+    `todd_coxeter` iterates a word only to trace it forward (`scan_and_fill`
+    indexes), so t counts its fast traces.  A scan of every word at each
+    of n live cosets makes t >= n . r, so t < n . r shows HLT stopped
+    early."""
+    calls, relator_words = [], Presentation.relator_words
 
-    def refuse(*args):
-        raise AssertionError("the closure sweep ran")
+    def counted(self, image, roots):
+        tally = [0, 0]
+        calls.append(tally)
 
-    monkeypatch.setattr(presentation, "_close", refuse)
+        class Word(tuple):
+            def __iter__(self):
+                tally[1] += 1
+                return super().__iter__()
 
+        words = relator_words(self, image, roots)
+        tally[0] = sum(len(w) != 2 or w[0] != w[1] ^ 1 for w in words)
+        return dict.fromkeys(map(Word, words))
 
-@pytest.fixture
-def sweeps(monkeypatch):
-    """A one-item list counting the closure sweeps `todd_coxeter` runs."""
-    import stabpres.presentation as presentation
-
-    close, calls = presentation._close, [0]
-
-    def counted(*args):
-        calls[0] += 1
-        return close(*args)
-
-    monkeypatch.setattr(presentation, "_close", counted)
+    monkeypatch.setattr(Presentation, "relator_words", counted)
     return calls
+
+
+def _scanned_every_coset(calls, *orders):
+    """Per counted enumeration, of label counts `orders`, whether it traced
+    at least as many words as a scan of every word at every live coset."""
+    assert len(calls) == len(orders)
+    return [t >= n * r for (r, t), n in zip(calls, orders)]
 
 
 def test_d48_cone_certifies_at_scale(monkeypatch, raw_dihedral_cone):
@@ -361,10 +370,10 @@ def test_d48_cone_certifies_at_scale(monkeypatch, raw_dihedral_cone):
     ]
 
 
-def test_d96_cone_builds_without_permutation_products(monkeypatch, raw_dihedral_cone, no_sweep):
+def test_d96_cone_builds_without_permutation_products(monkeypatch, raw_dihedral_cone, traces):
     # |G| = 192, and every element fixes the apex, so its mult table alone
-    # multiplies every pair of nonidentity elements; HLT ends at |G| labels,
-    # so no closure sweep runs
+    # multiplies every pair of nonidentity elements; HLT stops at |G|
+    # labels, before every word is traced at every coset
     A = refine_action(raw_dihedral_cone(96, 1))
     Q = build_quotient(A)
     allow = _no_permutation_product(monkeypatch)
@@ -374,6 +383,7 @@ def test_d96_cone_builds_without_permutation_products(monkeypatch, raw_dihedral_
     # R' of those, the rule read at Tietze roots only, presents G
     T = todd_coxeter(P)
     assert (T.status, T.order) == ("complete", 192)
+    assert _scanned_every_coset(traces, 192) == [False]
     assert verify_theorem(A, Q, P, T).group_order == 192
 
 
@@ -389,9 +399,9 @@ def _subdivided_f3(times):
     "case",
     ["f1", "f2", "f3", "Sd(f3)", "Sd2(f3)", *(f"D{n}/{s}" for n in range(3, 25) for s in range(3))],
 )
-def test_r_prime_certifies(case, request, dihedral_cone, no_sweep):
-    # Complete(|G|) on R' within 20|G| cosets, read off HLT's labels with no
-    # closure sweep, and the certificate holds
+def test_r_prime_certifies(case, request, dihedral_cone, traces):
+    # Complete(|G|) on R' within 20|G| cosets, read off HLT's labels before
+    # every word is traced at every coset, and the certificate holds
     if case.startswith("Sd"):
         A = _subdivided_f3(2 if case == "Sd2(f3)" else 1)
     elif case.startswith("D"):
@@ -402,8 +412,10 @@ def test_r_prime_certifies(case, request, dihedral_cone, no_sweep):
     Q = build_quotient(A)
     P = build_presentation(A, Q)
     order = A.group.order()
+    traces.clear()  # a session fixture built in this test enumerated too
     T = todd_coxeter(P, max_cosets=20 * order)
     assert (T.status, T.order) == ("complete", order)
+    assert _scanned_every_coset(traces, order) == [False]
     assert verify_theorem(A, Q, P, T).group_order == order
 
 
@@ -539,8 +551,8 @@ def test_tc_exhausts_on_infinite_group():
 
 
 def test_tc_table_is_complete_and_closed(f2, f3, dihedral_cone):
-    # every relator traced letter by letter at every coset, apart from the
-    # sweep's composite memo
+    # every relator traced letter by letter at every coset, apart from
+    # `todd_coxeter`'s scans
     D16 = dihedral_cone(16, 1)
     cases = [(f2.table, 6), (f3.table, 48)]
     cases.append((todd_coxeter(build_presentation(D16, build_quotient(D16))), 32))
@@ -558,22 +570,21 @@ def test_tc_table_is_complete_and_closed(f2, f3, dihedral_cone):
                 assert T.trace(c, r.word) == c
 
 
-def test_tc_closure_sweep_processes_a_coincidence(sweeps):
-    # the table is full after coset 0; the closure sweep then finds that
-    # ab^-1a fails to close and merges the cosets it separates (the table
-    # is the one a full HLT scan of every coset returns)
+def test_tc_closure_sweep_processes_a_coincidence(traces):
+    # the table is full after coset 0; scanning on, HLT finds that ab^-1a
+    # fails to close and merges the cosets it separates
     a, B = ("a", 1), ("b", -1)
     T = todd_coxeter(_pres(["a", "b"], [B, a, a, B], [a, a], [a, B, a]))
     assert (T.status, T.order) == ("complete", 2)
     assert T.table == ((1, 1, 0, 0), (0, 0, 1, 1))
-    assert sweeps == [1]
+    assert _scanned_every_coset(traces, 2) == [True]
 
 
-def test_tc_rule_presentation_sweeps_when_the_count_is_not_the_order(sweeps):
+def test_tc_rule_presentation_sweeps_when_the_count_is_not_the_order(traces):
     # the relators above, with a rule of two letters of element 1 that
     # skips every pair: the rule adds no relator but says |G| = 2, and HLT
-    # stops at 4 labels, an upper bound that is not |G|, so the sweep runs
-    # and returns the same table
+    # completes at 4 labels, an upper bound that is not |G|, so it scans
+    # on and returns the same table
     a, B = 0, 3
     rule = ConjRule(element=(1, 1), conjugate=(None, (1, 3)), skip=((0, 2), (0, 2)))
     words = [(B, a, a, B), (a, a), (a, B, a)]
@@ -582,38 +593,36 @@ def test_tc_rule_presentation_sweeps_when_the_count_is_not_the_order(sweeps):
     T = todd_coxeter(P)
     assert (T.status, T.order) == ("complete", 2)
     assert T.table == ((1, 1, 0, 0), (0, 0, 1, 1))
-    assert sweeps == [1]
+    assert _scanned_every_coset(traces, 2) == [True]
 
 
-def test_tc_closure_sweep_fails_after_a_memoised_prefix(sweeps):
+def test_tc_closure_sweep_fails_after_a_memoised_prefix(traces):
     # a^-1 b^-1 a b^-1 closes on the full table; a^-1 b^-1 b^-1, the first
-    # relator that fails, starts from the memoised composite of a^-1 b^-1
+    # relator that fails, shares the prefix a^-1 b^-1 with it
     A, a, B = ("a", -1), ("a", 1), ("b", -1)
     T = todd_coxeter(_pres(["a", "b"], [A, B, a, B], [A, B, B], [B, B, a]))
     assert (T.status, T.order) == ("complete", 2)
     assert T.table == ((0, 0, 1, 1), (1, 1, 0, 0))
-    # here the first relator, b, fails at the first composite numbered
+    # here the first relator, b, fails at the first coset scanned on
     b = ("b", 1)
     T = todd_coxeter(_pres(["a", "b"], [b], [a, B, A, A], [a, b, a], [A, A, A, B]))
     assert (T.status, T.order, T.table) == ("complete", 1, ((0, 0, 0, 0),))
-    assert sweeps == [2]
+    assert _scanned_every_coset(traces, 2, 1) == [True, True]
 
 
-def test_tc_closure_sweep_fails_on_a_table_with_equal_columns(sweeps):
+def test_tc_closure_sweep_fails_on_a_table_with_equal_columns(traces):
     # no relator x y names two generators, so no letter is eliminated; HLT
-    # stops with four full rows, on which a c b a^-1, b a^-1 b^-1 and
-    # a^-1 b^-1 b^-1 fail to close at cosets 2 and 3; the sweep merges them
-    # whichever of those it folds first, and the a and a^-1 columns (and
-    # c and c^-1) are equal on both tables it folds, so those letters
-    # share a class of the sweep's memo
+    # completes with four full rows, on which a c b a^-1, b a^-1 b^-1 and
+    # a^-1 b^-1 b^-1 fail to close at cosets 2 and 3; scanning on merges
+    # them, and the a and a^-1 columns (and c and c^-1) are equal
     a, A, b, B, c, C = ("a", 1), ("a", -1), ("b", 1), ("b", -1), ("c", 1), ("c", -1)
     P = _pres(["a", "b", "c"], [a, c, b, A], [b, A, B], [A, A], [A, B, B], [A, A, C, C])
     T = todd_coxeter(P)
     assert (T.status, T.order) == ("complete", 2)
     assert T.table == ((0, 0, 1, 1, 1, 1), (1, 1, 0, 0, 0, 0))
-    assert sweeps == [1]
-    # a reference sweep, apart from the class memo: every relator, in
-    # order, traced letter by letter at every coset
+    assert _scanned_every_coset(traces, 2) == [True]
+    # a reference check, apart from `todd_coxeter`'s scans: every
+    # relator, in order, traced letter by letter at every coset
     for r in P.relators:
         for coset in range(T.order):
             assert T.trace(coset, r.word) == coset
@@ -653,9 +662,10 @@ def test_tc_enumeration_sweep_digest(f1, f2, f3):
     # and X/G for f1, f2, f3 and f5, and 2,000 seeded random presentations.
     # Enumerating R' in place of R moved only f3's rows (f2's R' is 48 of
     # its 136 relators, and every f2 table stayed as it was).  The complete
-    # rows of f1-f3's rule presentations are HLT's tables at |G| labels,
-    # not swept; the pi1 and random rows are swept.  Both sha256s are
-    # those of tables swept in every row
+    # rows of f1-f3's rule presentations are HLT's tables at |G| labels;
+    # on the pi1 and random rows HLT scans every live coset.  Every
+    # complete table but f3's, which `test_tc_table_is_complete_and_closed`
+    # traces, is checked to close
     A = refine_action(f5_antipodal())
     sources = [(p.presentation, p.action.complex, p.quotient.quotient) for p in (f1, f2, f3)]
     sources.append((None, A.complex, build_quotient(A).quotient))
@@ -664,6 +674,10 @@ def test_tc_enumeration_sweep_digest(f1, f2, f3):
         T = todd_coxeter(P, max_cosets=bound)
         digest = f3_rows if P is f3.presentation else other_rows
         digest.update(repr((T.status, T.order, T.bound, T.table)).encode())
+        if T.status == "complete" and digest is other_rows:
+            for r in P.relators:
+                for coset in range(T.order):
+                    assert T.trace(coset, r.word) == coset
     assert f3_rows.hexdigest() == "f1f7e793df5579018c0d6fc34b856433cdc5e8a591c7a0a6fa1014df303e3da5"
     assert other_rows.hexdigest() == "42b4d0ee8106906a7ca7e0ef5f5e31d05de64fa69cac110c65a62a8d8de0ab6f"
 
@@ -934,7 +948,7 @@ def test_pi1_hollow_triangle_infinite():
     assert T.status == "exhausted"
 
 
-def test_pi1_projective_plane(sweeps):
+def test_pi1_projective_plane(traces):
     from stabpres.actions import build_quotient, refine_action
 
     Q = build_quotient(refine_action(f5_antipodal()))
@@ -942,14 +956,15 @@ def test_pi1_projective_plane(sweeps):
     P = pi1_presentation(K, min(K.vertices))
     T = todd_coxeter(P)
     assert T.status == "complete" and T.order == 2
-    # a "no" verdict needs the exact order, which only the sweep proves
+    # a "no" verdict needs the exact order, which only a scan of every
+    # live coset proves
     verdict = is_two_connected(K)
     assert (verdict.verdict, verdict.witness) == ("no", "pi1 has order 2")
-    assert sweeps == [2]
+    assert _scanned_every_coset(traces, 2, 2) == [True, True]
 
 
-def test_pi1_yes_verdicts_skip_the_sweep(f1, f2, f3, no_sweep):
-    # Complete(1) proves pi1 trivial with no sweep
+def test_pi1_yes_verdicts_skip_the_sweep(f1, f2, f3):
+    # Complete(1) proves pi1 trivial: its one live coset, 0, is scanned first
     for p in (f1, f2, f3):
         assert is_simply_connected(p.action.complex).verdict == "yes"
 
