@@ -5,8 +5,16 @@ every Smith form comes from the one dense elimination in `linalg`.
 Invariant factors (homology, presentation abelianization) first go
 through `linalg`'s sparse unit-pivot pass, so the dense elimination sees
 only what that pass leaves: nothing for the boundary maps of Sd^2(f3).
-`AbelianizedWords` needs the Smith basis, so it uses the dense, tracked
-`smith_normal_form`:
+Homology hands that pass d2 as the sparse rows `complexes.d2_rows`
+builds, so it allocates no dense matrix.  `AbelianizedWords` needs the
+Smith basis, so it uses the dense, tracked `smith_normal_form`.
+
+The relator side never spells out `P.relators`: the conj rule's words
+a b a^-1 c^-1 abelianise to e_b - e_c, so it reads the explicit words
+and one two-letter word b c^-1 per rule element and letter b
+(`_abelian_words`), and `_contracted_relations` unions the letters of
+every such word, as of the colimit's orbit and edge words, without
+forming an exponent vector:
 
   homology_invariants      simplicial H1/H2: the Smith diagonal of d2,
                            and rank d1 from the component count
@@ -28,12 +36,12 @@ colimit_H1(A, Q) == group_abelianization(G).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 
 from .actions import close_under_product
-from .complexes import boundary_matrices
+from .complexes import d2_rows
 from .errors import MalformedInput
-from .linalg import _eye, invariant_factors, smith_normal_form
+from .linalg import _eye, invariant_factors, smith_normal_form, sparse_invariant_factors
 from .presentation import _local_words, pi1_presentation, todd_coxeter
 
 PI1_BOUND = 10_000
@@ -83,14 +91,15 @@ class AbelianInvariants:
 def homology_invariants(K, k):
     """H_k of the complex (k = 1 or 2) as AbelianInvariants.
 
-    Only d2 is eliminated.  H1 = ker d1 / im d2: its torsion is read from
+    Only d2 is eliminated, built as sparse rows (`d2_rows`), so no dense
+    matrix is allocated.  H1 = ker d1 / im d2: its torsion is read from
     the Smith diagonal of d2, and rank d1 = |V| - components because the
     image of d1 is the augmentation kernel of each component.  H2 is
     ker d2, free because there are no 3-cells.
     """
     if k not in (1, 2):
         raise ValueError(f"homology degree {k} not supported (use 1 or 2)")
-    diag2 = invariant_factors(boundary_matrices(K)[1])
+    diag2 = sparse_invariant_factors(d2_rows(K))
     if k == 1:
         rank_d1 = len(K.vertices) - K.components()
         return AbelianInvariants(
@@ -150,17 +159,13 @@ def _contracted_relations(words, n):
 
     Rows of the shape e_i - e_j just identify generators (union-find),
     and duplicate rows collapse; the contraction is an isomorphism of the
-    cokernel.  Needed because the conjugation family is quadratic in the
-    generator count.  Returns (rows, column, width): the sorted distinct
+    cokernel.  A two-letter word x y^-1 or x^-1 y is such a row (or zero),
+    so its letters are unioned with no exponent vector formed; every
+    other word's vector is summed and classified.  Each class is rooted
+    at its least generator, so the result does not depend on the order
+    of the words.  Returns (rows, column, width): the sorted distinct
     nonzero rows, the column of each generator, and the column count.
     """
-    raw = []
-    for word in words:
-        vec = {}
-        for x in word:
-            vec[x >> 1] = vec.get(x >> 1, 0) + (-1 if x & 1 else 1)
-        raw.append({i: c for i, c in vec.items() if c})
-
     parent = list(range(n))
 
     def find(i):
@@ -169,13 +174,23 @@ def _contracted_relations(words, n):
             i = parent[i]
         return i
 
+    def union(i, j):
+        a, b = find(i), find(j)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+
     rest = []
-    for vec in raw:
+    for word in words:
+        if len(word) == 2 and (word[0] ^ word[1]) & 1:
+            union(word[0] >> 1, word[1] >> 1)
+            continue
+        vec = {}
+        for x in word:
+            vec[x >> 1] = vec.get(x >> 1, 0) + (-1 if x & 1 else 1)
+        vec = {i: c for i, c in vec.items() if c}
         if sorted(vec.values()) == [-1, 1]:
-            a, b = map(find, vec)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-        else:
+            union(*vec)
+        elif vec:
             rest.append(vec)
 
     classes = sorted({find(i) for i in range(n)})
@@ -191,10 +206,26 @@ def _contracted_relations(words, n):
     return [list(r) for r in sorted(dedup)], column, len(classes)
 
 
+def _abelian_words(P):
+    """Words of letter codes with the same exponent rows as P's relators,
+    up to zero and repeated rows: the explicit words, and for each
+    distinct element g of the conj rule and each letter b, the word
+    b c^-1 of the rule row of g.  Every conj word a b a^-1 c^-1, a = g@v,
+    abelianises to e_b - e_c whatever v is, and the skipped pairs have
+    c = b, zero rows; so `P.relators` is never spelled out."""
+    rule = P.conj
+    pairs = (
+        (b, c_inv)
+        for g in dict.fromkeys(rule.element)
+        for b, c_inv in zip(count(0, 2), rule.conjugate[g])
+    )
+    return chain((r.word for r in P.explicit), pairs)
+
+
 def presentation_abelianization(P):
     """Invariants of the presented group's abelianization: the cokernel
     of the contracted relator exponent matrix."""
-    rows, _, width = _contracted_relations((r.word for r in P.relators), len(P.generators))
+    rows, _, width = _contracted_relations(_abelian_words(P), len(P.generators))
     return AbelianInvariants.from_relation_matrix(rows, width)
 
 
@@ -208,8 +239,7 @@ class AbelianizedWords:
 
     def __init__(self, P):
         self.P = P
-        words = (r.word for r in P.relators)
-        rows, self.column, width = _contracted_relations(words, len(P.generators))
+        rows, self.column, width = _contracted_relations(_abelian_words(P), len(P.generators))
         if rows:
             S, _, V = smith_normal_form(rows)
             self.V = V
@@ -243,9 +273,10 @@ def colimit_H1(A, Q):
     (`_local_words`).  One orbit word h@v . (s h s^-1)@s(v)^-1 per letter
     and generator s of G gives the coinvariants, as x - (st)x is
     (x - tx) + (y - sy) with y = tx; orbit words need not hold in G.  The
-    contraction merges every edge and orbit word and drops zero and
-    repeated rows, so no normaliser runs.  Nothing is chosen: Q is not
-    read, and stays in the signature for existing callers.
+    contraction unions the letters of every edge and orbit word, each of
+    the two-letter shape x y^-1, and drops zero and repeated rows, so no
+    normaliser runs.  Nothing is chosen: Q is not read, and stays in the
+    signature for existing callers.
     """
     letters, code_of, local = _local_words(A)
     G = A.group

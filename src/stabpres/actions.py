@@ -20,9 +20,10 @@ Each group also indexes its vertex stabilizers once, in one pass over
 its elements (`PermGroup.stabilizers`); every stabilizer query reads
 that index, and lifting reads each pivot's transporters by number from
 a memo beside it (`PermGroup.transporters`).  Orbits stay scans of G:
-their one caller, `build_quotient`, asks once per vertex and once per
-simplex orbit, so an index would add code without removing a repeated
-query.
+their one caller, `build_quotient`, scans once per vertex orbit (from
+its least vertex, skipping the vertices that orbit projected) and once
+per simplex orbit, so no orbit is asked for twice and an index would
+add code without removing a query.
 
 The quotient of an action is the complex whose simplices are the orbits.
 That only makes sense when the action is "without rotations" (a setwise
@@ -467,9 +468,12 @@ def build_quotient(A):
     proj = {}
     lift = {}
     for v in A.complex.sorted_vertices:
+        if v in proj:
+            continue
+        # v is the least vertex not yet projected, so the least of its orbit
         orb = orbit_of_vertex(A, v)
-        proj[v] = orb[0]
-        lift.setdefault((orb[0],), tuple((u,) for u in orb))
+        proj.update(dict.fromkeys(orb, v))
+        lift[(v,)] = tuple((u,) for u in orb)
     q_edges = set()
     q_tris = set()
     for s in list(A.complex.sorted_edges) + list(A.complex.sorted_triangles):

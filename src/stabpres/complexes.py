@@ -140,23 +140,36 @@ class SimplicialComplex:
         return json.dumps(self.to_json_obj(), sort_keys=True, indent=2)
 
 
+def d2_rows(K):
+    """The triangle->edge boundary map as sparse rows, {edge index:
+    {triangle index: +-1}}, indices into `sorted_edges` and
+    `sorted_triangles`, signs from the sorted vertex order: the sorted
+    triangle (a, b, c) has boundary (b, c) - (a, c) + (a, b).  Edges on
+    no triangle have no row."""
+    rows = {}
+    e_index = K.edge_index
+    for j, (a, b, c) in enumerate(K.sorted_triangles):
+        rows.setdefault(e_index[b, c], {})[j] = 1
+        rows.setdefault(e_index[a, c], {})[j] = -1
+        rows.setdefault(e_index[a, b], {})[j] = 1
+    return rows
+
+
 def boundary_matrices(K):
     """(d1, d2): the edge->vertex and triangle->edge boundary maps with
-    orientation signs from the sorted vertex order."""
+    orientation signs from the sorted vertex order, dense; d2 is
+    `d2_rows` filled in."""
     verts = K.sorted_vertices
     edges = K.sorted_edges
-    tris = K.sorted_triangles
     v_index = {v: i for i, v in enumerate(verts)}
-    e_index = K.edge_index
     d1 = [[0] * len(edges) for _ in verts]
     for j, (u, w) in enumerate(edges):
         d1[v_index[u]][j] -= 1
         d1[v_index[w]][j] += 1
-    d2 = [[0] * len(tris) for _ in edges]
-    for j, (a, b, c) in enumerate(tris):
-        d2[e_index[simplex((b, c))]][j] += 1
-        d2[e_index[simplex((a, c))]][j] -= 1
-        d2[e_index[simplex((a, b))]][j] += 1
+    d2 = [[0] * len(K.triangles) for _ in edges]
+    for i, row in d2_rows(K).items():
+        for j, a in row.items():
+            d2[i][j] = a
     return d1, d2
 
 

@@ -197,7 +197,9 @@ def search_contraction(K, loop, basepoint, budget=None, seed=0):
     otherwise the bound uses |c|_1 = 0.  The bound never overestimates,
     so the first shortest log is the one found without it.  At the start
     loop it is b0 = |c|_1 + (len(loop) + 1 + |c|_1) // 2, and no log is
-    shorter.  With no budget given the search runs to
+    shorter.  Every lower depth limit is pruned at the start loop before
+    any successor is drawn, so deepening starts at b0 and no seeded draw
+    moves.  With no budget given the search runs to
     max(default_budget(len(loop)), 2 * b0).
 
     The log is not replayed here: callers replay it once (`contract_loop`,
@@ -263,7 +265,7 @@ def search_contraction(K, loop, basepoint, budget=None, seed=0):
                 return [move] + found
         return None
 
-    for limit in range(budget + 1):
+    for limit in range(b0, budget + 1):
         found = dfs(start, norm, limit, {})
         if found is not None:
             return MoveLog(loop, tuple(Move(*m) for m in found))

@@ -2,19 +2,21 @@
 
 Everything here runs over Python's arbitrary-precision integers; no
 float ever appears.  One dense elimination, `_smith`, computes every
-Smith form.  `invariant_factors` first runs a sparse unit-pivot pass
-(`_unit_pivots`): each pivot is an entry of absolute value 1, so
-clearing its column is exact over Z and contributes an invariant
-factor 1.  The dense `_smith` sees only the rest, which is empty for
-the boundary maps of Sd^2(f3) and Sd^3(f3) and a column of +-2 for d2
-of RP^2.  `smith_normal_form` and `IntegerSolver` stay dense and
-tracked: `smith_normal_form` checks U*M*V == S and the diagonal
-divisibility chain on every call, and `IntegerSolver` keeps the
-transforms to solve M x = b over Z.  U and V are products of
-elementary operations, so they are unimodular by construction;
-`smith_normal_form` recomputes that by Bareiss for matrices small
-enough to keep it cheap, and `IntegerSolver` checks each solution it
-returns.
+Smith form.  `sparse_invariant_factors` takes a matrix as sparse rows,
+{row index: {column: value}}, the form in which homology builds d2, and
+first runs a sparse unit-pivot pass (`_unit_pivots`) on them: each
+pivot is an entry of absolute value 1, so clearing its column is exact
+over Z and contributes an invariant factor 1.  The dense `_smith` sees
+only the rest, which is empty for the boundary maps of Sd^2(f3) and
+Sd^3(f3) and a column of +-2 for d2 of RP^2.  `invariant_factors`
+reads a dense matrix into sparse rows once, at its entry.
+`smith_normal_form` and `IntegerSolver` stay dense and tracked:
+`smith_normal_form` checks U*M*V == S and the diagonal divisibility
+chain on every call, and `IntegerSolver` keeps the transforms to solve
+M x = b over Z.  U and V are products of elementary operations, so
+they are unimodular by construction; `smith_normal_form` recomputes
+that by Bareiss for matrices small enough to keep it cheap, and
+`IntegerSolver` checks each solution it returns.
 
 This module imports nothing from the package, so both the abelian side
 and the complexes (for loop fillings) can build on it.
@@ -215,29 +217,26 @@ def smith_normal_form(M):
     return A, U, V
 
 
-def _unit_pivots(M):
-    """Sparse unit-pivot elimination (Dumas, Saunders and Villard 2001):
-    returns (pivots, rest), where M is equivalent over Z to the identity
-    of size pivots beside the dense matrix rest.
+def _unit_pivots(rows):
+    """Sparse unit-pivot elimination (Dumas, Saunders and Villard 2001) of
+    the matrix with the sparse rows {row index: {column: nonzero value}},
+    each row nonempty, which it consumes: returns (pivots, rest), where
+    the matrix is equivalent over Z to the identity of size pivots beside
+    the dense matrix rest.
 
-    Rows are {column: value} dicts, with a column -> rows index.  Only
-    entries of absolute value 1 are pivots, taken in least Markowitz
-    cost (row nonzeros - 1) * (column nonzeros - 1) from a lazy heap: a
-    popped entry whose cost has grown is pushed back with its current
-    cost.  Row operations clear the pivot's column, exactly because the
-    pivot is a unit; column operations would then clear the rest of the
-    pivot row without touching any other row, so the pivot row and
-    column are just dropped.  Zero rows and columns are left out of rest.
+    A column -> rows index runs beside the rows.  Only entries of
+    absolute value 1 are pivots, taken in least Markowitz cost (row
+    nonzeros - 1) * (column nonzeros - 1) from a lazy heap: a popped
+    entry whose cost has grown is pushed back with its current cost.
+    Row operations clear the pivot's column, exactly because the pivot
+    is a unit; column operations would then clear the rest of the pivot
+    row without touching any other row, so the pivot row and column are
+    just dropped.  Zero rows and columns are left out of rest.
     """
-    rows = {}
     cols = {}
-    columns = range(len(M[0]) if M else 0)
-    for i, r in enumerate(M):
-        row = {j: r[j] for j in compress(columns, r)}
-        if row:
-            rows[i] = row
-            for j in row:
-                cols.setdefault(j, set()).add(i)
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
 
     def cost(i, j):
         return (len(rows[i]) - 1) * (len(cols[j]) - 1)
@@ -286,10 +285,24 @@ def _unit_pivots(M):
 
 
 def invariant_factors(M):
-    """The positive diagonal of the Smith form (no transforms tracked);
-    its length is the rank of M.  The unit pivots give the leading 1s
-    and the dense elimination sees only the rest."""
-    pivots, rest = _unit_pivots(M)
+    """The positive diagonal of the Smith form (no transforms tracked) of
+    the dense matrix M; its length is the rank of M.  M's nonzero rows
+    are read once into sparse rows for `sparse_invariant_factors`."""
+    columns = range(len(M[0]) if M else 0)
+    rows = {}
+    for i, r in enumerate(M):
+        row = {j: r[j] for j in compress(columns, r)}
+        if row:
+            rows[i] = row
+    return sparse_invariant_factors(rows)
+
+
+def sparse_invariant_factors(rows):
+    """`invariant_factors` of the matrix with the given sparse rows, {row
+    index: {column: nonzero value}}, each row nonempty; the rows are
+    consumed.  The unit pivots give the leading 1s and the dense
+    elimination sees only the rest."""
+    pivots, rest = _unit_pivots(rows)
     S = _smith(rest, track=False)[0]
     return [1] * pivots + [row[i] for i, row in enumerate(S) if i < len(row) and row[i]]
 

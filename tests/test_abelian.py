@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from stabpres import linalg
+from stabpres import abelian, complexes, linalg
 from stabpres.abelian import (
     AbelianInvariants,
     AbelianizedWords,
@@ -31,6 +31,7 @@ from stabpres.complexes import (
     SimplicialComplex,
     barycentric_subdivision,
     boundary_matrices,
+    d2_rows,
     validate_complex,
 )
 from stabpres.errors import MalformedInput, UnknownSymbol
@@ -45,7 +46,13 @@ from stabpres.fixtures import (
     solid_triangle,
 )
 from stabpres.homotopy import random_nondegenerate_disc
-from stabpres.linalg import det_bareiss, invariant_factors, matmul, smith_normal_form
+from stabpres.linalg import (
+    det_bareiss,
+    invariant_factors,
+    matmul,
+    smith_normal_form,
+    sparse_invariant_factors,
+)
 from stabpres.presentation import Presentation, Relator, build_presentation, todd_coxeter
 
 
@@ -292,6 +299,30 @@ def test_unit_pivot_pass_matches_dense_smith_on_rank_corpus(dihedral_cone):
             assert invariant_factors(M) == dense
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("called a path the code under test must not take")
+
+
+def test_homology_builds_d2_as_sparse_rows(dihedral_cone, monkeypatch):
+    # the reference is all dense: both boundary matrices, the Smith
+    # diagonal of d2 and the rank of d1 from their dense entry point;
+    # homology itself must neither build them nor densify anything
+    corpus = _rank_corpus(dihedral_cone)
+    expected = []
+    for K in corpus:
+        d1, d2 = boundary_matrices(K)
+        diag = invariant_factors(d2)
+        assert sparse_invariant_factors(d2_rows(K)) == diag
+        h1 = AbelianInvariants(
+            len(K.edges) - len(invariant_factors(d1)) - len(diag), tuple(d for d in diag if d > 1)
+        )
+        expected.append((h1, AbelianInvariants(len(K.triangles) - len(diag), ())))
+    monkeypatch.setattr(complexes, "boundary_matrices", _refuse)
+    monkeypatch.setattr(abelian, "invariant_factors", _refuse)
+    monkeypatch.setattr(linalg, "invariant_factors", _refuse)
+    assert [(homology_invariants(K, 1), homology_invariants(K, 2)) for K in corpus] == expected
+
+
 def test_sd3_homology_leaves_no_dense_rest(monkeypatch):
     # the unit pivots eliminate d2 of Sd^2(f3) and Sd^3(f3) completely, so
     # the dense elimination, which took about a minute on Sd^3's d2, is
@@ -401,6 +432,78 @@ def test_derived_subgroup_is_the_all_pairs_closure(f1, f2, f3, dihedral_cone):
 
 
 # -- abelianization of presentations ------------------------------------
+
+
+def _reference_contraction(words, n):
+    """The contraction with every word's exponent vector summed first, the
+    e_i - e_j rows unioned, then the rest mapped to columns: the reference
+    for `abelian._contracted_relations`, which unions two-letter words
+    directly."""
+    raw = []
+    for word in words:
+        vec = {}
+        for x in word:
+            vec[x >> 1] = vec.get(x >> 1, 0) + (-1 if x & 1 else 1)
+        raw.append({i: c for i, c in vec.items() if c})
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    rest = []
+    for vec in raw:
+        if sorted(vec.values()) == [-1, 1]:
+            a, b = map(find, vec)
+            parent[max(a, b)] = min(a, b)
+        else:
+            rest.append(vec)
+    classes = sorted({find(i) for i in range(n)})
+    column = [classes.index(find(i)) for i in range(n)]
+    dedup = set()
+    for vec in rest:
+        row = [0] * len(classes)
+        for i, c in vec.items():
+            row[column[i]] += c
+        if any(row):
+            dedup.add(tuple(row))
+    return [list(r) for r in sorted(dedup)], column, len(classes)
+
+
+def _refuse_relators(self):
+    raise AssertionError("the abelian side spelled out P.relators")
+
+
+@pytest.mark.parametrize("name", ["f1", "f2", "f3"] + [f"D{n}" for n in range(3, 25)])
+def test_abelian_side_reads_the_rule_not_the_relators(name, request, dihedral_cone, monkeypatch):
+    # the reference reads every relator of P as an explicit word through
+    # the exponent-vector path; the code under test reads P.explicit and
+    # the rule, with P.relators refusing to be built
+    if name.startswith("D"):
+        A = dihedral_cone(int(name[1:]), 1)
+        Q = build_quotient(A)
+        P = build_presentation(A, Q)
+    else:
+        A, Q, P = request.getfixturevalue(name)[:3]
+    E = Presentation(P.generators, P.relators)
+    basepoint = min(A.complex.vertices)
+    words = [
+        armstrong_express(A, Q, basepoint, g, seed=seed)
+        for g in A.group.elements
+        for seed in (0, 11)
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(abelian, "_contracted_relations", _reference_contraction)
+        expected = presentation_abelianization(E), colimit_H1(A, Q)
+        reference = AbelianizedWords(E)
+    monkeypatch.setattr(Presentation, "relators", property(_refuse_relators))
+    assert (presentation_abelianization(P), colimit_H1(A, Q)) == expected
+    assert presentation_abelianization(E) == expected[0]
+    assert expected[0] == expected[1] == group_abelianization(A.group)
+    got = AbelianizedWords(P)
+    assert (got.column, got.diag, got.V) == (reference.column, reference.diag, reference.V)
+    assert [got.image(w) for w in words] == [reference.image(w) for w in words]
 
 
 def test_presentation_abelianization_matches_group(f1, f2, f3):

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+from stabpres import actions
 from stabpres.actions import (
     GroupAction,
     PermGroup,
     Permutation,
+    QuotientData,
     action_from_json_obj,
     action_to_json_obj,
     all_transporters,
@@ -26,7 +28,7 @@ from stabpres.actions import (
     subdivide_action,
     validate_simplicial_action,
 )
-from stabpres.complexes import validate_complex
+from stabpres.complexes import SimplicialComplex, validate_complex
 from stabpres.errors import (
     GroupTooLarge,
     MalformedInput,
@@ -472,14 +474,59 @@ def test_orbit_collision_shared_vertex_set():
     A = mark_without_rotations(f5_antipodal())
     with pytest.raises(OrbitCollision) as exc:
         build_quotient(A)
-    assert "share vertex set" in str(exc.value)
+    assert str(exc.value) == (
+        "orbit collision: distinct orbits of ('m1', 'm2') and ('m1', 'p2') "
+        "share vertex set ('m1', 'm2')"
+    )
 
 
 def test_orbit_collision_degenerate():
     A = mark_without_rotations(c6_rotation())
     with pytest.raises(OrbitCollision) as exc:
         build_quotient(A)
-    assert "degenerate vertex set" in str(exc.value)
+    assert str(exc.value) == (
+        "orbit collision: orbit of ('v0', 'v1') maps to degenerate vertex set ('v0',)"
+    )
+
+
+def _per_vertex_quotient(A):
+    """`build_quotient`'s data of a collision-free action, with one orbit
+    scan for every vertex: the reference for its scan per vertex orbit."""
+    K = A.complex
+    proj = {v: orbit_of_vertex(A, v)[0] for v in K.sorted_vertices}
+    lift = {}
+    for v in K.sorted_vertices:
+        lift.setdefault((proj[v],), tuple((u,) for u in orbit_of_vertex(A, v)))
+    for s in K.sorted_edges + K.sorted_triangles:
+        lift.setdefault(tuple(sorted({proj[v] for v in s})), orbit_of_simplex(A, s))
+    quotient = SimplicialComplex(
+        frozenset(proj.values()),
+        frozenset(s for s in lift if len(s) == 2),
+        frozenset(s for s in lift if len(s) == 3),
+    )
+    return QuotientData(quotient, proj, lift)
+
+
+def test_quotient_scans_each_vertex_orbit_once(dihedral_cone, monkeypatch):
+    # each orbit is scanned from its least vertex, the quotient vertex,
+    # and its other vertices are skipped
+    builders = (f1_flip, f2_s3, f3_octahedral, f4_rotation, f5_antipodal, c6_rotation)
+    refined = [refine_action(build()) for build in builders]
+    refined += [dihedral_cone(n, seed) for n in range(3, 13) for seed in (0, 1)]
+    refined.append(refine_action(subdivide_action(subdivide_action(f3_octahedral()))))
+    for A in refined:
+        expected = _per_vertex_quotient(A)
+        scanned = []
+
+        def counting(A, v):
+            scanned.append(v)
+            return orbit_of_vertex(A, v)
+
+        with monkeypatch.context() as m:
+            m.setattr(actions, "orbit_of_vertex", counting)
+            Q = build_quotient(A)
+        assert Q == expected
+        assert scanned == sorted(Q.quotient.vertices)
 
 
 def test_refined_quotient_never_collides():

@@ -309,11 +309,12 @@ def test_contract_disc_boundary_is_shortest(n, seed):
 
 @pytest.mark.parametrize("n, seed", sorted(DISC_LOG_DIGESTS))
 def test_contract_disc_search_is_cut_at_the_start_loop(n, seed):
-    # the filling bound is exact on a disc: each depth limit below 2n-3 is
-    # cut at the start loop, and no search reaches the memo prune
+    # the filling bound is exact on a disc: the start loop's bound b0 is
+    # 2n-3, the log's length, so deepening starts there, one depth limit
+    # is searched, and no search reaches the memo prune
     disc = random_nondegenerate_disc(n, seed)
     _, calls = _dfs_calls(lambda: contract_loop(disc.complex, disc.boundary, disc.basepoint))
-    assert [i for i, call in enumerate(calls) if call[-1]] == list(range(2 * n - 2))
+    assert [(i, call[2]) for i, call in enumerate(calls) if call[-1]] == [(0, 2 * n - 3)]
     assert not _memo_cuts(calls)
 
 
