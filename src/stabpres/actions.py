@@ -184,7 +184,14 @@ def parse_cycles(text):
 
 
 def close_under_product(domain, perms):
-    """Generate the subgroup containing the given permutations (BFS closure)."""
+    """Generate the subgroup containing the given permutations (BFS closure).
+
+    Every element found is held until the closure ends, so just before
+    `GroupTooLarge` at `GROUP_CAP` (100,000) it holds that many
+    permutations, each an index tuple over the domain: about 8 |domain| +
+    270 bytes apiece at the peak (tracemalloc, CPython 3.11, S8 on 8 to
+    1,008 points), so about 110 MB on a 100-point domain and 0.8 GB on a
+    1,000-point one."""
     identity = Permutation.identity(domain)
     elements = {identity}
     frontier = [identity]

@@ -85,7 +85,7 @@ class SimplicialComplex:
     def filling_solver(self):
         """`IntegerSolver` for d2: the integral 2-chains bounding a 1-cycle,
         from one Smith elimination shared by every loop in the complex."""
-        return IntegerSolver(boundary_matrices(self)[1])
+        return IntegerSolver(_dense_d2(self))
 
     @cached_property
     def fillings(self):
@@ -155,6 +155,15 @@ def d2_rows(K):
     return rows
 
 
+def _dense_d2(K):
+    """`d2_rows` filled in: the dense triangle->edge boundary map."""
+    d2 = [[0] * len(K.triangles) for _ in K.edges]
+    for i, row in d2_rows(K).items():
+        for j, a in row.items():
+            d2[i][j] = a
+    return d2
+
+
 def boundary_matrices(K):
     """(d1, d2): the edge->vertex and triangle->edge boundary maps with
     orientation signs from the sorted vertex order, dense; d2 is
@@ -166,11 +175,7 @@ def boundary_matrices(K):
     for j, (u, w) in enumerate(edges):
         d1[v_index[u]][j] -= 1
         d1[v_index[w]][j] += 1
-    d2 = [[0] * len(K.triangles) for _ in edges]
-    for i, row in d2_rows(K).items():
-        for j, a in row.items():
-            d2[i][j] = a
-    return d1, d2
+    return d1, _dense_d2(K)
 
 
 def _third(t, e):

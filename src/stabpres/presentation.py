@@ -14,20 +14,24 @@ inverted when x & 1 is set, so x ^ 1 is its inverse and x is the
 letter's `todd_coxeter` column; letters are spelled only on output.  A
 `Presentation` holds the mult and edge words as `Relator`s, and the conj
 family, most relators (f3: 13,335 of 13,995), as a `ConjRule`.
-`todd_coxeter` takes a Tietze step and enumerates cosets of the trivial
-subgroup over R' of the relators R, R less each conj relator whose a or
-b is not the root of its Tietze class (f3: 2,263 of 13,995).  Every
-entry of a complete HLT table comes from a definition, a deduction or a
-coincidence, so each of its n labels is a coset 1 . w of Gamma(R'), the
-labels are closed under every letter, and Complete(n) bounds
-|Gamma(R')| by n with no relator checked at every coset.  When n is
-|G| (the rule's element count), `todd_coxeter` returns that table;
-otherwise HLT scans on until every relator closes at every label, so n
-is exact.  `verify_theorem` psi-checks all of R, the rule once per
-element row, and that psi is onto, so |G| <= |Gamma(R)| <= |Gamma(R')|
-<= n = |G|: Gamma(R) is a quotient of Gamma(R'), and the presented
-group is the acting group.  A table from another presentation is
-refused.
+`todd_coxeter` takes a Tietze step and enumerates over R' of the
+relators R, R less each conj relator whose a or b is not the root of
+its Tietze class (f3: 2,263 of 13,995).  It enumerates the cosets of H,
+the subgroup that the letters at v* generate, v* the least vertex with
+the most letters, when P's mult words close those letters under
+products, so that |H| <= h, their count plus 1; otherwise H is trivial
+and h = 1.  Every entry of a complete HLT table comes from H's letters
+fixing coset 0, a definition, a deduction or a coincidence, so each of
+its n labels is a coset H . w of Gamma(R'), the labels are closed under
+every letter and so hold every coset of H, and the table bounds
+|Gamma(R')| by n . h with no relator checked at every coset.  When
+n . h is |G| (the rule's element count), `todd_coxeter` returns that
+table; otherwise HLT scans on until every relator closes at every
+label, so n is the exact index of H.  `verify_theorem` psi-checks all
+of R, the rule once per element row, and that psi is onto, so |G| <=
+|Gamma(R)| <= |Gamma(R')| <= n . h = |G|: Gamma(R) is a quotient of
+Gamma(R'), and the presented group is the acting group.  A table from
+another presentation is refused.
 
 `pi1_presentation` is the classical edge-path presentation of the
 fundamental group (generators: edges off a spanning tree; relators:
@@ -313,25 +317,30 @@ def build_presentation(A, Q):
 
 
 # ---------------------------------------------------------------------------
-# Todd-Coxeter coset enumeration over the trivial subgroup
+# Todd-Coxeter coset enumeration over the largest vertex stabilizer's letters
 
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Compacted (not standardized) table of the enumerated `presentation`,
-    live cosets in index order; row[x] is the image under letter code x,
-    so row[2i] is the gen-i image and row[2i+1] its inverse.
+    """Compacted (not standardized) table of the enumerated `presentation`
+    over the cosets of the subgroup H that the `subgroup` generators
+    generate (trivial when there are none), live cosets in index order,
+    coset 0 being H; row[x] is the image under letter code x, so row[2i]
+    is the gen-i image and row[2i+1] its inverse.
 
-    A complete table's order is its label count n, an upper bound on the
-    order of the group R' presents.  It is exact when HLT scanned every
-    label; for a rule presentation with n = |G|, where HLT stops early,
-    it is exact once psi is onto, which `verify_theorem` checks."""
+    A complete table's order is n . h, its label count n times h, the
+    subgroup's letters plus 1 (so n for the trivial subgroup): an upper
+    bound on the order of the group R' presents.  For a rule presentation
+    with n . h = |G|, where HLT stops early, it is exact once psi is
+    onto, which `verify_theorem` checks; otherwise HLT scanned every
+    label, and n is the exact index of H."""
 
     presentation: Presentation
     table: tuple
     status: str  # "complete" | "exhausted"
-    order: object = None  # the label count n when complete
+    order: object = None  # n . h when complete
     bound: object = None  # the max_cosets hit when exhausted
+    subgroup: tuple = ()  # the generator indices fixing coset 0: H's letters
 
     def trace(self, coset, word):
         """Follow a word of letter codes, the relator shape, through the
@@ -346,11 +355,43 @@ class _CosetBoundHit(Exception):
     """Raised by `todd_coxeter`'s define step when max_cosets is reached."""
 
 
-def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
-    """Enumerate cosets of the trivial subgroup in the presented group.
+def _stabilizer_subgroup(P):
+    """The generator indices of the letters at v*, the least vertex among
+    those with the most letters, when every generator of P is a
+    `StabilizerLetter` and P's explicit words close those letters L under
+    products; otherwise ().
 
-    Returns a CosetTable with status "complete" (order = the label count
-    n, see below) or "exhausted" (more than max_cosets would be needed).
+    Closed means every ordered pair (a, b) of L has a word a b c^-1 with c
+    in L, or a word a b or b a.  Then L and 1 are closed under products
+    in the presented group, so they are the subgroup H that L generates,
+    and |H| <= |L| + 1.  Explicit words tagged conj are not counted: R'
+    may leave them out."""
+    generators = P.generators
+    if not generators or not all(isinstance(s, StabilizerLetter) for s in generators):
+        return ()
+    letters = Counter(s.vertex for s in generators)
+    most = max(letters.values())
+    star = min(v for v, k in letters.items() if k == most)
+    at = {2 * i for i, s in enumerate(generators) if s.vertex == star}
+    covered = set()
+    for r in P.explicit:
+        w = r.word
+        if r.tag != "conj" and len(w) in (2, 3) and w[0] in at and w[1] in at:
+            if len(w) == 2:
+                covered.update((w, w[::-1]))
+            elif w[2] ^ 1 in at:
+                covered.add(w[:2])
+    return tuple(x >> 1 for x in sorted(at)) if len(covered) == len(at) ** 2 else ()
+
+
+def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
+    """Enumerate the cosets of H in the presented group: H is generated by
+    the letters at the vertex `_stabilizer_subgroup` names, when P's
+    words close them under products, and is trivial otherwise.
+
+    Returns a CosetTable with status "complete" (order = n . h, the label
+    count n times h, H's letters plus 1; see below) or "exhausted" (more
+    than max_cosets cosets of H would be needed).
 
     A Tietze step runs first: a relator x y of two generators says
     y = x^-1, so one pass over the two-letter relators unions such
@@ -362,19 +403,22 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     mapped words of R' in the order of their first relator, less those
     that map to c c^-1; once every live row is full the table is
     complete, and HLT may stop there (see below).  The table is then
-    compacted, and every column must be a permutation.
+    compacted, and every column must be a permutation.  Coset 0 starts
+    with each of H's letters defined as fixing it (HLT with subgroup
+    generators: Neubüser 1982; Holt, Eick and O'Brien 2005, ch. 5).
 
     The lemma (Todd and Coxeter 1936; Neubüser 1982): every entry of that
-    table came from a definition, a deduction from a word of R', or a
-    coincidence, so label k is the coset 1 . w_k of a word w_k and each
-    entry k . x = m holds in Gamma(R').  The labels hold 1 and are closed
-    under every letter and its inverse, so |Gamma(R')| <= n, whether or
-    not every word closes at every label.  The table is returned as it
-    is when n = |G|, the rule's element count (`build_presentation`
-    writes one rule row per element number): psi onto G with psi(R) = 1,
-    which `verify_theorem` checks, gives |G| <= |Gamma(R)| <=
-    |Gamma(R')| <= n, so the table is the regular action of G, on which
-    every word of R' closes.
+    table came from H's letters fixing coset 0, a definition, a deduction
+    from a word of R', or a coincidence, so label k is the coset H . w_k
+    of a word w_k and each entry k . x = m holds in Gamma(R').  The
+    labels hold H and are closed under every letter and its inverse, so
+    they hold every coset of H, and |Gamma(R')| <= n . |H| <= n . h,
+    whether or not every word closes at every label.  The table is
+    returned as it is when n . h = |G|, the rule's element count
+    (`build_presentation` writes one rule row per element number): psi
+    onto G with psi(R) = 1, which `verify_theorem` checks, gives |G| <=
+    |Gamma(R)| <= |Gamma(R')| <= n . h, so the table is G acting on the
+    cosets of a subgroup of order h, on which every word of R' closes.
 
     Otherwise, presentations without a rule (pi1) and counts that are not
     |G| included, HLT scans on over the rows it has not processed.  Every
@@ -382,7 +426,7 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     coincidence.  Once the last row is passed every word closes at every
     live coset (Neubüser 1982), so the table is the complete one's
     quotient by the least congruence under which every word closes, each
-    class named by its least coset, and n is exact.
+    class named by its least coset, and n is the exact index of H.
 
     The table copies each compact column to every letter mapped to it,
     so it has a column per letter code of P.
@@ -411,8 +455,13 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     rels = [w for w in words if len(w) != 2 or w[0] != w[1] ^ 1]
     width = 2 * len(compact)
 
+    subgroup = _stabilizer_subgroup(P)
+    h = len(subgroup) + 1  # the bound on |H|; 1 for the trivial subgroup
     table = [[-1] * width]
     parent = [0]
+    for i in subgroup:  # H fixes coset 0
+        x = code[2 * i]
+        table[0][x] = table[0][x ^ 1] = 0
 
     def rep(k):
         r = k
@@ -518,13 +567,13 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
             while full < len(table) and (parent[full] != full or -1 not in table[full]):
                 full += 1
             if full == len(table):
-                # the lemma: at |G| labels the table is returned as it is;
+                # the lemma: at n . h = |G| the table is returned as it is;
                 # at any other count every live row is scanned, so n is exact
-                if sum(k == p for k, p in enumerate(parent)) == len(P.conj.conjugate):
+                if sum(k == p for k, p in enumerate(parent)) * h == len(P.conj.conjugate):
                     break
                 full = None
     except _CosetBoundHit:
-        return CosetTable(P, (), "exhausted", bound=max_cosets)
+        return CosetTable(P, (), "exhausted", bound=max_cosets, subgroup=subgroup)
 
     live = [k for k in range(len(table)) if rep(k) == k]
     renumber = {k: i for i, k in enumerate(live)}
@@ -534,11 +583,13 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
         if sorted(col) != identity:
             raise AssertionError("generator column is not a permutation")
     full_width = tuple(tuple(map(row.__getitem__, code)) for row in final)
-    return CosetTable(P, full_width, "complete", order=len(final))
+    return CosetTable(P, full_width, "complete", order=len(final) * h, subgroup=subgroup)
 
 
 def word_to_coset(T, w):
-    """Trace a stabilizer word from coset 0; identity letters contribute nothing."""
+    """Trace a stabilizer word from coset 0, H, to the row of its coset
+    H . w; identity letters contribute nothing.  Words for one element
+    land on one row, and a letter of H lands on coset 0."""
     if T.status != "complete":
         raise PreconditionUnvalidated("coset table is not complete")
     return T.trace(0, (2 * i for i in T.presentation.letter_indices(w)))
@@ -567,13 +618,14 @@ def verify_theorem(A, Q, P, T):
     procedure (psi is onto).  Raises CertificateFailed on the first
     violation, else returns the certificate.
 
-    Complete(|G|) on R' of `todd_coxeter` bounds |Gamma(R')|, and so its
-    quotient |Gamma(R)|, by |G|; by (i) and (iii) psi maps Gamma(R) onto
-    G, so Gamma(R) = G.  The bound is the lemma of `todd_coxeter`: it
-    holds for HLT's table whether or not every label was scanned, which
-    it is not when the label count is |G|.  So (ii) refuses any order but
-    |G| and any table from another presentation, and (i) and (iii) are
-    what make the label count exact.
+    A complete table of R' from `todd_coxeter` with order n . h = |G|
+    bounds |Gamma(R')|, and so its quotient |Gamma(R)|, by |G|; by (i)
+    and (iii) psi maps Gamma(R) onto G, so Gamma(R) = G.  The bound is
+    the lemma of `todd_coxeter`: n labels of cosets of a subgroup of
+    order at most h, whether or not every label was scanned, which it is
+    not when n . h is |G|.  So (ii) refuses any order but |G| and any
+    table from another presentation, and (i) and (iii) are what make the
+    bound exact.
 
     Check (i) folds each distinct explicit word of element numbers once,
     and checks each distinct (g, rule row) once at every letter b: a rule

@@ -252,11 +252,17 @@ def test_verify_s3_json(fixture_dir, capsys, clean_env):
 
 
 def test_verify_exhausts_with_tiny_bound(fixture_dir, capsys, clean_env):
+    # f3's pi1 checks complete within 4 cosets, and its presentation needs
+    # 11 cosets of the largest vertex stabilizer (f1's needs one)
     code, out, err = run(
-        capsys, "verify", str(fixture_dir / "f1.json"), "--max-cosets", "1"
+        capsys, "verify", str(fixture_dir / "f3.json"), "--max-cosets", "10", "--format", "json"
     )
-    assert code == 2
-    assert "exhausted" in err
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "detail": "coset enumeration exhausted the bound of 10",
+        "error": "enumeration",
+        "exit": 2,
+    }
 
 
 # -- abelianize ---------------------------------------------------------
@@ -411,9 +417,10 @@ def test_verify_exhausted_pi1_is_a_resource_failure(fixture_dir, capsys, clean_e
 
 
 def test_env_max_cosets(fixture_dir, capsys, monkeypatch):
-    monkeypatch.setenv("STABPRES_MAX_COSETS", "1")
-    code, out, err = run(capsys, "verify", str(fixture_dir / "f1.json"))
+    monkeypatch.setenv("STABPRES_MAX_COSETS", "10")
+    code, out, err = run(capsys, "verify", str(fixture_dir / "f3.json"))
     assert code == 2
+    assert "coset enumeration exhausted the bound of 10" in err
     monkeypatch.setenv("STABPRES_MAX_COSETS", "not-a-number")
     code, out, err = run(capsys, "verify", str(fixture_dir / "f1.json"))
     assert code == 3

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from stabpres import homotopy
+from stabpres import complexes, homotopy
 from stabpres.actions import build_quotient, refine_action
 from stabpres.armstrong import find_path
 from stabpres.complexes import EdgePath, barycentric_subdivision, validate_complex, validate_path
@@ -42,6 +42,7 @@ from stabpres.homotopy import (
     search_contraction,
     verify_collapse,
 )
+from stabpres.linalg import IntegerSolver
 
 
 # -- elementary moves ---------------------------------------------------
@@ -373,6 +374,31 @@ def test_fillings_are_memoized_per_complex_and_copied_out():
     filling[("1", "2", "3")] = 7
     assert homotopy._filling(K, loop.vertices, None) == {("1", "2", "3"): 1}
     assert len(K.fillings) == 1
+
+
+def test_filling_solver_builds_d2_from_its_sparse_rows(monkeypatch):
+    # the solver's d2 comes from `d2_rows` alone, with no dense d1: its
+    # matrix, Smith transforms and diagonal, which fix every solution,
+    # equal those of a solver over `boundary_matrices`' d2
+    def corpus():
+        discs = [random_nondegenerate_disc(n, seed) for n, seed in ((5, 0), (9, 3))]
+        K = octahedron_boundary()  # H2 = Z, so d2 is not injective
+        equator = validate_path(K, ["p1", "p2", "m1", "m2", "p1"])
+        return [(d.complex, d.boundary) for d in discs] + [(K, equator)]
+
+    def state(solver):
+        return solver.M, solver.U, solver.V, solver.diag
+
+    reference = [state(IntegerSolver(complexes.boundary_matrices(K)[1])) for K, _ in corpus()]
+
+    def refuse(K):
+        raise AssertionError("boundary_matrices was called")
+
+    monkeypatch.setattr(complexes, "boundary_matrices", refuse)
+    cases = corpus()
+    assert [state(K.filling_solver) for K, _ in cases] == reference
+    fillings = [homotopy._filling(K, loop.vertices, None) for K, loop in cases]
+    assert all(fillings[:2]) and fillings[2] is None
 
 
 def test_a_loop_with_no_filling_is_not_memoized():

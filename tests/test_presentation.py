@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -12,12 +13,14 @@ from stabpres.abelian import is_simply_connected, is_two_connected
 from stabpres.actions import (
     PermGroup,
     Permutation,
+    action_from_json_obj,
+    action_to_json_obj,
     build_quotient,
     close_under_product,
     refine_action,
     subdivide_action,
 )
-from stabpres.armstrong import StabilizerLetter, StabilizerWord
+from stabpres.armstrong import StabilizerLetter, StabilizerWord, armstrong_express
 from stabpres.errors import CertificateFailed, Disconnected, UnknownSymbol, UnknownVertex
 from stabpres.fixtures import cycle_complex, f3_octahedral, f5_antipodal, solid_triangle
 from stabpres.presentation import (
@@ -254,7 +257,7 @@ def test_explicit_copy_of_the_rule_enumerates_alike(case, request, dihedral_cone
     assert E.conj == ConjRule() and len(E.explicit) == len(E) == len(P)
     assert E.counts_by_tag() == P.counts_by_tag()
     # E has no rule, so HLT scans every coset of its table; P's stops at
-    # |G| labels
+    # |G| / |G_v*| labels.  Both enumerate the cosets of the same H
     assert todd_coxeter(E).table == todd_coxeter(P).table
     # the same distinct words, in the same order, under images that merge
     # letters (by element number, and at random) and the identity, with
@@ -372,8 +375,8 @@ def test_d48_cone_certifies_at_scale(monkeypatch, raw_dihedral_cone):
 
 def test_d96_cone_builds_without_permutation_products(monkeypatch, raw_dihedral_cone, traces):
     # |G| = 192, and every element fixes the apex, so its mult table alone
-    # multiplies every pair of nonidentity elements; HLT stops at |G|
-    # labels, before every word is traced at every coset
+    # multiplies every pair of nonidentity elements; the apex letters
+    # generate G, so HLT completes at one coset, tracing each word once
     A = refine_action(raw_dihedral_cone(96, 1))
     Q = build_quotient(A)
     allow = _no_permutation_product(monkeypatch)
@@ -382,8 +385,9 @@ def test_d96_cone_builds_without_permutation_products(monkeypatch, raw_dihedral_
     assert (len(P.generators), len(P)) == (575, 361_683)
     # R' of those, the rule read at Tietze roots only, presents G
     T = todd_coxeter(P)
-    assert (T.status, T.order) == ("complete", 192)
-    assert _scanned_every_coset(traces, 192) == [False]
+    assert (T.status, T.order, len(T.table)) == ("complete", 192, 1)
+    [(r, t)] = traces
+    assert t == r
     assert verify_theorem(A, Q, P, T).group_order == 192
 
 
@@ -400,8 +404,10 @@ def _subdivided_f3(times):
     ["f1", "f2", "f3", "Sd(f3)", "Sd2(f3)", *(f"D{n}/{s}" for n in range(3, 25) for s in range(3))],
 )
 def test_r_prime_certifies(case, request, dihedral_cone, traces):
-    # Complete(|G|) on R' within 20|G| cosets, read off HLT's labels before
-    # every word is traced at every coset, and the certificate holds
+    # Complete(|G|) on R' over the cosets of the largest vertex stabilizer
+    # G_v*, at |G| / |G_v*| labels: HLT traces each word once, at coset 0,
+    # after which the table is complete and the lemma returns it; the
+    # certificate holds
     if case.startswith("Sd"):
         A = _subdivided_f3(2 if case == "Sd2(f3)" else 1)
     elif case.startswith("D"):
@@ -414,8 +420,10 @@ def test_r_prime_certifies(case, request, dihedral_cone, traces):
     order = A.group.order()
     traces.clear()  # a session fixture built in this test enumerated too
     T = todd_coxeter(P, max_cosets=20 * order)
-    assert (T.status, T.order) == ("complete", order)
-    assert _scanned_every_coset(traces, order) == [False]
+    stab = max(map(len, A.group.stabilizers.values()))
+    assert (T.status, T.order, len(T.table)) == ("complete", order, order // stab)
+    [(r, t)] = traces
+    assert t == r
     assert verify_theorem(A, Q, P, T).group_order == order
 
 
@@ -551,14 +559,16 @@ def test_tc_exhausts_on_infinite_group():
 
 
 def test_tc_table_is_complete_and_closed(f2, f3, dihedral_cone):
-    # every relator traced letter by letter at every coset, apart from
-    # `todd_coxeter`'s scans
+    # every relator traced letter by letter at every coset of H, apart from
+    # `todd_coxeter`'s scans, and H's letters fixing coset 0; the order is
+    # the rows times the bound on |H|, its letters and 1
     D16 = dihedral_cone(16, 1)
-    cases = [(f2.table, 6), (f3.table, 48)]
-    cases.append((todd_coxeter(build_presentation(D16, build_quotient(D16))), 32))
-    for T, order in cases:
+    cases = [(f2.table, 6, 1), (f3.table, 48, 6)]
+    cases.append((todd_coxeter(build_presentation(D16, build_quotient(D16))), 32, 1))
+    for T, order, n in cases:
         assert T.status == "complete" and T.order == order
-        n = T.order
+        assert len(T.table) == n and n * (len(T.subgroup) + 1) == order
+        assert all(T.trace(0, (2 * i,)) == 0 for i in T.subgroup)
         for i in range(len(T.presentation.generators)):
             col = [T.table[c][2 * i] for c in range(n)]
             inv = [T.table[c][2 * i + 1] for c in range(n)]
@@ -628,13 +638,11 @@ def test_tc_closure_sweep_fails_on_a_table_with_equal_columns(traces):
             assert T.trace(coset, r.word) == coset
 
 
-def _sweep_cases(sources):
-    """(presentation, max_cosets) pairs of the enumeration sweep."""
-    presentations = []
-    for P, X, XG in sources:
-        if P is not None:
-            presentations.append(P)
-        presentations += [pi1_presentation(K, min(K.vertices)) for K in (X, XG)]
+def _sweep_cases(presentations, complexes):
+    """(presentation, max_cosets) pairs of the enumeration sweep: each
+    presentation, then pi1 of each complex, at max_cosets 1..59 and 10^6,
+    then 2,000 seeded random presentations."""
+    presentations = [*presentations, *(pi1_presentation(K, min(K.vertices)) for K in complexes)]
     for P in presentations:
         for bound in (*range(1, 60), 10**6):
             yield P, bound
@@ -657,45 +665,84 @@ def _sweep_cases(sources):
 
 def test_tc_enumeration_sweep_digest(f1, f2, f3):
     # 2,660 enumerations, pinned by two sha256s of (status, order, bound,
-    # table): f3's presentation at max_cosets 1..59 and 10^6, then every
-    # other row: f1's and f2's presentations at the same bounds, pi1 of X
-    # and X/G for f1, f2, f3 and f5, and 2,000 seeded random presentations.
-    # Enumerating R' in place of R moved only f3's rows (f2's R' is 48 of
-    # its 136 relators, and every f2 table stayed as it was).  The complete
-    # rows of f1-f3's rule presentations are HLT's tables at |G| labels;
-    # on the pi1 and random rows HLT scans every live coset.  Every
-    # complete table but f3's, which `test_tc_table_is_complete_and_closed`
-    # traces, is checked to close
+    # table): the rule rows, f1's, f2's and f3's presentations at
+    # max_cosets 1..59 and 10^6, and the other rows, pi1 of X and X/G for
+    # f1, f2, f3 and f5 at the same bounds and 2,000 seeded random
+    # presentations.  The rule rows are HLT's tables over the cosets of
+    # the largest vertex stabilizer, at |G| / |G_v*| labels; enumerating
+    # over them moved only those rows.  On the other rows H is trivial and
+    # HLT scans every live coset.  Every distinct complete table is
+    # checked to close: every relator at every row
     A = refine_action(f5_antipodal())
-    sources = [(p.presentation, p.action.complex, p.quotient.quotient) for p in (f1, f2, f3)]
-    sources.append((None, A.complex, build_quotient(A).quotient))
-    f3_rows, other_rows = hashlib.sha256(), hashlib.sha256()
-    for P, bound in _sweep_cases(sources):
+    rule = [p.presentation for p in (f1, f2, f3)]
+    complexes = [K for p in (f1, f2, f3) for K in (p.action.complex, p.quotient.quotient)]
+    complexes += [A.complex, build_quotient(A).quotient]
+    rule_rows, other_rows = hashlib.sha256(), hashlib.sha256()
+    closed = set()
+    for P, bound in _sweep_cases(rule, complexes):
         T = todd_coxeter(P, max_cosets=bound)
-        digest = f3_rows if P is f3.presentation else other_rows
+        digest = rule_rows if any(P is R for R in rule) else other_rows
         digest.update(repr((T.status, T.order, T.bound, T.table)).encode())
-        if T.status == "complete" and digest is other_rows:
+        if T.status == "complete" and (id(P), T.table) not in closed:
+            closed.add((id(P), T.table))
             for r in P.relators:
-                for coset in range(T.order):
+                for coset in range(len(T.table)):
                     assert T.trace(coset, r.word) == coset
-    assert f3_rows.hexdigest() == "f1f7e793df5579018c0d6fc34b856433cdc5e8a591c7a0a6fa1014df303e3da5"
-    assert other_rows.hexdigest() == "42b4d0ee8106906a7ca7e0ef5f5e31d05de64fa69cac110c65a62a8d8de0ab6f"
+    assert rule_rows.hexdigest() == "10760ba50d8d53a3ab06d1105770224e9077a01bcf4ea982556bc3598bef3d5d"
+    assert other_rows.hexdigest() == "9a960b266f1e3ae5227b9c1234bc365607759ea42b0832c523d499e7a0c0ae3f"
 
 
-def test_tc_coset_need(f2, f3, dihedral_cone):
+def test_tc_coset_need(f1, f2, f3, dihedral_cone):
     # the least max_cosets that completes, pinned; eliminating the letters
     # that edge and mult relators x y make equal leaves f3's 118 generators
-    # 41 to enumerate over, and R' of those needs 286 cosets, where all of
-    # R needed 389 and all 118 generators 578
-    assert todd_coxeter(f3.presentation, max_cosets=286).order == 48
-    assert todd_coxeter(f3.presentation, max_cosets=285).status == "exhausted"
-    assert todd_coxeter(f2.presentation, max_cosets=6).order == 6
-    # the cones complete at |G|, with no coincidence
+    # 41 to enumerate over, and R' of those needs 11 cosets of the largest
+    # vertex stabilizer (order 8, index 6), where the trivial subgroup
+    # needed 286, all of R 389 and all 118 generators 578
+    T = todd_coxeter(f3.presentation, max_cosets=11)
+    assert (T.order, len(T.table), len(T.subgroup)) == (48, 6, 7)
+    assert todd_coxeter(f3.presentation, max_cosets=10).status == "exhausted"
+    # f1's and f2's largest stabilizers, and each cone's apex stabilizer,
+    # are all of G: one coset
+    cases = [(f1.presentation, 2), (f2.presentation, 6)]
     for n in (8, 12, 16):
         for seed in (0, 1):
             A = dihedral_cone(n, seed)
-            T = todd_coxeter(build_presentation(A, build_quotient(A)), max_cosets=2 * n)
-            assert (T.status, T.order) == ("complete", 2 * n)
+            cases.append((build_presentation(A, build_quotient(A)), 2 * n))
+    for P, order in cases:
+        T = todd_coxeter(P, max_cosets=1)
+        assert (T.status, T.order, len(T.table)) == ("complete", order, 1)
+
+
+@pytest.mark.parametrize("length", [3, 2])
+@pytest.mark.parametrize("retag", [False, True], ids=["dropped", "tagged-conj"])
+def test_subgroup_needs_the_closure(f3, length, retag):
+    # without one mult word of v*'s letters, a b c^-1 or a b, the letters
+    # at v* are not seen to be closed under products, and the enumeration
+    # falls back to the trivial subgroup: |G| rows, the same order.  An
+    # explicit word tagged conj does not count, as R' may leave it out
+    P, at = f3.presentation, {2 * i for i in f3.table.subgroup}
+    drop = next(r for r in P.explicit if r.tag == "mult" and len(r.word) == length and r.word[0] in at)
+    keep = [Relator(r.word, "conj") if r is drop else r for r in P.explicit if r is not drop or retag]
+    T = todd_coxeter(Presentation(P.generators, tuple(keep), P.conj))
+    assert (T.status, T.subgroup, T.order, len(T.table)) == ("complete", (), 48, 48)
+
+
+def test_subgroup_is_at_the_least_largest_stabilizer():
+    # refined f3's least vertex is a barycentre with a stabilizer of order
+    # 4; the six octahedron vertices tie at order 8, and H is generated by
+    # the letters at the least of them, which a relabelling moves
+    for name, star in (("p3", "m1"), ("l3", "l3")):
+        obj = json.loads(json.dumps(action_to_json_obj(f3_octahedral())).replace('"p3"', f'"{name}"'))
+        A = refine_action(action_from_json_obj(obj))
+        stabilizers = A.group.stabilizers
+        assert len(stabilizers[min(A.complex.vertices)]) == 4
+        assert sorted(v for v, s in stabilizers.items() if len(s) == 8)[0] == star
+        Q = build_quotient(A)
+        P = build_presentation(A, Q)
+        T = todd_coxeter(P)
+        assert {P.generators[i].vertex for i in T.subgroup} == {star}
+        assert (T.order, len(T.table), len(T.subgroup)) == (48, 6, 7)
+        assert verify_theorem(A, Q, P, T).group_order == 48
 
 
 def test_tc_fixture_orders(f1, f3):
@@ -712,17 +759,38 @@ def test_trace_rejects_unknown_symbol(f2, f3):
 # -- tracing stabilizer words -------------------------------------------
 
 
-def test_word_to_coset(f1):
+def test_word_to_coset(f1, f3):
+    # a word lands in its coset of H, the subgroup the letters at the
+    # largest stabilizer's vertex v* generate: on f1, H is all of G
     A, T = f1.action, f1.table
     flip = next(g for g in A.group.elements if not g.is_identity())
     word = StabilizerWord((StabilizerLetter(flip, "m"),))
     empty = StabilizerWord(())
     assert word_to_coset(T, empty) == 0
-    assert word_to_coset(T, word) != 0
+    assert word_to_coset(T, word) == 0
     assert word_to_coset(T, word * word) == 0
     # identity letters contribute nothing
     padded = StabilizerWord((StabilizerLetter(A.group.identity, "a"),)) * word
     assert word_to_coset(T, padded) == word_to_coset(T, word)
+    # on f3, a letter goes to coset 0 exactly when its element fixes v*
+    A, T = f3.action, f3.table
+    star = T.presentation.generators[T.subgroup[0]].vertex
+    assert A.group.stabilizers[star][1:] == tuple(
+        T.presentation.generators[i].element for i in T.subgroup
+    )
+    landed = Counter()
+    for s in T.presentation.generators:
+        coset = word_to_coset(T, StabilizerWord((s,)))
+        assert (coset == 0) == (s.element(star) == star)
+        landed[coset == 0] += 1
+    assert landed == {True: 38, False: 80}
+    # expressions of g and g' land on one row exactly when g^-1(v*) =
+    # g'^-1(v*): one row per point of v*'s orbit
+    cosets = {}
+    for g in A.group.elements:
+        coset = word_to_coset(T, armstrong_express(A, f3.quotient, min(A.complex.vertices), g))
+        cosets.setdefault(coset, set()).add(g.inverse()(star))
+    assert sorted(cosets) == list(range(len(T.table))) and all(len(v) == 1 for v in cosets.values())
 
 
 def test_word_to_coset_requires_complete(f1):
