@@ -110,8 +110,6 @@ from .presentation import (
     Relator,
     TheoremCertificate,
     build_presentation,
-    cyclic_reduce,
-    free_reduce,
     pi1_presentation,
     todd_coxeter,
     verify_theorem,

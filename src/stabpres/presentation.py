@@ -35,7 +35,8 @@ another presentation is refused.
 
 `pi1_presentation` is the classical edge-path presentation of the
 fundamental group (generators: edges off a spanning tree; relators:
-triangle boundaries), normalised and fed to the same enumerator.
+triangle boundaries less their tree edges, cyclically reduced and
+distinct by construction), fed as built to the same enumerator.
 """
 
 from __future__ import annotations
@@ -86,10 +87,10 @@ class ConjRule:
     a = g@v and b = h@w but the pairs `skip` lists for a; c is the letter
     (ghg^-1)@g(w), and `conjugate[g]` lists the code of c^-1 for each b.
 
-    The skips are the words the normaliser would drop: b = a, whose word
-    reduces to nothing, and b < a with c = b (g fixes w, gh = hg) and h
-    fixing v, whose word inverts the earlier word of (b, a).  No other
-    rotation or inversion keeps the sign pattern ++--."""
+    The skips are the words the tests' reference normaliser drops: b = a,
+    whose word reduces to nothing, and b < a with c = b (g fixes w, gh =
+    hg) and h fixing v, whose word inverts the earlier word of (b, a).
+    No other rotation or inversion keeps the sign pattern ++--."""
 
     element: tuple = ()  # the element number g of each letter g@v, by generator
     conjugate: tuple = ()  # by element number g: the code of c^-1 for each b, or None
@@ -195,56 +196,6 @@ class Presentation:
         return json.dumps(self.to_json_obj(), sort_keys=True, indent=2)
 
 
-def free_reduce(word):
-    """Cancel each adjacent pair of a letter code x and its inverse x ^ 1."""
-    out = []
-    for x in word:
-        if out and out[-1] == x ^ 1:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
-def cyclic_reduce(word):
-    return _strip_cancelling_ends(free_reduce(word))
-
-
-def _strip_cancelling_ends(word):
-    """The cyclic reduction of a freely reduced word."""
-    lo, hi = 0, len(word) - 1
-    while lo < hi and word[lo] == word[hi] ^ 1:
-        lo += 1
-        hi -= 1
-    return word[lo : hi + 1]
-
-
-def _canonical_cyclic_key(word):
-    """Lexicographic minimum over rotations of the word and its inverse:
-    only those starting at the least letter are built."""
-    w = list(word)
-    wi = [x ^ 1 for x in reversed(w)]
-    least = min(w + wi, default=None)
-    rotations = (seq[r:] + seq[:r] for seq in (w, wi) for r, x in enumerate(seq) if x == least)
-    return min(map(tuple, rotations), default=())
-
-
-def _distinct_relators(tagged_words):
-    """The one relator normaliser: freely reduce each (word, tag), whose
-    word is of letter codes, and keep it unless it cyclically
-    reduces to the empty word or repeats a kept relator up to rotation
-    and inversion."""
-    relators = []
-    seen = set()
-    for word, tag in tagged_words:
-        word = free_reduce(word)
-        key = _canonical_cyclic_key(_strip_cancelling_ends(word))
-        if key and key not in seen:
-            seen.add(key)
-            relators.append(Relator(word, tag))
-    return tuple(relators)
-
-
 def _local_words(A):
     """The letters g@v of a validated action in generator order, the
     letter code 2i of each keyed by (v, number of g), and an iterator
@@ -289,7 +240,7 @@ def build_presentation(A, Q):
     as a `ConjRule`, conjugating once per element pair.
 
     The words are freely reduced and distinct up to rotation and
-    inversion, so no normaliser runs.  A mult word has the signs ++- or
+    inversion, so none is dropped.  A mult word has the signs ++- or
     ++, and an edge word +-; only the identity rotation keeps those, and
     inversion keeps +- only for the reversed edge, never emitted.  So the
     one coincidence is g@v . g^-1@v and its rotation, which
@@ -708,7 +659,11 @@ def pi1_presentation(K, basepoint):
     """Spanning-tree presentation of pi1(K, basepoint).
 
     Generators: non-tree edges (crossing low vertex to high).  Relators:
-    triangle boundary words with tree edges deleted.
+    triangle boundary words with tree edges deleted, used as they are.
+    None is empty (tree edges close no cycle) or reduces (a triangle's
+    edges are distinct generators), and no two agree up to rotation and
+    inversion: abc and abd with only ab off-tree would make a-c-b-d-a a
+    cycle of tree edges.
     """
     if basepoint not in K.vertices:
         raise UnknownVertex(basepoint)
@@ -737,8 +692,8 @@ def pi1_presentation(K, basepoint):
             return None
         return code_of[e] + ((u, w) != e)
 
-    words = (
-        ([s for s in (step(a, b), step(b, c), step(c, a)) if s is not None], "tri")
+    relators = (
+        Relator(tuple(s for s in (step(a, b), step(b, c), step(c, a)) if s is not None), "tri")
         for a, b, c in K.sorted_triangles
     )
-    return Presentation(generators, _distinct_relators(words))
+    return Presentation(generators, tuple(relators))

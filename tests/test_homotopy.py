@@ -155,6 +155,16 @@ def test_contract_respects_budget():
     assert default_budget(3) == 34
 
 
+def test_search_exhausts_the_budget():
+    # the octahedron's equator bounds, but H2 != 0, so the bound uses
+    # |c|_1 = 0 (b0 = 2) and every depth limit up to the budget is searched
+    K = octahedron_boundary()
+    loop = validate_path(K, ["p1", "p2", "m1", "m2", "p1"])
+    with pytest.raises(BudgetExhausted, match="^no contraction found within budget 6$") as exc:
+        search_contraction(K, loop, "p1", budget=6)
+    assert exc.value.budget == 6
+
+
 def test_contract_budget_below_the_filling_bound_is_refused():
     # the triangle's filling has |c|_1 = 1, so b0 = 1 + (4 + 1) // 2 = 3
     K = solid_triangle()

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from stabpres.abelian import is_simply_connected, is_two_connected
+from stabpres.abelian import colimit_H1, is_simply_connected, is_two_connected
 from stabpres.actions import (
     PermGroup,
     Permutation,
@@ -21,17 +21,26 @@ from stabpres.actions import (
     subdivide_action,
 )
 from stabpres.armstrong import StabilizerLetter, StabilizerWord, armstrong_express
-from stabpres.errors import CertificateFailed, Disconnected, UnknownSymbol, UnknownVertex
-from stabpres.fixtures import cycle_complex, f3_octahedral, f5_antipodal, solid_triangle
+from stabpres.errors import (
+    CertificateFailed,
+    Disconnected,
+    PreconditionUnvalidated,
+    UnknownSymbol,
+    UnknownVertex,
+)
+from stabpres.fixtures import (
+    ALL,
+    cycle_complex,
+    f2_s3,
+    f3_octahedral,
+    f5_antipodal,
+    solid_triangle,
+)
 from stabpres.presentation import (
     ConjRule,
     Presentation,
     Relator,
-    _canonical_cyclic_key,
-    _distinct_relators,
     build_presentation,
-    cyclic_reduce,
-    free_reduce,
     pi1_presentation,
     todd_coxeter,
     verify_theorem,
@@ -54,7 +63,60 @@ def _pres(generators, *relator_words):
     )
 
 
-# -- word reduction -----------------------------------------------------
+# -- the reference normaliser -------------------------------------------
+# The package builds its relators distinct by construction; these are the
+# reference that the builders' output is checked against.
+
+
+def free_reduce(word):
+    """Cancel each adjacent pair of a letter code x and its inverse x ^ 1."""
+    out = []
+    for x in word:
+        if out and out[-1] == x ^ 1:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def cyclic_reduce(word):
+    """The free reduction, less each pair of ends that cancel cyclically."""
+    word = free_reduce(word)
+    lo, hi = 0, len(word) - 1
+    while lo < hi and word[lo] == word[hi] ^ 1:
+        lo += 1
+        hi -= 1
+    return word[lo : hi + 1]
+
+
+def _all_rotations_key(word):
+    """The canonical cyclic key: every rotation of the word and of its
+    inverse, built and compared."""
+    w = list(word)
+    wi = [x ^ 1 for x in reversed(w)]
+    best = None
+    for seq in (w, wi):
+        n = len(seq)
+        for r in range(n):
+            cand = tuple(seq[r:] + seq[:r])
+            if best is None or cand < best:
+                best = cand
+    return best if best is not None else ()
+
+
+def _distinct_relators(tagged_words):
+    """Freely reduce each (word, tag), whose word is of letter codes, and
+    keep it unless it cyclically reduces to the empty word or repeats a
+    kept relator up to rotation and inversion."""
+    relators = []
+    seen = set()
+    for word, tag in tagged_words:
+        word = free_reduce(word)
+        key = _all_rotations_key(cyclic_reduce(word))
+        if key and key not in seen:
+            seen.add(key)
+            relators.append(Relator(word, tag))
+    return tuple(relators)
 
 
 def test_free_reduce():
@@ -72,21 +134,6 @@ def test_cyclic_reduce():
     assert cyclic_reduce((a, A)) == ()
     assert cyclic_reduce((B, a, a, b)) == (a, a)
     assert cyclic_reduce((a, b, B, A, b)) == (b,)
-
-
-def _all_rotations_key(word):
-    """The canonical cyclic key as first written: every rotation of the
-    word and of its inverse, built and compared."""
-    w = list(word)
-    wi = [x ^ 1 for x in reversed(w)]
-    best = None
-    for seq in (w, wi):
-        n = len(seq)
-        for r in range(n):
-            cand = tuple(seq[r:] + seq[:r])
-            if best is None or cand < best:
-                best = cand
-    return best if best is not None else ()
 
 
 def _reference_words(A):
@@ -116,44 +163,6 @@ def _reference_words(A):
             k = G.product(G.product(g, h), G.inverse_of[g])
             c = code_of[G.elements[g](w), k]
             yield [a, b, a ^ 1, c ^ 1], "conj"
-
-
-def _raw_builder_words(monkeypatch, pipelines):
-    """Every (word, tag) the builders hand the relator normaliser for both
-    pi1 presentations of these pipelines, plus the raw words of their
-    stabilizer presentations."""
-    import stabpres.presentation as presentation
-
-    raw = []
-    normalise = presentation._distinct_relators
-
-    def recording(tagged_words):
-        tagged_words = list(tagged_words)
-        raw.extend(tagged_words)
-        return normalise(tagged_words)
-
-    monkeypatch.setattr(presentation, "_distinct_relators", recording)
-    for A, Q, _, _ in pipelines:
-        raw.extend(_reference_words(A))
-        for K in (A.complex, Q.quotient):
-            pi1_presentation(K, min(K.vertices))
-    return raw
-
-
-def test_canonical_cyclic_key_matches_all_rotations(monkeypatch, f1, f2, f3):
-    rng = random.Random(12)
-    words = [
-        [2 * rng.randrange(4) + (rng.choice((1, -1)) < 0) for _ in range(rng.randint(0, 9))]
-        for _ in range(20_000)
-    ]
-    raw = _raw_builder_words(monkeypatch, (f1, f2, f3))
-    # 14,598 from f3's presentation alone, the rest from f1, f2 and the
-    # pi1 triangle words
-    assert len(raw) == 14_814
-    words += [word for word, _ in raw]
-    for word in words:
-        for w in (word, cyclic_reduce(word)):
-            assert _canonical_cyclic_key(w) == _all_rotations_key(w)
 
 
 # -- distinct by construction -------------------------------------------
@@ -191,22 +200,14 @@ def test_builder_skip_counts_on_f3(f3):
         "edge": 72,
         "conj": 13924 - self_pairs - mutual,
     }
+    assert build_presentation(f3.action, f3.quotient) == f3.presentation
 
 
-def test_build_presentation_needs_no_cyclic_key(monkeypatch, f3):
-    import stabpres.presentation as presentation
-
-    calls = [0]
-    key = presentation._canonical_cyclic_key
-
-    def counted(word):
-        calls[0] += 1
-        return key(word)
-
-    monkeypatch.setattr(presentation, "_canonical_cyclic_key", counted)
-    P = build_presentation(f3.action, f3.quotient)
-    assert calls[0] == 0
-    assert P == f3.presentation
+def test_local_words_need_an_action_without_rotations(f2):
+    A = f2_s3()  # validated, not yet marked without rotations
+    for build in (build_presentation, colimit_H1):
+        with pytest.raises(PreconditionUnvalidated, match="without rotations"):
+            build(A, f2.quotient)
 
 
 # -- the conj rule --------------------------------------------------------
@@ -1035,6 +1036,39 @@ def test_pi1_yes_verdicts_skip_the_sweep(f1, f2, f3):
     # Complete(1) proves pi1 trivial: its one live coset, 0, is scanned first
     for p in (f1, f2, f3):
         assert is_simply_connected(p.action.complex).verdict == "yes"
+
+
+def _pi1_corpus(raw_dihedral_cone):
+    """X, refined X and X/G of f1-f5, of the D3-D24 cones under seeds 0, 1
+    and 7, and of Sd^2(f3)."""
+    actions = [build() for build in ALL.values()]
+    actions += [raw_dihedral_cone(n, seed) for n in range(3, 25) for seed in (0, 1, 7)]
+    actions.append(subdivide_action(subdivide_action(f3_octahedral())))
+    for A in actions:
+        R = refine_action(A)
+        yield from (A.complex, R.complex, build_quotient(R).quotient)
+
+
+def test_pi1_relators_are_distinct_by_construction(raw_dihedral_cone):
+    # pi1_presentation keeps every triangle's off-tree word as it is: the
+    # reference normaliser finds nothing to reduce or drop, at five basepoints
+    count = 0
+    for K in _pi1_corpus(raw_dihedral_cone):
+        vertices = K.sorted_vertices
+        for b in dict.fromkeys(vertices[k * len(vertices) // 5] for k in range(5)):
+            P = pi1_presentation(K, b)
+            assert P.relators == _distinct_relators((r.word, r.tag) for r in P.relators)
+            # the generators are K's edges off a spanning tree, in order
+            edges = [s.edge for s in P.generators]
+            off_tree = set(edges)
+            assert edges == [e for e in K.sorted_edges if e in off_tree]
+            assert len(K.sorted_edges) - len(edges) == len(vertices) - 1
+            # each spelled u-w, crossed low to high
+            names = [f"{u}-{w}" for u, w in edges]
+            rels = (" ".join(names[x >> 1] + "^-1" * (x & 1) for x in r.word) for r in P.relators)
+            assert P.to_text() == f"< {', '.join(names)} | {', '.join(rels)} >"
+            count += 1
+    assert count == 1062
 
 
 def test_pi1_requires_connected():
