@@ -200,7 +200,19 @@ def test_builder_skip_counts_on_f3(f3):
         "edge": 72,
         "conj": 13924 - self_pairs - mutual,
     }
-    assert build_presentation(f3.action, f3.quotient) == f3.presentation
+
+
+def test_build_presentation_needs_no_cyclic_key(f3):
+    import stabpres.presentation as presentation
+
+    # the builder keeps its relators distinct by construction: no cyclic
+    # key or normaliser is left in the package, and its output is already
+    # what the reference normaliser would keep
+    for name in ("_canonical_cyclic_key", "_distinct_relators", "free_reduce", "cyclic_reduce"):
+        assert not hasattr(presentation, name)
+    P = build_presentation(f3.action, f3.quotient)
+    assert P == f3.presentation
+    assert _distinct_relators((r.word, r.tag) for r in P.relators) == P.relators
 
 
 def test_local_words_need_an_action_without_rotations(f2):
