@@ -27,7 +27,7 @@ forming an exponent vector:
   colimit_H1               G-coinvariants of the direct sum of stabilizer
                            H1's over X, modulo edge identifications
   is_simply_connected      pi1 trivial (coset enumeration)
-  is_two_connected         pi1 trivial and H2 = 0
+  is_two_connected         pi1 trivial and H2 = 0, its rank from V - E + T
 
 The headline identity the package certifies on the abelian side is
 colimit_H1(A, Q) == group_abelianization(G).
@@ -40,9 +40,9 @@ from itertools import chain, count
 
 from .actions import close_under_product
 from .complexes import d2_rows
-from .errors import MalformedInput
+from .errors import Disconnected, MalformedInput
 from .linalg import _eye, invariant_factors, smith_normal_form, sparse_invariant_factors
-from .presentation import _local_words, pi1_presentation, todd_coxeter
+from .presentation import _find, _local_words, pi1_presentation, todd_coxeter
 
 PI1_BOUND = 10_000
 
@@ -168,14 +168,8 @@ def _contracted_relations(words, n):
     """
     parent = list(range(n))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     def union(i, j):
-        a, b = find(i), find(j)
+        a, b = _find(parent, i), _find(parent, j)
         if a != b:
             parent[max(a, b)] = min(a, b)
 
@@ -193,9 +187,9 @@ def _contracted_relations(words, n):
         elif vec:
             rest.append(vec)
 
-    classes = sorted({find(i) for i in range(n)})
+    classes = sorted({_find(parent, i) for i in range(n)})
     col_of = {c: j for j, c in enumerate(classes)}
-    column = [col_of[find(i)] for i in range(n)]
+    column = [col_of[_find(parent, i)] for i in range(n)]
     dedup = set()
     for vec in rest:
         row = [0] * len(classes)
@@ -304,13 +298,14 @@ def is_simply_connected(K, bound=PI1_BOUND):
     """Is the complex nonempty and connected with pi1 = 1?
 
     pi1 is checked by coset enumeration on the edge-path presentation
-    (Unknown if it exhausts the bound).
+    (Unknown if it exhausts the bound); building it finds a disconnection.
     """
     if not K.vertices:
         return TwoConnectedResult("no", "empty complex")
-    if K.components() != 1:
+    try:
+        P = pi1_presentation(K, min(K.vertices))
+    except Disconnected:
         return TwoConnectedResult("no", "not connected")
-    P = pi1_presentation(K, min(K.vertices))
     T = todd_coxeter(P, max_cosets=bound)
     if T.status != "complete":
         return TwoConnectedResult("unknown", f"pi1 enumeration exhausted {bound} cosets")
@@ -322,12 +317,14 @@ def is_simply_connected(K, bound=PI1_BOUND):
 def is_two_connected(K, bound=PI1_BOUND):
     """Is the complex simply connected with H2 = 0?
 
-    H2 = 0 via Hurewicz stands in for pi2 once pi1 is trivial.
+    H2 = 0 via Hurewicz stands in for pi2 once pi1 is trivial.  Then H0 =
+    Z and H1 = 0, and H2 = ker d2 is free (no 3-cells), so V - E + T =
+    1 + rank H2, and no matrix is eliminated.
     """
     verdict = is_simply_connected(K, bound)
     if not verdict:
         return verdict
-    h2 = homology_invariants(K, 2)
-    if h2.rank != 0 or h2.torsion:
-        return TwoConnectedResult("no", f"H2 = {h2}")
+    rank = len(K.vertices) - len(K.edges) + len(K.triangles) - 1
+    if rank:
+        return TwoConnectedResult("no", f"H2 = {AbelianInvariants(rank, ())}")
     return TwoConnectedResult("yes")

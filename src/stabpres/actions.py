@@ -99,6 +99,8 @@ class Permutation:
                 if v in mapping:
                     raise MalformedInput(f"vertex {v!r} appears in two cycles")
             for a, b in zip(cyc, cyc[1:] + [cyc[0]]):
+                if a in mapping:  # only a repeat within this cycle gets here
+                    raise MalformedInput(f"vertex {a!r} appears twice in one cycle")
                 mapping[a] = b
         return cls.from_mapping(domain, mapping)
 

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 
 from .actions import Permutation
-from .complexes import EdgePath, simplex
+from .complexes import EdgePath, _discoveries, simplex
 from .errors import (
     Disconnected,
     LetterInvariantViolated,
@@ -117,26 +117,10 @@ def psi_evaluate(word, identity=None):
     return result
 
 
-def _discoveries(adjacency, u, parent, rng):
-    """Yield u's component breadth-first, each vertex as it is discovered
-    (recording its parent); an rng shuffles each expanded neighbour list."""
-    yield u
-    queue = [u]
-    for v in queue:  # grows while it is walked
-        neighbours = adjacency[v]
-        if rng is not None:
-            neighbours = list(neighbours)
-            rng.shuffle(neighbours)
-        for nb in neighbours:
-            if nb not in parent:
-                parent[nb] = v
-                queue.append(nb)
-                yield nb
-
-
 def find_path(K, u, w, seed=0):
-    """Breadth-first shortest path; canonical tie-break, or a seeded
-    shuffle of each vertex's neighbours as the search expands it.
+    """Breadth-first shortest path (`complexes._discoveries`); canonical
+    tie-break, or a seeded shuffle of each vertex's neighbours as the
+    search expands it.
 
     It returns at w's first discovered neighbour.  A search run until w is
     popped makes the same draws up to there, gives w that parent and never
@@ -147,7 +131,7 @@ def find_path(K, u, w, seed=0):
     if u == w:
         return EdgePath((u,))
     beside_w = set(K.adjacency[w])
-    parent = {u: None}
+    parent = {}
     rng = random.Random(seed) if seed else None
     for v in _discoveries(K.adjacency, u, parent, rng):
         if v in beside_w:

@@ -40,6 +40,25 @@ def faces(s):
     return out
 
 
+def _discoveries(adjacency, u, parent, rng=None):
+    """The one graph search: yield u's component breadth-first, each vertex
+    as it is discovered, recording its parent (None for u) in `parent`;
+    an rng shuffles each expanded neighbour list."""
+    parent[u] = None
+    yield u
+    queue = [u]
+    for v in queue:  # grows while it is walked
+        neighbours = adjacency[v]
+        if rng is not None:
+            neighbours = list(neighbours)
+            rng.shuffle(neighbours)
+        for nb in neighbours:
+            if nb not in parent:
+                parent[nb] = v
+                queue.append(nb)
+                yield nb
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     vertices: frozenset
@@ -71,9 +90,10 @@ class SimplicialComplex:
     def edge_apexes(self):
         """edge -> sorted tuple of vertices completing it to a triangle."""
         apex = {e: [] for e in self.edges}
-        for t in self.triangles:
-            for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-                apex[e].append(_third(t, e))
+        for a, b, c in self.triangles:
+            apex[a, b].append(c)
+            apex[a, c].append(b)
+            apex[b, c].append(a)
         return {e: tuple(sorted(a)) for e, a in apex.items()}
 
     @cached_property
@@ -114,20 +134,14 @@ class SimplicialComplex:
 
     def components(self):
         """The number of connected components (0 for the empty complex)."""
-        seen = set()
-        count = 0
+        found = {}
+        roots = 0
         for root in self.sorted_vertices:
-            if root in seen:
-                continue
-            count += 1
-            seen.add(root)
-            stack = [root]
-            while stack:
-                for w in self.adjacency[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        return count
+            if root not in found:
+                roots += 1
+                for _ in _discoveries(self.adjacency, root, found):
+                    pass
+        return roots
 
     def to_json_obj(self):
         return {
@@ -176,13 +190,6 @@ def boundary_matrices(K):
         d1[v_index[u]][j] -= 1
         d1[v_index[w]][j] += 1
     return d1, _dense_d2(K)
-
-
-def _third(t, e):
-    for v in t:
-        if v not in e:
-            return v
-    raise AssertionError("triangle has no third vertex")
 
 
 def validate_complex(vertices, edges=(), triangles=()):

@@ -10,13 +10,13 @@ over Z and contributes an invariant factor 1.  The dense `_smith` sees
 only the rest, which is empty for the boundary maps of Sd^2(f3) and
 Sd^3(f3) and a column of +-2 for d2 of RP^2.  `invariant_factors`
 reads a dense matrix into sparse rows once, at its entry.
-`smith_normal_form` and `IntegerSolver` stay dense and tracked:
+`smith_normal_form` and `IntegerSolver` track the transforms, which
+`_smith` reads off an augmented matrix, not by a second code path:
 `smith_normal_form` checks U*M*V == S and the diagonal divisibility
 chain on every call, and `IntegerSolver` keeps the transforms to solve
-M x = b over Z.  U and V are products of elementary operations, so
-they are unimodular by construction; `smith_normal_form` recomputes
-that by Bareiss for matrices small enough to keep it cheap, and
-`IntegerSolver` checks each solution it returns.
+M x = b over Z and checks each solution it returns.  U and V are
+unimodular by construction; `smith_normal_form` recomputes that by
+Bareiss for matrices small enough to keep it cheap.
 
 This module imports nothing from the package, so both the abelian side
 and the complexes (for loop fillings) can build on it.
@@ -81,50 +81,39 @@ def _smith(M, track):
 
     S is M diagonalized over Z with a nonnegative divisibility chain on
     its diagonal.  With track, U and V are the transforms with
-    U*M*V == S; without it they are None.  Both are built only from
-    swaps, additions of a multiple of another row or column, and row
-    negation, so they are unimodular.  Rows and columns before the pivot
-    are already finished (zero off the diagonal), so the operations on S
-    skip them.
+    U*M*V == S, read off [[M, I_m], [I_n, 0]] eliminated by the same
+    operations: a row operation runs to the end of the row (U is the
+    right block) and a column operation down every row (V is the lower
+    block), while the pivot search reads only M's block.  Without track
+    U and V are None.  Swaps, additions of a multiple of another row or
+    column and row negation keep U and V unimodular.  Rows and columns
+    before the pivot are finished (zero off the diagonal), so no
+    operation touches them.
     """
     m = len(M)
     n = len(M[0]) if m else 0
     A = [list(r) for r in M]
-    U = _eye(m) if track else None
-    V = _eye(n) if track else None
+    if track:
+        A = [r + e for r, e in zip(A, _eye(m))] + [e + [0] * m for e in _eye(n)]
+    height = len(A)
+    width = n + m if track else n
     t = 0
-
-    def row_swap(a, b):
-        if a != b:
-            A[a], A[b] = A[b], A[a]
-            if track:
-                U[a], U[b] = U[b], U[a]
 
     def col_swap(a, b):
         if a != b:
-            for i in range(t, m):
+            for i in range(t, height):
                 row = A[i]
                 row[a], row[b] = row[b], row[a]
-            if track:
-                for row in V:
-                    row[a], row[b] = row[b], row[a]
 
     def row_add(dst, src, c):
         Ad, As = A[dst], A[src]
-        for j in range(t, n):
+        for j in range(t, width):
             Ad[j] += c * As[j]
-        if track:
-            Ud, Us = U[dst], U[src]
-            for j in range(m):
-                Ud[j] += c * Us[j]
 
     def col_add(dst, src, c):
-        for i in range(t, m):
+        for i in range(t, height):
             row = A[i]
             row[dst] += c * row[src]
-        if track:
-            for row in V:
-                row[dst] += c * row[src]
 
     while t < min(m, n):
         piv = None
@@ -138,7 +127,7 @@ def _smith(M, track):
                     piv = (i, j)
         if piv is None:
             break
-        row_swap(t, piv[0])
+        A[t], A[piv[0]] = A[piv[0]], A[t]
         col_swap(t, piv[1])
         while True:
             # shrink until the pivot exactly divides its row and column
@@ -158,7 +147,7 @@ def _smith(M, track):
                     residue = i
                     break
             if residue is not None:
-                row_swap(t, residue)
+                A[t], A[residue] = A[residue], A[t]
                 continue
             for j in range(t + 1, n):
                 if At[j]:
@@ -186,7 +175,9 @@ def _smith(M, track):
         if A[t][t] < 0:
             row_add(t, t, -2)  # negate the row: A[t] + (-2)A[t] = -A[t]
         t += 1
-    return A, U, V
+    if not track:
+        return A, None, None
+    return [r[:n] for r in A[:m]], [r[n:] for r in A[:m]], [r[:n] for r in A[m:]]
 
 
 def smith_normal_form(M):

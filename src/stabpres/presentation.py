@@ -48,7 +48,7 @@ from functools import cached_property
 from itertools import chain, count, product
 
 from .armstrong import StabilizerLetter, armstrong_express, psi_evaluate
-from .complexes import simplex
+from .complexes import _discoveries, simplex
 from .errors import (
     CertificateFailed,
     Disconnected,
@@ -302,6 +302,14 @@ class CosetTable:
         return coset
 
 
+def _find(parent, x):
+    """The root of x in the union-find forest `parent`, halving its path;
+    which nodes are roots does not change.  The package's one find."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
 class _CosetBoundHit(Exception):
     """Raised by `todd_coxeter`'s define step when max_cosets is reached."""
 
@@ -385,22 +393,16 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     # equal[x]: a letter code equal to x, of an earlier generator unless x
     # is its class's root; the roots of x and x ^ 1 are always inverse
     equal = list(range(2 * len(P.generators)))
-
-    def root(x):
-        while equal[x] != x:
-            equal[x] = x = equal[equal[x]]
-        return x
-
     for r in P.explicit:  # every rule word has four letters
         if len(r.word) == 2:
             x, y = r.word
-            a, b = sorted((root(x), root(y ^ 1)))  # x y = 1, so x = y^-1
+            a, b = sorted((_find(equal, x), _find(equal, y ^ 1)))  # x y = 1, so x = y^-1
             if a >> 1 != b >> 1:
                 equal[b], equal[b ^ 1] = a, a ^ 1
     compact = {}  # root generator -> compact generator index
     code = []  # letter code -> compact code
     for x in range(len(equal)):
-        a = root(x)
+        a = _find(equal, x)
         code.append(2 * compact.setdefault(a >> 1, len(compact)) + (a & 1))
     words = P.relator_words(code, {x for x, y in enumerate(equal) if x == y})
     rels = [w for w in words if len(w) != 2 or w[0] != w[1] ^ 1]
@@ -414,14 +416,6 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
         x = code[2 * i]
         table[0][x] = table[0][x ^ 1] = 0
 
-    def rep(k):
-        r = k
-        while parent[r] != r:
-            r = parent[r]
-        while parent[k] != r:
-            parent[k], k = r, parent[k]
-        return r
-
     def define(alpha, x):
         if len(table) >= max_cosets:
             raise _CosetBoundHit
@@ -432,7 +426,7 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
         table[beta][x ^ 1] = alpha
 
     def merge(a, b, queue):
-        a, b = rep(a), rep(b)
+        a, b = _find(parent, a), _find(parent, b)
         if a != b:
             mu, nu = (a, b) if a < b else (b, a)
             parent[nu] = mu
@@ -451,8 +445,8 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
                 if delta == -1:
                     continue
                 table[delta][x ^ 1] = -1
-                mu = rep(gamma)
-                nu = rep(delta)
+                mu = _find(parent, gamma)
+                nu = _find(parent, delta)
                 if table[mu][x] != -1:
                     merge(nu, table[mu][x], queue)
                 elif table[nu][x ^ 1] != -1:
@@ -490,7 +484,7 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     full = 0  # every live row below `full` is full; None once HLT scans on
     try:
         while alpha < len(table):
-            if rep(alpha) != alpha:
+            if parent[alpha] != alpha:
                 alpha += 1
                 continue
             for w in rels:
@@ -503,9 +497,9 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
                         break
                 if f != alpha:
                     scan_and_fill(alpha, w)
-                    if rep(alpha) != alpha:
+                    if parent[alpha] != alpha:
                         break
-            if rep(alpha) == alpha:
+            if parent[alpha] == alpha:
                 for x in range(width):
                     if table[alpha][x] == -1:
                         define(alpha, x)
@@ -526,9 +520,11 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     except _CosetBoundHit:
         return CosetTable(P, (), "exhausted", bound=max_cosets, subgroup=subgroup)
 
-    live = [k for k in range(len(table)) if rep(k) == k]
+    live = [k for k, p in enumerate(parent) if k == p]
     renumber = {k: i for i, k in enumerate(live)}
-    final = tuple(tuple(-1 if c == -1 else renumber[rep(c)] for c in table[k]) for k in live)
+    final = tuple(
+        tuple(-1 if c == -1 else renumber[_find(parent, c)] for c in table[k]) for k in live
+    )
     identity = list(range(len(live)))
     for col in set(zip(*final)):  # sorted to 0..n-1, so no entry is undefined or dangling
         if sorted(col) != identity:
@@ -658,30 +654,22 @@ def verify_theorem(A, Q, P, T):
 def pi1_presentation(K, basepoint):
     """Spanning-tree presentation of pi1(K, basepoint).
 
-    Generators: non-tree edges (crossing low vertex to high).  Relators:
-    triangle boundary words with tree edges deleted, used as they are.
-    None is empty (tree edges close no cycle) or reduces (a triangle's
-    edges are distinct generators), and no two agree up to rotation and
-    inversion: abc and abd with only ab off-tree would make a-c-b-d-a a
-    cycle of tree edges.
+    The tree is the parents of `find_path`'s unseeded search from the
+    basepoint.  Generators: non-tree edges (crossing low vertex to high).
+    Relators: triangle boundary words with tree edges deleted, used as
+    they are.  None is empty (tree edges close no cycle) or reduces (a
+    triangle's edges are distinct generators), and no two agree up to
+    rotation and inversion: abc and abd with only ab off-tree would make
+    a-c-b-d-a a cycle of tree edges.
     """
     if basepoint not in K.vertices:
         raise UnknownVertex(basepoint)
-    parent = {basepoint: None}
-    order = [basepoint]
-    qi = 0
-    tree = set()
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for w in K.adjacency[v]:
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
-                tree.add(simplex((v, w)))
+    parent = {}
+    for _ in _discoveries(K.adjacency, basepoint, parent):
+        pass
     if len(parent) != len(K.vertices):
-        missing = next(v for v in K.sorted_vertices if v not in parent)
-        raise Disconnected(basepoint, missing)
+        raise Disconnected(basepoint, min(K.vertices - parent.keys()))
+    tree = {simplex((v, w)) for w, v in parent.items() if v is not None}
 
     generators = tuple(EdgeSymbol(e) for e in K.sorted_edges if e not in tree)
     code_of = {s.edge: 2 * i for i, s in enumerate(generators)}

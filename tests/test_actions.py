@@ -116,6 +116,11 @@ def test_permutation_rejects_nonbijection():
         Permutation.from_cycles(("a", "b"), [["a"]])
     with pytest.raises(MalformedInput, match="appears in two cycles"):
         Permutation.from_cycles(("a", "b", "c"), [["a", "b"], ["b", "c"]])
+    # a repeat inside one cycle would load (a a) as the identity and fail
+    # (a b a) later as a non-bijection that names no vertex
+    for cycle in (["a", "a"], ["a", "b", "a"]):
+        with pytest.raises(MalformedInput, match="vertex 'a' appears twice in one cycle"):
+            Permutation.from_cycles(("a", "b", "c"), [cycle])
 
 
 def test_parse_cycles():

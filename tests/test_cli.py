@@ -203,6 +203,14 @@ def test_express_rejects_bad_cycles(fixture_dir, capsys, clean_env):
     assert code == 3
 
 
+def test_express_rejects_a_vertex_repeated_in_a_cycle(fixture_dir, capsys, clean_env):
+    code, out, err = run(
+        capsys, "express", str(fixture_dir / "f1.json"), "-g", "(a a)", "--format", "json"
+    )
+    assert code == 3 and out == ""
+    assert json.loads(err)["detail"] == "malformed input: vertex 'a' appears twice in one cycle"
+
+
 def test_express_reports_a_word_that_misses_the_element(fixture_dir, capsys, clean_env, monkeypatch):
     import stabpres.cli
     from stabpres.armstrong import StabilizerWord

@@ -478,6 +478,18 @@ def test_collapse_line_disc():
     assert verify_collapse(cert)
 
 
+def test_collapse_refuses_a_closed_surface_and_a_cycle():
+    # the octahedron boundary has no boundary edge for the one-vertex walk
+    # to push across; the 3-cycle walked once has no triangle to push and
+    # no spur to retract
+    sphere = DegenerateDisc(octahedron_boundary(), EdgePath(("p1",)))
+    with pytest.raises(NotCollapsible, match="8 triangles left, no boundary edge free$"):
+        collapse_disc(sphere)
+    cycle = DegenerateDisc(cycle_complex(3), EdgePath(("v0", "v1", "v2", "v0")))
+    with pytest.raises(NotCollapsible, match="admits no spur retraction"):
+        collapse_disc(cycle)
+
+
 def test_collapse_random_discs():
     for n in (4, 6, 9, 12):
         for seed in range(4):
