@@ -263,16 +263,19 @@ def colimit_H1(A, Q):
     """H1 of the stabilizer colimit: the G-coinvariants of the direct sum
     of H1(G_v) over every vertex v of X, modulo the edge identifications.
 
-    The letters and the `mult` and `edge` words are the presentation's own
-    (`_local_words`).  One orbit word h@v . (s h s^-1)@s(v)^-1 per letter
-    and generator s of G gives the coinvariants, as x - (st)x is
-    (x - tx) + (y - sy) with y = tx; orbit words need not hold in G.  The
-    contraction unions the letters of every edge and orbit word, each of
-    the two-letter shape x y^-1, and drops zero and repeated rows, so no
-    normaliser runs.  Nothing is chosen: Q is not read, and stays in the
-    signature for existing callers.
+    The letters and the `edge` words are the presentation's own
+    (`_local_words`), and of its `mult` words only the s . h . (sh)^-1
+    with s in S_v, a generating set of G_v, which present G_v as the
+    full table does, so the cokernel is the same.  One orbit word h@v .
+    (s h s^-1)@s(v)^-1 per letter and generator s of G gives the
+    coinvariants, as x - (st)x is (x - tx) + (y - sy) with y = tx; orbit
+    words need not hold in G.  The contraction unions the letters of
+    every edge and orbit word, each of the two-letter shape x y^-1, and
+    drops zero and repeated rows, so no normaliser runs.  Q is not read;
+    it stays in the signature for existing callers, the benchmark among
+    them.
     """
-    letters, code_of, local = _local_words(A)
+    letters, code_of, local = _local_words(A, spanning=True)
     G = A.group
     gens = [(s, G.number[s], G.inverse_of[G.number[s]]) for s in G.generators]
     orbit = (

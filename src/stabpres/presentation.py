@@ -3,7 +3,8 @@
 Generators: one `StabilizerLetter` g@v per vertex v and nonidentity
 element g fixing v, the letter type of the expression words, so words
 trace through coset tables and abelianized images letter by letter.
-Relators come in three families; `abelian.colimit_H1` reuses the first two:
+Relators come in three families; `abelian.colimit_H1` reuses the edge
+words and the mult words whose g lies in a generating set of G_v:
 
   mult  g@v . h@v . (gh)@v^-1          (per-vertex multiplication tables)
   edge  g@u . g@w^-1                   (u-w an edge, g fixing both ends)
@@ -113,11 +114,14 @@ class Presentation:
     def __post_init__(self):
         n = len(self.generators)
         rule = self.conj
-        rows = [rule.conjugate[g] for g in dict.fromkeys(rule.element)]
-        if rule.element and {len(rule.element), len(rule.skip), *map(len, rows)} != {n}:
+        # elements and letter codes index lists and table rows, where a negative
+        # one would wrap around and anything but an int would fail deep inside
+        known, elements = range(len(rule.conjugate)), dict.fromkeys(rule.element)
+        rows = [rule.conjugate[g] if type(g) is int and g in known else None for g in elements]
+        if None in rows or (
+            rule.element and {len(rule.element), len(rule.skip), *map(len, rows)} != {n}
+        ):
             raise ValueError("a conj rule needs one entry per generator")
-        # letter codes index table rows and lists, where a negative code would
-        # wrap around and anything but an int would fail deep in an enumeration
         letters = tuple(chain(chain.from_iterable(r.word for r in self.explicit), *rows, *rule.skip))
         codes = range(2 * n)
         if not (set(map(type, letters)) <= {int} and set(letters) <= set(codes)):
@@ -196,13 +200,20 @@ class Presentation:
         return json.dumps(self.to_json_obj(), sort_keys=True, indent=2)
 
 
-def _local_words(A):
+def _local_words(A, spanning=False):
     """The letters g@v of a validated action in generator order, the
     letter code 2i of each keyed by (v, number of g), and an iterator
     over its tagged `mult` and `edge` words of letter codes: the
-    relators that hold within one vertex or edge stabilizer.  A `mult`
-    word g@v . g^-1@v is emitted only for g no later than g^-1, as its
-    other order is a rotation of it."""
+    relators that hold within one vertex or edge stabilizer.
+
+    The `mult` words at v are s@v . h@v . (sh)@v^-1, or s@v . h@v when
+    sh = 1, for each letter h at v and each left factor s: every letter
+    at v, or with `spanning` those of S_v, each letter at v not in the
+    subgroup the earlier ones generate, in element-number order.  Left
+    multiplication by s permutes G_v and S_v generates G_v, so either
+    family presents G_v on these letters.  A word s . s^-1 is emitted
+    only for s no later than s^-1, as its other order is a rotation of
+    it; each s of S_v is, as an earlier s^-1 would have spanned s."""
     if not A.validated_without_rotations:
         raise PreconditionUnvalidated("action must be validated without rotations")
     G = A.group
@@ -214,13 +225,24 @@ def _local_words(A):
             code_of[v, g] = 2 * len(letters)
             letters.append(StabilizerLetter(G.elements[g], v))
 
+    def generating_set(elements):  # S_v, greedily
+        chosen, span = [], {0}  # element 0 is the identity
+        for g in elements:
+            if g not in span:
+                chosen.append(g)
+                grow = list(span)
+                for x in grow:  # close the span under the chosen elements
+                    new = {G.product(s, x) for s in chosen} - span
+                    span |= new
+                    grow += new
+        return chosen
+
     def words():
-        # stabilizers list element numbers in canonical order, so g comes
-        # no later than its inverse exactly when g <= inverse_of[g]
         for v in A.complex.sorted_vertices:
-            for g, h in product(stab[v], stab[v]):
+            left = generating_set(stab[v]) if spanning else stab[v]
+            for g, h in product(left, stab[v]):
                 k = G.product(g, h)
-                if k:  # element 0 is the identity
+                if k:
                     yield (code_of[v, g], code_of[v, h], code_of[v, k] + 1), "mult"
                 elif g <= h:
                     yield (code_of[v, g], code_of[v, h]), "mult"
@@ -237,7 +259,13 @@ def _local_words(A):
 def build_presentation(A, Q):
     """The stabilizer presentation of a validated action: the `mult` and
     `edge` words of `_local_words` as `Relator`s, then the `conj` family
-    as a `ConjRule`, conjugating once per element pair.
+    as a `ConjRule`.
+
+    Conjugation by g acts on the letters, h@w -> (ghg^-1)@g(w), and sg
+    acts as s after g.  So only each generator s's row is conjugated out
+    with `G.product`; every other element's row is s's composed with its
+    parent's in a breadth-first search of G from the identity, and only
+    the rows of letter elements are kept.
 
     The words are freely reduced and distinct up to rotation and
     inversion, so none is dropped.  A mult word has the signs ++- or
@@ -252,18 +280,28 @@ def build_presentation(A, Q):
     letters = list(code_of)  # (v, g) of each letter g@v, in generator order
     element = tuple(g for _, g in letters)
     elements = dict.fromkeys(element)
-    conjugate = [None] * G.order()
-    fixed = {}  # g -> the codes b = h@w with c = b: g fixes w, gh = hg
-    for g in elements:
-        x, ginv = G.elements[g], G.inverse_of[g]
-        k = {h: G.product(G.product(g, h), ginv) for h in elements}
-        conjugate[g] = row = tuple(code_of[x(w), k[h]] + 1 for w, h in letters)
-        fixed[g] = [b for b, c_inv in zip(count(0, 2), row) if b + 1 == c_inv]
+    steps = []  # (s, its row of c^-1 codes, indexed by b^-1's code) per generator s
+    for x in G.generators:
+        s = G.number[x]
+        k = {h: G.product(G.product(s, h), G.inverse_of[s]) for h in elements}
+        step = [None] * 2 * len(letters)
+        step[1::2] = (code_of[x(w), k[h]] + 1 for w, h in letters)
+        steps.append((s, step))
+    rows = {0: tuple(range(1, 2 * len(letters), 2))}  # the identity's
+    queue = [0]
+    for g in queue:
+        for s, step in steps:
+            if (sg := G.product(s, g)) not in rows:
+                rows[sg] = tuple(map(step.__getitem__, rows[g]))
+                queue.append(sg)
+    conjugate = tuple(rows[g] if g in elements else None for g in range(G.order()))
+    # g -> the codes b = h@w with c = b: g fixes w, gh = hg
+    fixed = {g: [b for b, c in zip(count(0, 2), conjugate[g]) if b + 1 == c] for g in elements}
     skip = tuple(
         tuple(b for b in fixed[g] if b == a or (b < a and (v, element[b >> 1]) in code_of))
         for a, (v, g) in zip(count(0, 2), letters)
     )
-    rule = ConjRule(element, tuple(conjugate), skip)
+    rule = ConjRule(element, conjugate, skip)
     return Presentation(generators, tuple(Relator(word, tag) for word, tag in local), rule)
 
 
@@ -378,6 +416,8 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     onto G with psi(R) = 1, which `verify_theorem` checks, gives |G| <=
     |Gamma(R)| <= |Gamma(R')| <= n . h, so the table is G acting on the
     cosets of a subgroup of order h, on which every word of R' closes.
+    Fullness is checked before each row is scanned, so when H's seeded
+    row 0 is full and h = |G| it is returned with no word of R' formed.
 
     Otherwise, presentations without a rule (pi1) and counts that are not
     |G| included, HLT scans on over the rows it has not processed.  Every
@@ -404,8 +444,6 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     for x in range(len(equal)):
         a = _find(equal, x)
         code.append(2 * compact.setdefault(a >> 1, len(compact)) + (a & 1))
-    words = P.relator_words(code, {x for x, y in enumerate(equal) if x == y})
-    rels = [w for w in words if len(w) != 2 or w[0] != w[1] ^ 1]
     width = 2 * len(compact)
 
     subgroup = _stabilizer_subgroup(P)
@@ -482,11 +520,28 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
 
     alpha = 0
     full = 0  # every live row below `full` is full; None once HLT scans on
+    rels = None  # the words of R', formed before the first scan
     try:
         while alpha < len(table):
+            if full is not None:
+                # processed rows stay full under coincidences, so the table
+                # is complete once every live row from alpha on is full
+                full = max(full, alpha)
+                while full < len(table) and (parent[full] != full or -1 not in table[full]):
+                    full += 1
+                if full == len(table):
+                    # the lemma: at n . h = |G| the table is returned as it
+                    # is, the seeded row 0 too; at any other count every live
+                    # row is scanned, so n is exact
+                    if sum(k == p for k, p in enumerate(parent)) * h == len(P.conj.conjugate):
+                        break
+                    full = None
             if parent[alpha] != alpha:
                 alpha += 1
                 continue
+            if rels is None:
+                words = P.relator_words(code, {x for x, y in enumerate(equal) if x == y})
+                rels = [w for w in words if len(w) != 2 or w[0] != w[1] ^ 1]
             for w in rels:
                 # most words already close at alpha: trace forward, and
                 # scan and fill only a trace that stops or ends elsewhere
@@ -504,19 +559,6 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
                     if table[alpha][x] == -1:
                         define(alpha, x)
             alpha += 1
-            if full is None:
-                continue
-            # processed rows stay full under coincidences, so the table is
-            # complete once every live row from alpha on is full
-            full = max(full, alpha)
-            while full < len(table) and (parent[full] != full or -1 not in table[full]):
-                full += 1
-            if full == len(table):
-                # the lemma: at n . h = |G| the table is returned as it is;
-                # at any other count every live row is scanned, so n is exact
-                if sum(k == p for k, p in enumerate(parent)) * h == len(P.conj.conjugate):
-                    break
-                full = None
     except _CosetBoundHit:
         return CosetTable(P, (), "exhausted", bound=max_cosets, subgroup=subgroup)
 

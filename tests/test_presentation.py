@@ -9,7 +9,13 @@ from dataclasses import replace
 
 import pytest
 
-from stabpres.abelian import colimit_H1, is_simply_connected, is_two_connected
+from stabpres.abelian import (
+    AbelianInvariants,
+    _contracted_relations,
+    colimit_H1,
+    is_simply_connected,
+    is_two_connected,
+)
 from stabpres.actions import (
     PermGroup,
     Permutation,
@@ -40,6 +46,7 @@ from stabpres.presentation import (
     ConjRule,
     Presentation,
     Relator,
+    _local_words,
     build_presentation,
     pi1_presentation,
     todd_coxeter,
@@ -308,6 +315,21 @@ def test_rule_rejects_codes_outside_the_letters(conjugate, skip):
     assert (type(exc.value.symbol), exc.value.symbol) == (type(bad), bad)
 
 
+@pytest.mark.parametrize(
+    "rule",
+    [
+        ConjRule((1,), (None, None), ((),)),
+        ConjRule((5,), (None, (1,)), ((),)),
+        ConjRule((-1,), (None, (1,)), ((),)),
+    ],
+    ids=["row-none", "element-past-rows", "element-negative"],
+)
+def test_rule_refuses_an_element_without_a_row(rule):
+    # element -1 would read the last row by wraparound
+    with pytest.raises(ValueError, match="one entry per generator"):
+        Presentation(("a",), (), rule)
+
+
 def test_rule_words_and_shape():
     rule = ConjRule((1, 1), (None, (1, 3)), ((0,), (2,)))
     P = Presentation(("a", "b"), (), rule)
@@ -389,7 +411,8 @@ def test_d48_cone_certifies_at_scale(monkeypatch, raw_dihedral_cone):
 def test_d96_cone_builds_without_permutation_products(monkeypatch, raw_dihedral_cone, traces):
     # |G| = 192, and every element fixes the apex, so its mult table alone
     # multiplies every pair of nonidentity elements; the apex letters
-    # generate G, so HLT completes at one coset, tracing each word once
+    # generate G, so the seeded coset 0 is a full row at 1 . 192 = |G| and
+    # HLT returns it without forming a word of R'
     A = refine_action(raw_dihedral_cone(96, 1))
     Q = build_quotient(A)
     allow = _no_permutation_product(monkeypatch)
@@ -399,8 +422,7 @@ def test_d96_cone_builds_without_permutation_products(monkeypatch, raw_dihedral_
     # R' of those, the rule read at Tietze roots only, presents G
     T = todd_coxeter(P)
     assert (T.status, T.order, len(T.table)) == ("complete", 192, 1)
-    [(r, t)] = traces
-    assert t == r
+    assert traces == []
     assert verify_theorem(A, Q, P, T).group_order == 192
 
 
@@ -419,7 +441,8 @@ def _subdivided_f3(times):
 def test_r_prime_certifies(case, request, dihedral_cone, traces):
     # Complete(|G|) on R' over the cosets of the largest vertex stabilizer
     # G_v*, at |G| / |G_v*| labels: HLT traces each word once, at coset 0,
-    # after which the table is complete and the lemma returns it; the
+    # after which the table is complete and the lemma returns it; when G_v*
+    # is G the seeded coset 0 is already full and no word is formed.  The
     # certificate holds
     if case.startswith("Sd"):
         A = _subdivided_f3(2 if case == "Sd2(f3)" else 1)
@@ -435,8 +458,11 @@ def test_r_prime_certifies(case, request, dihedral_cone, traces):
     T = todd_coxeter(P, max_cosets=20 * order)
     stab = max(map(len, A.group.stabilizers.values()))
     assert (T.status, T.order, len(T.table)) == ("complete", order, order // stab)
-    [(r, t)] = traces
-    assert t == r
+    if stab == order:
+        assert traces == []
+    else:
+        [(r, t)] = traces
+        assert t == r
     assert verify_theorem(A, Q, P, T).group_order == order
 
 
@@ -988,11 +1014,14 @@ def test_product_memo_bounds_permutation_products(monkeypatch):
 
 
 def test_group_products_fold_each_distinct_word_once(monkeypatch):
-    # a fresh f3 group; the builder conjugates once per element pair, and
-    # the psi-check folds each distinct explicit word of element numbers
-    # once and conjugates once per element pair for the rule's rows, where
-    # a fold per relator made 28,214 and 55,144 calls, and a fold per
-    # distinct word of the rule too 2,650 and 4,872
+    # a fresh f3 group; the builder multiplies within each vertex
+    # stabilizer for the mult words (602), conjugates once per generator
+    # and letter element (3 . 32 . 2) and steps once per generator and
+    # element (3 . 48); the psi-check folds each distinct explicit word of
+    # element numbers once and conjugates once per element pair for the
+    # rule's rows.  A fold per relator made 28,214 and 55,144 calls, a
+    # fold per distinct word of the rule too 2,650 and 4,872, and a build
+    # that conjugated once per element pair 2,650
     A = refine_action(f3_octahedral())
     Q = build_quotient(A)
     calls = [0]
@@ -1004,13 +1033,59 @@ def test_group_products_fold_each_distinct_word_once(monkeypatch):
 
     monkeypatch.setattr(PermGroup, "product", counted)
     P = build_presentation(A, Q)
-    assert calls[0] == 2650
+    assert calls[0] == 602 + 3 * 32 * 2 + 3 * 48
     T = todd_coxeter(P)
     calls[0] = 0
     verify_theorem(A, Q, P, T)
     # 2,824 for the psi-check's relators, and 64 swings that the 48
     # canonical expressions fold into their composites by number
     assert calls[0] == 2824 + 64
+
+
+def test_colimit_products(monkeypatch):
+    # a fresh f3 group: 708 for the orbit words (118 letters, 3 generators,
+    # two products each), 236 for the mult words of S_v . G_v, where the
+    # full tables took 602, and 340 to close each S_v's span
+    A = refine_action(f3_octahedral())
+    Q = build_quotient(A)
+    calls = [0]
+    product = PermGroup.product
+
+    def counted(G, i, j):
+        calls[0] += 1
+        return product(G, i, j)
+
+    monkeypatch.setattr(PermGroup, "product", counted)
+    colimit_H1(A, Q)
+    assert calls[0] == 708 + 236 + 340
+
+
+# -- the generator-row paths against the full tables ---------------------
+
+
+@pytest.mark.parametrize(
+    "case", ["f1", "f2", "f3", "Sd(f3)", *(f"D{n}/{s}" for n in range(3, 25) for s in range(3))]
+)
+def test_generator_rows_agree_with_the_full_tables(
+    case, request, dihedral_cone, product_built_rows, full_table_colimit
+):
+    # the rule rows composed along G's generators are the rows conjugated
+    # out pair by pair, and the colimit from S_v . G_v mult words is the
+    # one from every G_v's full table, with and without the orbit words
+    if case.startswith("D"):
+        n, seed = map(int, case[1:].split("/"))
+        A = dihedral_cone(n, seed)
+    elif case == "Sd(f3)":
+        A = _subdivided_f3(1)
+    else:
+        A = request.getfixturevalue(case).action
+    Q = build_quotient(A)
+    P = build_presentation(A, Q)
+    assert P.conj.conjugate == product_built_rows(A, P)
+    assert colimit_H1(A, Q) == full_table_colimit(A, P)
+    letters, _, words = _local_words(A, spanning=True)
+    rows, _, width = _contracted_relations([w for w, _ in words], len(letters))
+    assert AbelianInvariants.from_relation_matrix(rows, width) == full_table_colimit(A, P, False)
 
 
 # -- fundamental group presentations ------------------------------------
