@@ -112,6 +112,11 @@ class SimplicialComplex:
         """Loop vertex tuple -> its solved filling, `homotopy._filling`'s memo."""
         return {}
 
+    @cached_property
+    def contractions(self):
+        """(loop vertex tuple, budget) -> its seed-0 moves, `search_contraction`'s memo."""
+        return {}
+
     def has_simplex(self, s):
         s = tuple(s)
         if len(s) == 1:

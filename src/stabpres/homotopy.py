@@ -20,7 +20,8 @@ changes one coefficient by 1, so at least |c|_1 inserts remain.  The
 filling comes from one Smith elimination of d2 per complex
 (`SimplicialComplex.filling_solver`), and each loop's is solved once per
 complex and memoized (`SimplicialComplex.fillings`): the memo grows by
-one entry per distinct filled loop that callers submit.
+one entry per distinct filled loop that callers submit.  Canonical (seed
+0) moves are memoized beside them, one per distinct (loop, budget).
 
 `collapse_disc` is the disc side of the same calculus: it collapses an
 explicit (possibly degenerate) disc to its basepoint and returns the
@@ -206,10 +207,16 @@ def search_contraction(K, loop, basepoint, budget=None, seed=0):
     `armstrong_express`).  Raises BudgetExhausted when no log of length
     <= budget exists under that cap, and before any search when the loop
     has no integral filling or the given budget is below b0.
+
+    Seed 0's moves are memoized in `K.contractions` by (loop vertices,
+    budget), one entry per distinct pair submitted; BudgetExhausted is not.
     """
     start = validate_path(K, loop.vertices).vertices
     if not loop.is_loop() or loop.start != basepoint:
         raise IllegalMove(f"not a loop based at {basepoint!r}")
+    key = (start, budget)
+    if not seed and key in K.contractions:
+        return MoveLog(loop, K.contractions[key])
     filling = _filling(K, start, budget)
     norm = sum(map(abs, filling.values())) if filling is not None else 0
     b0 = norm + (len(start) + norm) // 2  # the start loop's bound in `dfs`
@@ -268,7 +275,10 @@ def search_contraction(K, loop, basepoint, budget=None, seed=0):
     for limit in range(b0, budget + 1):
         found = dfs(start, norm, limit, {})
         if found is not None:
-            return MoveLog(loop, tuple(Move(*m) for m in found))
+            moves = tuple(Move(*m) for m in found)
+            if not seed:
+                K.contractions[key] = moves
+            return MoveLog(loop, moves)
     raise BudgetExhausted(budget)
 
 

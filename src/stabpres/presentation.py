@@ -29,7 +29,8 @@ every letter and so hold every coset of H, and the table bounds
 n . h is |G| (the rule's element count), `todd_coxeter` returns that
 table; otherwise HLT scans on until every relator closes at every
 label, so n is the exact index of H.  `verify_theorem` psi-checks all
-of R, the rule once per element row, and that psi is onto, so |G| <=
+of R, the rule once per element row by conjugation composed along G's
+generators (by sg is by g, then s), and that psi is onto, so |G| <=
 |Gamma(R)| <= |Gamma(R')| <= n . h = |G|: Gamma(R) is a quotient of
 Gamma(R'), and the presented group is the acting group.  A table from
 another presentation is refused.
@@ -45,7 +46,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, count, product
 
 from .armstrong import StabilizerLetter, armstrong_express, psi_evaluate
@@ -229,12 +230,15 @@ def _local_words(A, spanning=False):
         chosen, span = [], {0}  # element 0 is the identity
         for g in elements:
             if g not in span:
+                # Dimino: <H, g>, H the span, is the union of the cosets H r,
+                # r reached from g by right multiplication by chosen elements
                 chosen.append(g)
-                grow = list(span)
-                for x in grow:  # close the span under the chosen elements
-                    new = {G.product(s, x) for s in chosen} - span
-                    span |= new
-                    grow += new
+                subgroup, reps = [h for h in span if h], [g]
+                for r in reps:
+                    if r not in span:
+                        span.add(r)
+                        span.update(G.product(h, r) for h in subgroup)
+                        reps += (rs for s in chosen if (rs := G.product(r, s)) not in span)
         return chosen
 
     def words():
@@ -616,41 +620,59 @@ def verify_theorem(A, Q, P, T):
     table from another presentation, and (i) and (iii) are what make the
     bound exact.
 
-    Check (i) folds each distinct explicit word of element numbers once,
-    and checks each distinct (g, rule row) once at every letter b: a rule
-    word g h g^-1 c^-1 is 1 exactly when c^-1 inverts g h g^-1.  Only when
-    a word or row fails, or a letter is not in G, are the relators walked
-    in order, so the failure names the first failing relator.
+    Checks (i) and (iii) fold element numbers.  A word is 1 exactly when
+    its prefix folds to its last letter's inverse, which closes each
+    distinct explicit word.  A rule word g h g^-1 c^-1 is 1 exactly when
+    c^-1 is g h^-1 g^-1: conjugation is taken with `G.product` for G's
+    generators s only, and composed for sg as for g, then s, breadth-first
+    over G, so each distinct (g, rule row) is compared with no product.
+    Only when a word or row fails, or a generator is not a letter of G,
+    are the relators walked in order, naming the first failing relator.
     """
     G = A.group
     checks = []
-    # the element number of each letter code: g, then g^-1, per generator
+    # the element number of each letter code: g, then g^-1, per generator (None off G)
     numbers = []
     for s in P.generators:
-        g = G.number.get(s.element)
+        g = G.number.get(s.element) if isinstance(s, StabilizerLetter) else None
         numbers += (g, None) if g is None else (g, G.inverse_of[g])
     product, inverse_of, rule = G.product, G.inverse_of, P.conj
-    h = numbers[::2]  # the element number of each generator
-    rows = dict.fromkeys(zip(h, rule.element))  # (g, the rule row it reads)
 
-    def psi(word):  # the element number of a word of element numbers
-        acc = 0  # the identity's number
-        for g in word:
-            acc = product(acc, g)
-        return acc
+    def fold(word):  # the element number of a word of element numbers
+        return reduce(product, word) if word else 0  # the identity is 0
 
-    def row_holds(g, e):
-        value = {x: inverse_of[product(product(g, x), inverse_of[g])] for x in dict.fromkeys(h)}
-        return [numbers[c] for c in rule.conjugate[e]] == list(map(value.__getitem__, h))
+    def closes(word):  # the prefix folds to the last letter's inverse
+        return not word or fold(word[:-1]) == inverse_of[word[-1]]
+
+    def rows_hold():
+        # conj[g]: g h^-1 g^-1, the value of c^-1, at each letter b = h@w;
+        # n stands for any element that is not a letter's, and never matches
+        n, letters, steps = G.order(), dict.fromkeys(numbers), []
+        for x in G.generators:
+            s = G.number[x]
+            step = [n] * (n + 1)
+            for y in letters:
+                step[y] = product(product(s, y), inverse_of[s])
+            steps.append((s, step))
+        conj, queue = {0: tuple(numbers[1::2])}, [0]
+        for g in queue:  # breadth-first: conj_sg is conj_s after conj_g
+            for s, step in steps:
+                if (sg := product(s, g)) not in conj:
+                    conj[sg] = tuple(map(step.__getitem__, conj[g]))
+                    queue.append(sg)
+        return all(
+            tuple(map(numbers.__getitem__, rule.conjugate[e])) == conj[g]
+            for g, e in dict.fromkeys(zip(numbers[::2], rule.element))
+        )
 
     explicit = {tuple(map(numbers.__getitem__, r.word)) for r in P.explicit}
-    if None in numbers or any(map(psi, explicit)) or not all(row_holds(*r) for r in rows):
+    if None in numbers or not all(map(closes, explicit)) or not rows_hold():
         for r in P.relators:  # name the first failing relator, in relator order
             values = [numbers[x] for x in r.word]
             if None in values:
                 x = r.word[values.index(None)]
                 detail = f"letter {P.generators[x >> 1].name} is not an element of the acting group"
-            elif acc := psi(values):
+            elif acc := fold(values):
                 detail = f"{r.tag} relator evaluates to {G.elements[acc].cycle_string()}"
             else:
                 continue
@@ -676,14 +698,16 @@ def verify_theorem(A, Q, P, T):
     checks.append(("order_matches", f"{order}"))
 
     basepoint = min(A.complex.vertices)
-    for g in G.elements:
+    for i, g in enumerate(G.elements):
         word = armstrong_express(A, Q, basepoint, g)
-        value = psi_evaluate(word, G.identity)
-        if value != g:
-            raise CertificateFailed(
-                "psi_surjective",
-                f"expression of {g.cycle_string()} evaluates to {value.cycle_string()}",
-            )
+        values = [G.number.get(letter.element) for letter in word.letters]
+        if None in values or fold(values) != i:
+            value = psi_evaluate(word, G.identity)  # composed only to name a failure
+            if value != g:
+                raise CertificateFailed(
+                    "psi_surjective",
+                    f"expression of {g.cycle_string()} evaluates to {value.cycle_string()}",
+                )
     checks.append(("psi_surjective", f"all {order} elements expressed"))
 
     return TheoremCertificate(tuple(checks), order, T.order)

@@ -12,6 +12,7 @@ from stabpres.actions import (
     build_quotient,
     refine_action,
     stabilizer,
+    subdivide_action,
 )
 from stabpres.armstrong import (
     StabilizerLetter,
@@ -286,6 +287,31 @@ def test_express_replays_the_contraction_log_once(f3, monkeypatch):
         assert psi_evaluate(word, A.group.identity) == g
         assert len(calls) == len(logs[-1].moves)
     assert max(len(log.moves) for log in logs) >= 3
+
+
+def test_canonical_words_are_the_same_from_a_cold_or_warm_memo(f3, dihedral_cone):
+    # the seed-0 contraction of each base loop is searched once per quotient
+    # and then read from the memo; the words are the same either way, and
+    # the memo holds one entry per distinct base loop (f3: 5 for 48 elements)
+    actions = [f3.action, refine_action(subdivide_action(f3.action))]
+    actions += [dihedral_cone(n, 1) for n in range(3, 25)]
+    entries = []
+    for A in actions:
+        Q = build_quotient(A)  # a new quotient complex, so its memo starts empty
+        K, base = Q.quotient, min(A.complex.vertices)
+        cold = []
+        for g in A.group.elements:
+            K.contractions.clear()
+            cold.append(armstrong_express(A, Q, base, g))
+        K.contractions.clear()
+        for _ in range(2):  # filled as it goes, then warm throughout
+            assert [armstrong_express(A, Q, base, g) for g in A.group.elements] == cold
+        loops = {
+            Q.project_path(find_path(A.complex, base, g(base)).vertices) for g in A.group.elements
+        }
+        assert set(K.contractions) == {(loop, None) for loop in loops}
+        entries.append(len(K.contractions))
+    assert entries[0] == 5
 
 
 def _express_digest(f3, A16, seeds):

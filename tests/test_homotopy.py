@@ -420,6 +420,31 @@ def test_a_loop_with_no_filling_is_not_memoized():
     assert K.fillings == {}
 
 
+def test_canonical_moves_are_memoized_per_loop_and_budget():
+    K = solid_triangle()  # a new complex, so its memo starts empty
+    loop = validate_path(K, ["1", "2", "3", "1"])
+    first = search_contraction(K, loop, "1")
+    assert list(K.contractions) == [(loop.vertices, None)]
+    # a repeat searches nothing, and returns the same log
+    again, calls = _dfs_calls(lambda: search_contraction(K, loop, "1"))
+    assert again == first and calls == []
+    # another budget is another entry; a seeded search is neither read nor kept
+    assert search_contraction(K, loop, "1", budget=10) == first
+    assert search_contraction(K, loop, "1", seed=5).final_loop(K).vertices == ("1",)
+    assert list(K.contractions) == [(loop.vertices, None), (loop.vertices, 10)]
+
+
+def test_an_exhausted_budget_is_not_memoized():
+    # the equator's bound b0 is 2: budget 1 fails before any search, and
+    # budget 3 fails after searching every depth up to it
+    K = octahedron_boundary()
+    loop = validate_path(K, ["p1", "p2", "m1", "m2", "p1"])
+    for budget in (1, 3, 3):
+        with pytest.raises(BudgetExhausted):
+            search_contraction(K, loop, "p1", budget=budget)
+    assert K.contractions == {}
+
+
 def test_contract_loop_refuses_a_log_that_does_not_replay(monkeypatch):
     # a real exception, not an assert, so the replay check survives python -O
     K = solid_triangle()

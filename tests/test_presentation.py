@@ -983,6 +983,84 @@ def test_verify_theorem_checks_the_rule_row_by_row(f3):
     assert exc.value.witness == f"conj relator evaluates to {value}"
 
 
+def _relator_walk_verdict(A, P):
+    """The detail of the first relator of P, in relator order, whose
+    letters multiply as permutations to anything but the identity; None
+    when every relator holds.  Every letter must be an element of G."""
+    for r in P.relators:
+        value = A.group.identity
+        for x in r.word:
+            s = P.generators[x >> 1].element
+            value = value * (s.inverse() if x & 1 else s)
+        if not value.is_identity():
+            return f"{r.tag} relator evaluates to {value.cycle_string()}"
+    return None
+
+
+def test_verify_theorem_checks_a_row_reached_only_by_composition(f3):
+    # verify conjugates out only the rows of G's generators and composes
+    # every other element's; one entry of the row of a letter element that
+    # is no generator, so the identity's row and one step reach it only
+    # through another element, names the relator a walk of every relator
+    # in order names first
+    A, Q, P, T = f3
+    G, rule = A.group, P.conj
+    generators = {G.number[s] for s in G.generators}
+    letters = range(0, 2 * len(P.generators), 2)
+    a, b = next(
+        (a, b)
+        for a in letters
+        if rule.element[a >> 1] not in generators
+        for b in letters
+        if b not in rule.skip[a >> 1]
+    )
+    g = rule.element[a >> 1]
+    old = rule.conjugate[g][b >> 1]
+    new = next(c + 1 for c in letters if rule.element[c >> 1] != rule.element[old >> 1])
+    row = list(rule.conjugate[g])
+    row[b >> 1] = new
+    conjugate = list(rule.conjugate)
+    conjugate[g] = tuple(row)
+    bad = Presentation(P.generators, P.explicit, replace(rule, conjugate=tuple(conjugate)))
+    detail = _relator_walk_verdict(A, bad)
+    assert detail is not None and detail.startswith("conj relator")
+    with pytest.raises(CertificateFailed) as exc:
+        verify_theorem(A, Q, bad, T)
+    assert (exc.value.check, exc.value.witness) == ("relators_psi_identity", detail)
+
+
+@pytest.mark.parametrize("case", ["f2", "f3"])
+@pytest.mark.parametrize("word", [(), (0,), (0, 1), (0, 2), (2, 0, 1, 3)])
+def test_verify_theorem_closes_short_explicit_words_as_the_walk_does(case, word, request):
+    # a word is 1 exactly when its prefix folds to its last letter's
+    # inverse; the empty word holds, a one-letter word holds only for the
+    # identity, and each verdict is the walk's.  The first two letters of
+    # f2 and f3 have distinct elements, so 0 2 is wrong
+    A, Q, P, _ = request.getfixturevalue(case)
+    extended = Presentation(P.generators, P.explicit + (Relator(word, "mult"),), P.conj)
+    detail = _relator_walk_verdict(A, extended)
+    T = todd_coxeter(extended)
+    if detail is None:
+        assert verify_theorem(A, Q, extended, T).group_order == A.group.order()
+    else:
+        with pytest.raises(CertificateFailed) as exc:
+            verify_theorem(A, Q, extended, T)
+        assert (exc.value.check, exc.value.witness) == ("relators_psi_identity", detail)
+    assert (detail is None) == (word in ((), (0, 1), (2, 0, 1, 3)))
+
+
+def test_verify_theorem_refuses_a_generator_that_is_not_a_letter(f2):
+    # an edge-path presentation's generators are edges, not elements of G
+    A, Q, _, _ = f2
+    P = pi1_presentation(A.complex, min(A.complex.vertices))
+    x = P.relators[0].word[0]
+    with pytest.raises(CertificateFailed) as exc:
+        verify_theorem(A, Q, P, todd_coxeter(P))
+    assert exc.value.check == "relators_psi_identity"
+    name = P.generators[x >> 1].name
+    assert exc.value.witness == f"letter {name} is not an element of the acting group"
+
+
 def _counting_products(monkeypatch):
     """Count every Permutation product from now on."""
     calls = [0]
@@ -1000,8 +1078,9 @@ def test_product_memo_bounds_permutation_products(monkeypatch):
     # a fresh f3 group, so no other test has filled its product memo;
     # without the memo these were 28,450 and 55,400 products, and the
     # build composed 1,326 before products were read from base images.
-    # verify's 96 are psi_surjective's own evaluation, one per letter of
-    # the 48 canonical words; it made 160 while express composed its swings
+    # verify evaluates psi_surjective's words on element numbers too; it
+    # made 96, one per letter of the 48 canonical words, while it composed
+    # them as permutations, and 160 while express composed its swings
     A = refine_action(f3_octahedral())
     Q = build_quotient(A)
     calls = _counting_products(monkeypatch)
@@ -1010,18 +1089,20 @@ def test_product_memo_bounds_permutation_products(monkeypatch):
     T = todd_coxeter(P)
     calls[0] = 0
     verify_theorem(A, Q, P, T)
-    assert calls[0] == 96
+    assert calls[0] == 0
 
 
 def test_group_products_fold_each_distinct_word_once(monkeypatch):
     # a fresh f3 group; the builder multiplies within each vertex
     # stabilizer for the mult words (602), conjugates once per generator
     # and letter element (3 . 32 . 2) and steps once per generator and
-    # element (3 . 48); the psi-check folds each distinct explicit word of
-    # element numbers once and conjugates once per element pair for the
-    # rule's rows.  A fold per relator made 28,214 and 55,144 calls, a
-    # fold per distinct word of the rule too 2,650 and 4,872, and a build
-    # that conjugated once per element pair 2,650
+    # element (3 . 48); the psi-check does the same for the rule's rows
+    # and closes each distinct explicit word of element numbers at its
+    # last letter.  A fold per relator made 28,214 and 55,144 calls, a
+    # fold per distinct word of the rule too 2,650 and 4,872, a build
+    # that conjugated once per element pair 2,650, and a psi-check that
+    # conjugated once per element pair and folded each word from the
+    # identity 2,824
     A = refine_action(f3_octahedral())
     Q = build_quotient(A)
     calls = [0]
@@ -1037,15 +1118,19 @@ def test_group_products_fold_each_distinct_word_once(monkeypatch):
     T = todd_coxeter(P)
     calls[0] = 0
     verify_theorem(A, Q, P, T)
-    # 2,824 for the psi-check's relators, and 64 swings that the 48
-    # canonical expressions fold into their composites by number
-    assert calls[0] == 2824 + 64
+    # the rule's rows (3 . 32 . 2 + 3 . 48), one product per distinct mult
+    # word (242; the 25 distinct edge words need none), 64 swings that the
+    # 48 canonical expressions fold into their composites, and 49 to
+    # evaluate those words, 96 letters of 47 nonempty words
+    assert calls[0] == 3 * 32 * 2 + 3 * 48 + 242 + 64 + 49
 
 
 def test_colimit_products(monkeypatch):
     # a fresh f3 group: 708 for the orbit words (118 letters, 3 generators,
     # two products each), 236 for the mult words of S_v . G_v, where the
-    # full tables took 602, and 340 to close each S_v's span
+    # full tables took 602, and 164 to close each S_v's span coset by coset
+    # (Dimino), where multiplying the whole span by every chosen element
+    # took 340
     A = refine_action(f3_octahedral())
     Q = build_quotient(A)
     calls = [0]
@@ -1057,7 +1142,7 @@ def test_colimit_products(monkeypatch):
 
     monkeypatch.setattr(PermGroup, "product", counted)
     colimit_H1(A, Q)
-    assert calls[0] == 708 + 236 + 340
+    assert calls[0] == 708 + 236 + 164
 
 
 # -- the generator-row paths against the full tables ---------------------
