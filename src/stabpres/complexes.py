@@ -255,8 +255,10 @@ def complex_from_json_obj(obj):
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise MalformedInput("complex vertices must be a list of strings")
     for name, part in (("edges", edges), ("triangles", triangles)):
-        if not isinstance(part, list) or not all(isinstance(s, list) for s in part):
-            raise MalformedInput(f"complex {name} must be a list of lists")
+        if not isinstance(part, list) or not all(
+            isinstance(s, list) and all(isinstance(v, str) for v in s) for s in part
+        ):
+            raise MalformedInput(f"complex {name} must be a list of lists of strings")
     return validate_complex(vertices, edges, triangles)
 
 

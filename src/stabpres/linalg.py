@@ -6,10 +6,14 @@ Smith form.  `sparse_invariant_factors` takes a matrix as sparse rows,
 {row index: {column: value}}, the form in which homology builds d2, and
 first runs a sparse unit-pivot pass (`_unit_pivots`) on them: each
 pivot is an entry of absolute value 1, so clearing its column is exact
-over Z and contributes an invariant factor 1.  The dense `_smith` sees
-only the rest, which is empty for the boundary maps of Sd^2(f3) and
-Sd^3(f3) and a column of +-2 for d2 of RP^2.  `invariant_factors`
-reads a dense matrix into sparse rows once, at its entry.
+over Z and contributes an invariant factor 1.  The pass walks one
+worklist of rows, shortest first, pivoting on the unit whose column is
+shortest and appending each row an elimination changes; it ends because
+every pivot removes a row, and it leaves no unit behind because a row
+is examined again whenever it changes.  The dense `_smith` sees only
+the rest, which is empty for the boundary maps of Sd^2(f3) and Sd^3(f3)
+and a column of +-2 for d2 of RP^2.  `invariant_factors` reads a dense
+matrix into sparse rows once, at its entry.
 `smith_normal_form` and `IntegerSolver` track the transforms, which
 `_smith` reads off an augmented matrix, not by a second code path:
 `smith_normal_form` checks U*M*V == S and the diagonal divisibility
@@ -24,7 +28,6 @@ and the complexes (for loop fillings) can build on it.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from itertools import compress
 
 
@@ -213,40 +216,32 @@ def _unit_pivots(rows):
     the matrix with the sparse rows {row index: {column: nonzero value}},
     each row nonempty, which it consumes: returns (pivots, rest), where
     the matrix is equivalent over Z to the identity of size pivots beside
-    the dense matrix rest.
+    the dense matrix rest, which holds no entry of absolute value 1.
 
-    A column -> rows index runs beside the rows.  Only entries of
-    absolute value 1 are pivots, taken in least Markowitz cost (row
-    nonzeros - 1) * (column nonzeros - 1) from a lazy heap: a popped
-    entry whose cost has grown is pushed back with its current cost.
+    A column -> rows index runs beside the rows.  One worklist of row
+    indices, seeded shortest row first, grows while it is walked: a
+    popped row pivots on its entry of absolute value 1 whose column has
+    the fewest rows, and every row that elimination changes is appended.
     Row operations clear the pivot's column, exactly because the pivot
     is a unit; column operations would then clear the rest of the pivot
     row without touching any other row, so the pivot row and column are
-    just dropped.  Zero rows and columns are left out of rest.
+    just dropped.  Rows are only appended when a pivot is taken, and a
+    pivot removes a row for good, so the walk ends.  A row left in rest
+    was examined after its last change and held no unit then, so rest
+    holds none.  Zero rows and columns are left out of rest.
     """
     cols = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-
-    def cost(i, j):
-        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
-
-    def units(i):
-        return [(cost(i, j), i, j) for j, a in rows[i].items() if a == 1 or a == -1]
-
-    heap = [entry for i in rows for entry in units(i)]
-    heapify(heap)
     pivots = 0
-    while heap:
-        c, i, j = heappop(heap)
-        row = rows.get(i)
-        if row is None or row.get(j) not in (1, -1):
-            continue  # the entry was eliminated or changed since it was pushed
-        now = cost(i, j)
-        if now > c:
-            heappush(heap, (now, i, j))
+    work = sorted(rows, key=lambda i: len(rows[i]))
+    for i in work:  # grows while it is walked
+        row = rows.get(i)  # None once the row was a pivot or became zero
+        units = [j for j, a in row.items() if a == 1 or a == -1] if row else ()
+        if not units:
             continue
+        j = min(units, key=lambda j: len(cols[j]))
         pivots += 1
         del rows[i]
         for jj in row:
@@ -267,8 +262,7 @@ def _unit_pivots(rows):
                     del other[jj]
                     cols[jj].discard(k)
             if other:
-                for entry in units(k):
-                    heappush(heap, entry)
+                work.append(k)
             else:
                 del rows[k]
     live = sorted(j for j, s in cols.items() if s)

@@ -3,6 +3,8 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -111,6 +113,10 @@ def test_unit_pivot_pass_matches_snf_on_sparse_matrices():
                 M[i][j] = rng.choice((-3, -2, -1, 1, 2, 3))
         S = smith_normal_form(M)[0]
         assert invariant_factors(M) == [S[i][i] for i in range(min(m, n)) if S[i][i]]
+        # the pass is complete: no unit is left for the dense elimination
+        rows = {i: {j: a for j, a in enumerate(r) if a} for i, r in enumerate(M) if any(r)}
+        _, rest = linalg._unit_pivots(rows)
+        assert not any(a in (1, -1) for r in rest for a in r)
 
 
 def test_integer_solver_refuses_a_wrong_solution():
@@ -257,10 +263,28 @@ def test_homology_point_and_disc():
     assert homology_invariants(disc, 2) == AbelianInvariants(0, ())
 
 
+def _simplex_skeleton(n):
+    """The 2-skeleton of the (n-1)-simplex: every edge lies on n - 2
+    triangles, so d2 has long rows."""
+    vs = [f"v{i}" for i in range(n)]
+    return SimplicialComplex(
+        frozenset(vs),
+        frozenset(combinations(vs, 2)),
+        frozenset(combinations(vs, 3)),
+    )
+
+
+_SKELETA = {n: _simplex_skeleton(n) for n in range(6, 11)}
+
+
 def test_homology_sphere():
     K = octahedron_boundary()
     assert homology_invariants(K, 1) == AbelianInvariants(0, ())
     assert homology_invariants(K, 2) == AbelianInvariants(1, ())
+    # the 2-skeleton of the (n-1)-simplex is a wedge of C(n-1, 3) spheres
+    for n, K in _SKELETA.items():
+        assert homology_invariants(K, 1) == AbelianInvariants(0, ())
+        assert homology_invariants(K, 2) == AbelianInvariants(comb(n - 1, 3), ())
 
 
 def test_homology_circle():
@@ -293,7 +317,8 @@ _TWO_CIRCLES = SimplicialComplex(
 def _rank_corpus(dihedral_cone):
     """Complexes of every shape the rank identity must cover: the fixture
     actions, their subdivisions and quotients (f5's is RP^2), Sd^2(f3),
-    dihedral cones, discs, the empty complex and a disconnected one."""
+    dihedral cones, discs, 2-skeleta of simplices, the empty complex and
+    a disconnected one."""
     corpus = []
     for builder in (f1_flip, f2_s3, f3_octahedral, f4_rotation, f5_antipodal):
         sd = barycentric_subdivision(builder().complex)[0]
@@ -303,7 +328,7 @@ def _rank_corpus(dihedral_cone):
             corpus.append(barycentric_subdivision(sd)[0])
     corpus += [dihedral_cone(n, 1).complex for n in (4, 6, 16)]
     corpus += [random_nondegenerate_disc(n, n).complex for n in range(3, 20)]
-    return corpus + [_EMPTY, _TWO_CIRCLES]
+    return corpus + list(_SKELETA.values()) + [_EMPTY, _TWO_CIRCLES]
 
 
 def test_d1_rank_is_vertices_minus_components(dihedral_cone):

@@ -479,6 +479,34 @@ def test_env_bound_below_minimum_is_malformed(fixture_dir, capsys, monkeypatch, 
     assert f"{env} must be at least" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "homology"])
+@pytest.mark.parametrize(
+    "part, simplex",
+    [("edges", ["1", 2]), ("edges", [["1"], ["2"]]), ("triangles", ["1", "2", {"v": "3"}])],
+    ids=["int-entry", "nested-list", "dict-in-triangle"],
+)
+def test_simplex_entries_must_be_strings(tmp_path, capsys, clean_env, command, part, simplex):
+    # validate reads an action, homology a bare complex; both reach the
+    # same complex check and report malformed input, not a traceback
+    complex_obj = {
+        "vertices": ["1", "2", "3"],
+        "edges": [["1", "2"], ["1", "3"], ["2", "3"]],
+        "triangles": [["1", "2", "3"]],
+    }
+    complex_obj[part][0] = simplex
+    if command == "validate":
+        obj, extra = {"complex": complex_obj, "generators": []}, ()
+    else:
+        obj, extra = complex_obj, ("-k", "1")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, command, str(path), *extra, "--format", "json")
+    assert code == 3 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "MalformedInput" and report["exit"] == 3
+    assert "list of lists of strings" in report["detail"]
+
+
 # -- byte-identical output ----------------------------------------------
 
 # sha256 digests of the JSON reports (stdout, or stderr for the failing
