@@ -35,7 +35,6 @@ colimit_H1(A, Q) == group_abelianization(G).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, count
 
 from .actions import close_under_product
@@ -43,23 +42,24 @@ from .complexes import d2_rows
 from .errors import Disconnected, MalformedInput
 from .linalg import _eye, invariant_factors, smith_normal_form, sparse_invariant_factors
 from .presentation import _find, _local_words, pi1_presentation, todd_coxeter
+from .record import Record
 
 PI1_BOUND = 10_000
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(Record):
     """A finitely generated abelian group, canonically Z^rank + sum Z/d_i
     with d_1 | d_2 | ... and every d_i > 1."""
 
-    rank: int
-    torsion: tuple
+    __slots__ = ("rank", "torsion")
 
-    def __post_init__(self):
-        if not all(d > 1 for d in self.torsion):
-            raise MalformedInput(f"torsion factors must exceed 1, got {self.torsion}")
-        if any(b % a for a, b in zip(self.torsion, self.torsion[1:])):
-            raise MalformedInput(f"torsion {self.torsion} is not a divisibility chain")
+    def __init__(self, rank, torsion):
+        if not all(d > 1 for d in torsion):
+            raise MalformedInput(f"torsion factors must exceed 1, got {torsion}")
+        if any(b % a for a, b in zip(torsion, torsion[1:])):
+            raise MalformedInput(f"torsion {torsion} is not a divisibility chain")
+        self._set("rank", rank)
+        self._set("torsion", torsion)
 
     @classmethod
     def from_relation_matrix(cls, rows, n_columns):
@@ -288,10 +288,12 @@ def colimit_H1(A, Q):
     return AbelianInvariants.from_relation_matrix(rows, width)
 
 
-@dataclass(frozen=True)
-class TwoConnectedResult:
-    verdict: str  # "yes" | "no" | "unknown"
-    witness: str = ""
+class TwoConnectedResult(Record):
+    __slots__ = ("verdict", "witness")
+
+    def __init__(self, verdict, witness=""):
+        self._set("verdict", verdict)  # "yes" | "no" | "unknown"
+        self._set("witness", witness)
 
     def __bool__(self):
         return self.verdict == "yes"

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .complexes import (
@@ -56,6 +55,7 @@ from .errors import (
     RefinementFailed,
     UnknownVertex,
 )
+from .record import Record
 
 GROUP_CAP = 100_000
 MAX_SUBDIVISIONS = 2
@@ -291,15 +291,17 @@ class PermGroup:
         return p in self.number
 
 
-@dataclass(frozen=True)
-class GroupAction:
+class GroupAction(Record):
     """A simplicial action as `validate_simplicial_action` checked it; the
     flag records whether `check_without_rotations` has passed."""
 
-    complex: SimplicialComplex
-    group: PermGroup
-    validated_without_rotations: bool = False
-    subdivisions: int = 0
+    __slots__ = ("complex", "group", "validated_without_rotations", "subdivisions")
+
+    def __init__(self, complex, group, validated_without_rotations=False, subdivisions=0):
+        self._set("complex", complex)
+        self._set("group", group)
+        self._set("validated_without_rotations", validated_without_rotations)
+        self._set("subdivisions", subdivisions)
 
 
 def validate_simplicial_action(K, generators):
@@ -364,7 +366,7 @@ def mark_without_rotations(A):
     ok, witness = check_without_rotations(A)
     if not ok:
         raise PreconditionUnvalidated(rotation_string(witness))
-    return replace(A, validated_without_rotations=True)
+    return GroupAction(A.complex, A.group, True, A.subdivisions)
 
 
 def orbit_of_vertex(A, v):
@@ -410,7 +412,7 @@ def refine_action_tracked(A):
     while True:
         ok, witness = check_without_rotations(current)
         if ok:
-            refined = replace(current, validated_without_rotations=True)
+            refined = GroupAction(current.complex, current.group, True, current.subdivisions)
             try:
                 quotient = build_quotient(refined)
             except OrbitCollision as exc:
@@ -448,16 +450,19 @@ def subdivide_action(A):
     sd, _ = barycentric_subdivision(A.complex)
     gens = [_induced_on_subdivision(A.complex, sd, g) for g in A.group.generators]
     refined = validate_simplicial_action(sd, gens)
-    return replace(refined, subdivisions=A.subdivisions + 1)
+    return GroupAction(refined.complex, refined.group, subdivisions=A.subdivisions + 1)
 
 
-@dataclass(frozen=True)
-class QuotientData:
+class QuotientData(Record):
     """Quotient complex, vertex projection, and simplex lift index."""
 
-    quotient: SimplicialComplex
-    projection: dict
-    lift_index: dict = field(repr=False)
+    __slots__ = ("quotient", "projection", "lift_index")
+    _hidden = ("lift_index",)
+
+    def __init__(self, quotient, projection, lift_index):
+        self._set("quotient", quotient)
+        self._set("projection", projection)
+        self._set("lift_index", lift_index)
 
     def project_path(self, vertices):
         return tuple(self.projection[v] for v in vertices)

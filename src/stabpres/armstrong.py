@@ -29,7 +29,6 @@ here.  Its checks raise `LiftFailed`, which survives `python -O`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .actions import Permutation
 from .complexes import EdgePath, _discoveries, simplex
@@ -42,21 +41,22 @@ from .errors import (
     UnknownVertex,
 )
 from .homotopy import TRI, search_contraction
+from .record import Record
 
 
-@dataclass(frozen=True)
-class StabilizerLetter:
+class StabilizerLetter(Record):
     """A group element tagged with a vertex it fixes: a word letter, and a
     generator `g@v` of the stabilizer presentation."""
 
-    element: Permutation
-    vertex: object
+    __slots__ = ("element", "vertex", "_hash")
 
-    def __post_init__(self):
-        if self.element(self.vertex) != self.vertex:
-            raise LetterInvariantViolated(self.element.cycle_string(), self.vertex)
-        # the value the dataclass would compute on every call, computed once
-        object.__setattr__(self, "_hash", hash((self.element, self.vertex)))
+    def __init__(self, element, vertex):
+        if element(vertex) != vertex:
+            raise LetterInvariantViolated(element.cycle_string(), vertex)
+        self._set("element", element)
+        self._set("vertex", vertex)
+        # the record hash, computed once
+        self._set("_hash", hash((element, vertex)))
 
     def __hash__(self):
         return self._hash
@@ -72,9 +72,11 @@ class StabilizerLetter:
         }
 
 
-@dataclass(frozen=True)
-class StabilizerWord:
-    letters: tuple
+class StabilizerWord(Record):
+    __slots__ = ("letters",)
+
+    def __init__(self, letters):
+        self._set("letters", letters)
 
     def normalize(self):
         return StabilizerWord(tuple(l for l in self.letters if not l.element.is_identity()))

@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .abelian import (
     colimit_H1,
@@ -33,6 +32,7 @@ from .abelian import (
     is_two_connected,
 )
 from .actions import (
+    GroupAction,
     Permutation,
     _read_json,
     action_from_json_obj,
@@ -136,7 +136,7 @@ def _cmd_validate(args):
     ok, witness = check_without_rotations(A)
     if not ok:
         _fail(EXIT_INVALID, "rotation", rotation_string(witness))
-    A = replace(A, validated_without_rotations=True)
+    A = GroupAction(A.complex, A.group, True, A.subdivisions)
     Q = build_quotient(A)  # OrbitCollision propagates as exit 1
     _require_hypotheses(A.complex, Q.quotient, args.max_cosets)
     nv, ne, nt = A.complex.counts()

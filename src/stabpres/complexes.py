@@ -9,7 +9,6 @@ opaque but must be mutually orderable; the shipped corpus uses strings.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -20,6 +19,7 @@ from .errors import (
     SimplexNotInComplex,
 )
 from .linalg import IntegerSolver
+from .record import Record
 
 
 def simplex(vertices):
@@ -59,11 +59,11 @@ def _discoveries(adjacency, u, parent, rng=None):
                 yield nb
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    vertices: frozenset
-    edges: frozenset
-    triangles: frozenset
+class SimplicialComplex(Record):
+    def __init__(self, vertices, edges, triangles):  # frozensets
+        self._set("vertices", vertices)
+        self._set("edges", edges)
+        self._set("triangles", triangles)
 
     @cached_property
     def sorted_vertices(self):
@@ -316,11 +316,13 @@ def barycentric_subdivision(K):
     return sd, names
 
 
-@dataclass(frozen=True)
-class EdgePath:
+class EdgePath(Record):
     """A walk along edges; consecutive vertices are distinct and adjacent."""
 
-    vertices: tuple
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices):
+        self._set("vertices", vertices)
 
     def __len__(self):
         # length in edges, not vertices

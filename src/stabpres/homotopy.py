@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 
 from .complexes import EdgePath, SimplicialComplex, simplex, validate_path
@@ -44,6 +43,7 @@ from .errors import (
     MalformedInput,
     NotCollapsible,
 )
+from .record import Record
 
 TRI = "tri"
 BACK = "back"
@@ -51,11 +51,13 @@ BACK = "back"
 MAX_DISC_BOUNDARY = 64
 
 
-@dataclass(frozen=True)
-class Move:
-    kind: str
-    pos: int
-    apex: object = None
+class Move(Record):
+    __slots__ = ("kind", "pos", "apex")
+
+    def __init__(self, kind, pos, apex=None):
+        self._set("kind", kind)
+        self._set("pos", pos)
+        self._set("apex", apex)
 
     def to_json_obj(self):
         if self.kind == TRI:
@@ -63,10 +65,12 @@ class Move:
         return {"kind": BACK, "pos": self.pos}
 
 
-@dataclass(frozen=True)
-class MoveLog:
-    initial: EdgePath
-    moves: tuple
+class MoveLog(Record):
+    __slots__ = ("initial", "moves")
+
+    def __init__(self, initial, moves):
+        self._set("initial", initial)  # an EdgePath
+        self._set("moves", moves)
 
     def replay(self, K):
         """All intermediate loops, legality-checked; raises IllegalMove."""
@@ -99,13 +103,20 @@ def _position(m):
     return m["pos"]
 
 
+def _apex(m, K):
+    apex = m["apex"]
+    if type(apex) in (list, dict) or apex not in K.vertices:  # a list or dict cannot be looked up
+        raise MalformedInput(f"bad move log: apex {apex!r} is not a vertex of the complex")
+    return apex
+
+
 def move_log_from_json_obj(obj, K):
     try:
         initial = validate_path(K, obj["initial"])
         moves = []
         for m in obj["moves"]:
             if m["kind"] == TRI:
-                moves.append(Move(TRI, _position(m), m["apex"]))
+                moves.append(Move(TRI, _position(m), _apex(m, K)))
             elif m["kind"] == BACK:
                 moves.append(Move(BACK, _position(m)))
             else:
@@ -286,23 +297,27 @@ def search_contraction(K, loop, basepoint, budget=None, seed=0):
 # Disc collapse calculus
 
 
-@dataclass(frozen=True)
-class DegenerateDisc:
+class DegenerateDisc(Record):
     """A contractible complex together with the boundary walk of the disc
     it degenerated from.  The walk's basepoint is the collapse target."""
 
-    complex: SimplicialComplex
-    boundary: EdgePath
+    __slots__ = ("complex", "boundary")
+
+    def __init__(self, complex, boundary):
+        self._set("complex", complex)
+        self._set("boundary", boundary)  # an EdgePath
 
     @property
     def basepoint(self):
         return self.boundary.start
 
 
-@dataclass(frozen=True)
-class DiscCollapse:
-    initial: DegenerateDisc
-    boundary_log: MoveLog
+class DiscCollapse(Record):
+    __slots__ = ("initial", "boundary_log")
+
+    def __init__(self, initial, boundary_log):
+        self._set("initial", initial)  # a DegenerateDisc
+        self._set("boundary_log", boundary_log)
 
 
 def random_nondegenerate_disc(n, seed):

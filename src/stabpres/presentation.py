@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, count, product
 
@@ -59,32 +58,36 @@ from .errors import (
     UnknownVertex,
 )
 from .actions import edge_stabilizer
+from .record import Record
 
 DEFAULT_MAX_COSETS = 10**6
 
 
-@dataclass(frozen=True)
-class EdgeSymbol:
+class EdgeSymbol(Record):
     """A fundamental-group generator: an off-tree edge, crossed low-to-high."""
 
-    edge: tuple
+    __slots__ = ("edge",)
+
+    def __init__(self, edge):
+        self._set("edge", edge)
 
     @property
     def name(self):
         return f"{self.edge[0]}-{self.edge[1]}"
 
 
-@dataclass(frozen=True, slots=True)
-class Relator:
+class Relator(Record):
     """A word of letter codes: code x is generator x >> 1, inverted when
     x & 1 is set."""
 
-    word: tuple  # of int codes in range(2 * generator count); x ^ 1 inverts x
-    tag: str  # "mult" | "edge" | "conj" | "tri"
+    __slots__ = ("word", "tag")
+
+    def __init__(self, word, tag):
+        self._set("word", word)  # int codes in range(2 * generator count); x ^ 1 inverts x
+        self._set("tag", tag)  # "mult" | "edge" | "conj" | "tri"
 
 
-@dataclass(frozen=True)
-class ConjRule:
+class ConjRule(Record):
     """The `conj` relators a b a^-1 c^-1, one per ordered pair of letters
     a = g@v and b = h@w but the pairs `skip` lists for a; c is the letter
     (ghg^-1)@g(w), and `conjugate[g]` lists the code of c^-1 for each b.
@@ -94,39 +97,39 @@ class ConjRule:
     hg) and h fixing v, whose word inverts the earlier word of (b, a).
     No other rotation or inversion keeps the sign pattern ++--."""
 
-    element: tuple = ()  # the element number g of each letter g@v, by generator
-    conjugate: tuple = ()  # by element number g: the code of c^-1 for each b, or None
-    skip: tuple = ()  # by letter a: the codes b of the pairs left out
+    __slots__ = ("element", "conjugate", "skip")
+
+    def __init__(self, element=(), conjugate=(), skip=()):
+        self._set("element", element)  # the element number g of each letter g@v, by generator
+        self._set("conjugate", conjugate)  # by element number g: c^-1's code for each b, or None
+        self._set("skip", skip)  # by letter a: the codes b of the pairs left out
 
     def __len__(self):
         return len(self.element) ** 2 - sum(map(len, self.skip))
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Generators, the relators held as `Relator`s, then the `conj` rule's.
     `len`, `counts_by_tag`, `relator_words` and `verify_theorem` read the
     rule as it is; only `relators` spells out every relator."""
 
-    generators: tuple
-    explicit: tuple  # of Relator
-    conj: ConjRule = ConjRule()
-
-    def __post_init__(self):
-        n = len(self.generators)
-        rule = self.conj
+    def __init__(self, generators, explicit, conj=ConjRule()):  # explicit: of Relator
+        n = len(generators)
         # elements and letter codes index lists and table rows, where a negative
         # one would wrap around and anything but an int would fail deep inside
-        known, elements = range(len(rule.conjugate)), dict.fromkeys(rule.element)
-        rows = [rule.conjugate[g] if type(g) is int and g in known else None for g in elements]
+        known, elements = range(len(conj.conjugate)), dict.fromkeys(conj.element)
+        rows = [conj.conjugate[g] if type(g) is int and g in known else None for g in elements]
         if None in rows or (
-            rule.element and {len(rule.element), len(rule.skip), *map(len, rows)} != {n}
+            conj.element and {len(conj.element), len(conj.skip), *map(len, rows)} != {n}
         ):
             raise ValueError("a conj rule needs one entry per generator")
-        letters = tuple(chain(chain.from_iterable(r.word for r in self.explicit), *rows, *rule.skip))
+        letters = tuple(chain(chain.from_iterable(r.word for r in explicit), *rows, *conj.skip))
         codes = range(2 * n)
         if not (set(map(type, letters)) <= {int} and set(letters) <= set(codes)):
             raise UnknownSymbol(next(x for x in letters if type(x) is not int or x not in codes))
+        self._set("generators", generators)
+        self._set("explicit", explicit)
+        self._set("conj", conj)
 
     def __len__(self):
         return len(self.explicit) + len(self.conj)
@@ -313,8 +316,7 @@ def build_presentation(A, Q):
 # Todd-Coxeter coset enumeration over the largest vertex stabilizer's letters
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(Record):
     """Compacted (not standardized) table of the enumerated `presentation`
     over the cosets of the subgroup H that the `subgroup` generators
     generate (trivial when there are none), live cosets in index order,
@@ -328,12 +330,15 @@ class CosetTable:
     onto, which `verify_theorem` checks; otherwise HLT scanned every
     label, and n is the exact index of H."""
 
-    presentation: Presentation
-    table: tuple
-    status: str  # "complete" | "exhausted"
-    order: object = None  # n . h when complete
-    bound: object = None  # the max_cosets hit when exhausted
-    subgroup: tuple = ()  # the generator indices fixing coset 0: H's letters
+    __slots__ = ("presentation", "table", "status", "order", "bound", "subgroup")
+
+    def __init__(self, presentation, table, status, order=None, bound=None, subgroup=()):
+        self._set("presentation", presentation)
+        self._set("table", table)
+        self._set("status", status)  # "complete" | "exhausted"
+        self._set("order", order)  # n . h when complete
+        self._set("bound", bound)  # the max_cosets hit when exhausted
+        self._set("subgroup", subgroup)  # the generator indices fixing coset 0: H's letters
 
     def trace(self, coset, word):
         """Follow a word of letter codes, the relator shape, through the
@@ -588,11 +593,13 @@ def word_to_coset(T, w):
     return T.trace(0, (2 * i for i in T.presentation.letter_indices(w)))
 
 
-@dataclass(frozen=True)
-class TheoremCertificate:
-    checks: tuple  # of (name, detail) in pass order
-    group_order: int
-    enumerated_order: int
+class TheoremCertificate(Record):
+    __slots__ = ("checks", "group_order", "enumerated_order")
+
+    def __init__(self, checks, group_order, enumerated_order):
+        self._set("checks", checks)  # of (name, detail) in pass order
+        self._set("group_order", group_order)
+        self._set("enumerated_order", enumerated_order)
 
     def to_json_obj(self):
         return {

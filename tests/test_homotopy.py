@@ -4,7 +4,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -112,6 +111,13 @@ def test_move_log_rejects_unknown_kind_and_missing_key():
         move_log_from_json_obj({"initial": ["1"], "moves": [{"kind": "flip", "pos": 0}]}, K)
     with pytest.raises(MalformedInput, match="bad move log: 'moves'"):
         move_log_from_json_obj({"initial": ["1"]}, K)
+    # an apex that is not a vertex is refused when read, not by an untyped
+    # error when the log is replayed
+    K = octahedron_boundary()
+    for apex in (5, None, ["x"], "q"):
+        obj = {"initial": ["p1", "p2", "p1"], "moves": [{"kind": TRI, "pos": 0, "apex": apex}]}
+        with pytest.raises(MalformedInput, match="is not a vertex of the complex"):
+            move_log_from_json_obj(obj, K)
 
 
 # -- loop contraction ---------------------------------------------------
@@ -550,13 +556,13 @@ def test_collapse_logs_are_pinned():
 def test_verify_collapse_rejects_tampering():
     cert = collapse_disc(random_nondegenerate_disc(5, 1))
     # drop the final move: its edge and the loop's last spur are left
-    bad_log = replace(cert.boundary_log, moves=cert.boundary_log.moves[:-1])
+    bad_log = MoveLog(cert.boundary_log.initial, cert.boundary_log.moves[:-1])
     with pytest.raises(NotCollapsible, match="final complex is not the basepoint"):
-        verify_collapse(replace(cert, boundary_log=bad_log))
+        verify_collapse(DiscCollapse(cert.initial, bad_log))
     # a log of another disc's boundary certifies nothing about this one
     other = collapse_disc(random_nondegenerate_disc(6, 1)).boundary_log
     with pytest.raises(NotCollapsible, match="does not start at the disc's boundary"):
-        verify_collapse(replace(cert, boundary_log=other))
+        verify_collapse(DiscCollapse(cert.initial, other))
 
 
 def test_verify_collapse_rejects_an_edge_removed_twice():
@@ -576,7 +582,7 @@ def test_verify_collapse_rejects_a_triangle_crossed_twice():
     # boundary, but the third crosses the triangle the first removed
     cert = collapse_disc(random_nondegenerate_disc(3, 0))
     detour = (Move(TRI, 0, "d02"), Move(BACK, 1), Move(TRI, 0, "d01"))
-    log = replace(cert.boundary_log, moves=detour + cert.boundary_log.moves)
+    log = MoveLog(cert.boundary_log.initial, detour + cert.boundary_log.moves)
     assert log.final_loop(cert.initial.complex).vertices == ("d00",)
     with pytest.raises(NotCollapsible, match="absent triangle"):
-        verify_collapse(replace(cert, boundary_log=log))
+        verify_collapse(DiscCollapse(cert.initial, log))

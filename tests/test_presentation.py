@@ -5,7 +5,6 @@ import hashlib
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -44,6 +43,7 @@ from stabpres.fixtures import (
 )
 from stabpres.presentation import (
     ConjRule,
+    CosetTable,
     Presentation,
     Relator,
     _local_words,
@@ -834,7 +834,8 @@ def test_word_to_coset(f1, f3):
 
 def test_word_to_coset_requires_complete(f1):
     word = StabilizerWord(())
-    exhausted = replace(f1.table, status="exhausted")
+    T = f1.table
+    exhausted = CosetTable(T.presentation, T.table, "exhausted", T.order, T.bound, T.subgroup)
     from stabpres.errors import PreconditionUnvalidated
 
     with pytest.raises(PreconditionUnvalidated):
@@ -879,7 +880,8 @@ def test_verify_theorem_rejects_wrong_order(f1, f2):
 
 
 def test_verify_theorem_rejects_exhausted(f1):
-    exhausted = replace(f1.table, status="exhausted", order=None)
+    T = f1.table
+    exhausted = CosetTable(T.presentation, T.table, "exhausted", None, T.bound, T.subgroup)
     with pytest.raises(CertificateFailed) as exc:
         verify_theorem(f1.action, f1.quotient, f1.presentation, exhausted)
     assert exc.value.check == "enumeration_complete"
@@ -964,7 +966,7 @@ def test_verify_theorem_checks_the_rule_row_by_row(f3):
     row[b >> 1] = new
     conjugate = list(rule.conjugate)
     conjugate[g] = tuple(row)
-    bad = Presentation(P.generators, P.explicit, replace(rule, conjugate=tuple(conjugate)))
+    bad = Presentation(P.generators, P.explicit, ConjRule(rule.element, tuple(conjugate), rule.skip))
     numbers = [G.number[s.element] for s in P.generators for _ in (0, 1)]
     numbers[1::2] = map(G.inverse_of.__getitem__, numbers[1::2])
 
@@ -1021,7 +1023,7 @@ def test_verify_theorem_checks_a_row_reached_only_by_composition(f3):
     row[b >> 1] = new
     conjugate = list(rule.conjugate)
     conjugate[g] = tuple(row)
-    bad = Presentation(P.generators, P.explicit, replace(rule, conjugate=tuple(conjugate)))
+    bad = Presentation(P.generators, P.explicit, ConjRule(rule.element, tuple(conjugate), rule.skip))
     detail = _relator_walk_verdict(A, bad)
     assert detail is not None and detail.startswith("conj relator")
     with pytest.raises(CertificateFailed) as exc:
