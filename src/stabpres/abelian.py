@@ -41,7 +41,7 @@ from .actions import close_under_product
 from .complexes import d2_rows
 from .errors import Disconnected, MalformedInput
 from .linalg import _eye, invariant_factors, smith_normal_form, sparse_invariant_factors
-from .presentation import _find, _local_words, pi1_presentation, todd_coxeter
+from .presentation import _conjugation_steps, _find, _local_words, pi1_presentation, todd_coxeter
 from .record import Record
 
 PI1_BOUND = 10_000
@@ -269,20 +269,17 @@ def colimit_H1(A, Q):
     full table does, so the cokernel is the same.  One orbit word h@v .
     (s h s^-1)@s(v)^-1 per letter and generator s of G gives the
     coinvariants, as x - (st)x is (x - tx) + (y - sy) with y = tx; orbit
-    words need not hold in G.  The contraction unions the letters of
-    every edge and orbit word, each of the two-letter shape x y^-1, and
-    drops zero and repeated rows, so no normaliser runs.  Q is not read;
-    it stays in the signature for existing callers, the benchmark among
-    them.
+    words need not hold in G.  They are read off the build's generator
+    rows (`presentation._conjugation_steps`), which conjugate once per
+    generator and distinct letter element.  The contraction unions the
+    letters of every edge and orbit word, each of the two-letter shape
+    x y^-1, and drops zero and repeated rows, so no normaliser runs.  Q
+    is not read; it stays in the signature for existing callers, the
+    benchmark among them.
     """
     letters, code_of, local = _local_words(A, spanning=True)
-    G = A.group
-    gens = [(s, G.number[s], G.inverse_of[G.number[s]]) for s in G.generators]
-    orbit = (
-        (a, code_of[s(v), G.product(G.product(t, g), tinv)] + 1)
-        for (v, g), a in code_of.items()
-        for s, t, tinv in gens
-    )
+    steps = _conjugation_steps(A.group, code_of)
+    orbit = ((a, step[a + 1]) for _, step in steps for a in range(0, 2 * len(letters), 2))
     words = chain((word for word, _ in local), orbit)
     rows, _, width = _contracted_relations(words, len(letters))
     return AbelianInvariants.from_relation_matrix(rows, width)

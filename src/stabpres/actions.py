@@ -274,8 +274,8 @@ class PermGroup:
 
     def transporters(self, v, x, y):
         """The numbers of `all_transporters(stabilizers[v], x, y)`, in that
-        order, memoized by (v, x, y).  Lifting asks only for neighbours x
-        and y of v, so the memo holds at most |V|·deg² keys."""
+        order, memoized by (v, x, y).  Lifting and the edge words ask only
+        for neighbours x and y of v, so the memo holds at most |V|·deg² keys."""
         key = (v, x, y)
         found = self._transporters.get(key)
         if found is None:

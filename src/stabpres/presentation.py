@@ -4,7 +4,8 @@ Generators: one `StabilizerLetter` g@v per vertex v and nonidentity
 element g fixing v, the letter type of the expression words, so words
 trace through coset tables and abelianized images letter by letter.
 Relators come in three families; `abelian.colimit_H1` reuses the edge
-words and the mult words whose g lies in a generating set of G_v:
+words, the mult words whose g lies in a generating set of G_v, and G's
+conjugation of the letters (`_conjugation_steps`), its orbit words:
 
   mult  g@v . h@v . (gh)@v^-1          (per-vertex multiplication tables)
   edge  g@u . g@w^-1                   (u-w an edge, g fixing both ends)
@@ -19,21 +20,21 @@ family, most relators (f3: 13,335 of 13,995), as a `ConjRule`.
 relators R, R less each conj relator whose a or b is not the root of
 its Tietze class (f3: 2,263 of 13,995).  It enumerates the cosets of H,
 the subgroup that the letters at v* generate, v* the least vertex with
-the most letters, when P's mult words close those letters under
-products, so that |H| <= h, their count plus 1; otherwise H is trivial
-and h = 1.  Every entry of a complete HLT table comes from H's letters
-fixing coset 0, a definition, a deduction or a coincidence, so each of
-its n labels is a coset H . w of Gamma(R'), the labels are closed under
-every letter and so hold every coset of H, and the table bounds
-|Gamma(R')| by n . h with no relator checked at every coset.  When
-n . h is |G| (the rule's element count), `todd_coxeter` returns that
-table; otherwise HLT scans on until every relator closes at every
-label, so n is the exact index of H.  `verify_theorem` psi-checks all
-of R, the rule once per element row by conjugation composed along G's
-generators (by sg is by g, then s), and that psi is onto, so |G| <=
-|Gamma(R)| <= |Gamma(R')| <= n . h = |G|: Gamma(R) is a quotient of
-Gamma(R'), and the presented group is the acting group.  A table from
-another presentation is refused.
+the most letters, when P's mult words, read in the Tietze pass, close
+those letters under products, so that |H| <= h, their count plus 1;
+otherwise H is trivial and h = 1.  Every entry of a complete HLT table
+comes from H's letters fixing coset 0, a definition, a deduction or a
+coincidence, so each of its n labels is a coset H . w of Gamma(R'), the
+labels are closed under every letter and so hold every coset of H, and
+the table bounds |Gamma(R')| by n . h with no relator checked at every
+coset.  When n . h is |G| (the rule's element count), `todd_coxeter`
+returns that table; otherwise HLT scans on until every relator closes
+at every label, so n is the exact index of H.  `verify_theorem`
+psi-checks all of R, the rule once per element row by conjugation
+composed along G's generators (by sg is by g, then s), and that psi is
+onto, so |G| <= |Gamma(R)| <= |Gamma(R')| <= n . h = |G|: Gamma(R) is a
+quotient of Gamma(R'), and the presented group is the acting group.  A
+table from another presentation is refused.
 
 `pi1_presentation` is the classical edge-path presentation of the
 fundamental group (generators: edges off a spanning tree; relators:
@@ -57,7 +58,6 @@ from .errors import (
     UnknownSymbol,
     UnknownVertex,
 )
-from .actions import edge_stabilizer
 from .record import Record
 
 DEFAULT_MAX_COSETS = 10**6
@@ -255,12 +255,28 @@ def _local_words(A, spanning=False):
                     yield (code_of[v, g], code_of[v, h]), "mult"
 
         for u, w in A.complex.sorted_edges:
-            for g in edge_stabilizer(A, (u, w))[1:]:
-                # legal precisely because pointwise = setwise stabilizers here
-                i = G.number[g]
+            # the elements fixing u and w, identity first; legal precisely
+            # because pointwise = setwise stabilizers here
+            for i in G.transporters(u, w, w)[1:]:
                 yield (code_of[u, i], code_of[w, i] + 1), "edge"
 
     return tuple(letters), code_of, words()
+
+
+def _conjugation_steps(G, code_of):
+    """G's action on the letters by conjugation, h@w -> (shs^-1)@s(w) for
+    each generator s of G, as (s, step) in generator order: step[b + 1]
+    is the code of the inverse of b's image, for each letter code b of
+    `code_of` ((w, number of h) -> code, in letter order).  Each generator
+    conjugates each distinct letter element once with `G.product`."""
+    steps, elements = [], dict.fromkeys(h for _, h in code_of)
+    for x in G.generators:
+        s = G.number[x]
+        k = {h: G.product(G.product(s, h), G.inverse_of[s]) for h in elements}
+        step = [None] * 2 * len(code_of)
+        step[1::2] = (code_of[x(w), k[h]] + 1 for w, h in code_of)
+        steps.append((s, step))
+    return steps
 
 
 def build_presentation(A, Q):
@@ -270,9 +286,9 @@ def build_presentation(A, Q):
 
     Conjugation by g acts on the letters, h@w -> (ghg^-1)@g(w), and sg
     acts as s after g.  So only each generator s's row is conjugated out
-    with `G.product`; every other element's row is s's composed with its
-    parent's in a breadth-first search of G from the identity, and only
-    the rows of letter elements are kept.
+    (`_conjugation_steps`); every other element's row is s's composed
+    with its parent's in a breadth-first search of G from the identity,
+    and only the rows of letter elements are kept.
 
     The words are freely reduced and distinct up to rotation and
     inversion, so none is dropped.  A mult word has the signs ++- or
@@ -287,13 +303,7 @@ def build_presentation(A, Q):
     letters = list(code_of)  # (v, g) of each letter g@v, in generator order
     element = tuple(g for _, g in letters)
     elements = dict.fromkeys(element)
-    steps = []  # (s, its row of c^-1 codes, indexed by b^-1's code) per generator s
-    for x in G.generators:
-        s = G.number[x]
-        k = {h: G.product(G.product(s, h), G.inverse_of[s]) for h in elements}
-        step = [None] * 2 * len(letters)
-        step[1::2] = (code_of[x(w), k[h]] + 1 for w, h in letters)
-        steps.append((s, step))
+    steps = _conjugation_steps(G, code_of)
     rows = {0: tuple(range(1, 2 * len(letters), 2))}  # the identity's
     queue = [0]
     for g in queue:
@@ -361,39 +371,11 @@ class _CosetBoundHit(Exception):
     """Raised by `todd_coxeter`'s define step when max_cosets is reached."""
 
 
-def _stabilizer_subgroup(P):
-    """The generator indices of the letters at v*, the least vertex among
-    those with the most letters, when every generator of P is a
-    `StabilizerLetter` and P's explicit words close those letters L under
-    products; otherwise ().
-
-    Closed means every ordered pair (a, b) of L has a word a b c^-1 with c
-    in L, or a word a b or b a.  Then L and 1 are closed under products
-    in the presented group, so they are the subgroup H that L generates,
-    and |H| <= |L| + 1.  Explicit words tagged conj are not counted: R'
-    may leave them out."""
-    generators = P.generators
-    if not generators or not all(isinstance(s, StabilizerLetter) for s in generators):
-        return ()
-    letters = Counter(s.vertex for s in generators)
-    most = max(letters.values())
-    star = min(v for v, k in letters.items() if k == most)
-    at = {2 * i for i, s in enumerate(generators) if s.vertex == star}
-    covered = set()
-    for r in P.explicit:
-        w = r.word
-        if r.tag != "conj" and len(w) in (2, 3) and w[0] in at and w[1] in at:
-            if len(w) == 2:
-                covered.update((w, w[::-1]))
-            elif w[2] ^ 1 in at:
-                covered.add(w[:2])
-    return tuple(x >> 1 for x in sorted(at)) if len(covered) == len(at) ** 2 else ()
-
-
 def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     """Enumerate the cosets of H in the presented group: H is generated by
-    the letters at the vertex `_stabilizer_subgroup` names, when P's
-    words close them under products, and is trivial otherwise.
+    the letters L at v*, the least vertex among those with the most
+    letters, when every generator of P is a `StabilizerLetter` and P's
+    explicit words close L under products, and is trivial otherwise.
 
     Returns a CosetTable with status "complete" (order = n . h, the label
     count n times h, H's letters plus 1; see below) or "exhausted" (more
@@ -404,14 +386,19 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     generators and maps every letter code to a compact code of its
     class's root, its earliest letter.  R' is the relators R of P less
     each conj relator a b a^-1 c^-1 whose a or b is not a root; Gamma(R)
-    is a quotient of Gamma(R').  HLT (scan every word at each live coset,
-    then fill its row) runs over the compact codes, on the distinct
-    mapped words of R' in the order of their first relator, less those
-    that map to c c^-1; once every live row is full the table is
-    complete, and HLT may stop there (see below).  The table is then
-    compacted, and every column must be a permutation.  Coset 0 starts
-    with each of H's letters defined as fixing it (HLT with subgroup
-    generators: Neubüser 1982; Holt, Eick and O'Brien 2005, ch. 5).
+    is a quotient of Gamma(R').  The same pass finds H: L is closed when
+    every ordered pair (a, b) of L has a word a b c^-1 with c in L, or a
+    word a b or b a; then L and 1 are closed under products in the
+    presented group, so they are H, and |H| <= h = |L| + 1.  Explicit
+    words tagged conj are not counted, as R' may leave them out.  HLT
+    (scan every word at each live coset, then fill its row) runs over the
+    compact codes, on the distinct mapped words of R' in the order of
+    their first relator, less those that map to c c^-1; once every live
+    row is full the table is complete, and HLT may stop there (see
+    below).  The table is then compacted, and every column must be a
+    permutation.  Coset 0 starts with each of H's letters defined as
+    fixing it (HLT with subgroup generators: Neubüser 1982; Holt, Eick
+    and O'Brien 2005, ch. 5).
 
     The lemma (Todd and Coxeter 1936; Neubüser 1982): every entry of that
     table came from H's letters fixing coset 0, a definition, a deduction
@@ -439,15 +426,28 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     The table copies each compact column to every letter mapped to it,
     so it has a column per letter code of P.
     """
+    generators = P.generators
+    at = set()  # the letter codes of L
+    if generators and all(isinstance(s, StabilizerLetter) for s in generators):
+        letters = Counter(s.vertex for s in generators)
+        star = min(letters, key=lambda v: (-letters[v], v))  # most letters, then least
+        at = {2 * i for i, s in enumerate(generators) if s.vertex == star}
+    covered = set()  # the pairs (a, b) of L that a word closes
     # equal[x]: a letter code equal to x, of an earlier generator unless x
     # is its class's root; the roots of x and x ^ 1 are always inverse
-    equal = list(range(2 * len(P.generators)))
+    equal = list(range(2 * len(generators)))
     for r in P.explicit:  # every rule word has four letters
-        if len(r.word) == 2:
-            x, y = r.word
+        w = r.word
+        if len(w) == 2:
+            x, y = w
             a, b = sorted((_find(equal, x), _find(equal, y ^ 1)))  # x y = 1, so x = y^-1
             if a >> 1 != b >> 1:
                 equal[b], equal[b ^ 1] = a, a ^ 1
+        if r.tag != "conj" and len(w) in (2, 3) and w[0] in at and w[1] in at:
+            if len(w) == 2:
+                covered.update((w, w[::-1]))
+            elif w[2] ^ 1 in at:
+                covered.add(w[:2])
     compact = {}  # root generator -> compact generator index
     code = []  # letter code -> compact code
     for x in range(len(equal)):
@@ -455,7 +455,7 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
         code.append(2 * compact.setdefault(a >> 1, len(compact)) + (a & 1))
     width = 2 * len(compact)
 
-    subgroup = _stabilizer_subgroup(P)
+    subgroup = tuple(x >> 1 for x in sorted(at)) if len(covered) == len(at) ** 2 else ()
     h = len(subgroup) + 1  # the bound on |H|; 1 for the trivial subgroup
     table = [[-1] * width]
     parent = [0]
@@ -482,10 +482,7 @@ def todd_coxeter(P, max_cosets=DEFAULT_MAX_COSETS):
     def coincidence(a, b):
         queue = []
         merge(a, b, queue)
-        qi = 0
-        while qi < len(queue):
-            gamma = queue[qi]
-            qi += 1
+        for gamma in queue:  # merge appends while the queue is walked
             row = table[gamma]
             for x in range(width):
                 delta = row[x]
@@ -709,12 +706,11 @@ def verify_theorem(A, Q, P, T):
         word = armstrong_express(A, Q, basepoint, g)
         values = [G.number.get(letter.element) for letter in word.letters]
         if None in values or fold(values) != i:
-            value = psi_evaluate(word, G.identity)  # composed only to name a failure
-            if value != g:
-                raise CertificateFailed(
-                    "psi_surjective",
-                    f"expression of {g.cycle_string()} evaluates to {value.cycle_string()}",
-                )
+            value = psi_evaluate(word, G.identity)  # composed only to name the failure
+            raise CertificateFailed(
+                "psi_surjective",
+                f"expression of {g.cycle_string()} evaluates to {value.cycle_string()}",
+            )
     checks.append(("psi_surjective", f"all {order} elements expressed"))
 
     return TheoremCertificate(tuple(checks), order, T.order)

@@ -417,3 +417,21 @@ def test_express_refuses_a_lift_that_leaves_the_basepoint(f3, monkeypatch):
     monkeypatch.setattr(armstrong, "_lift_move", moving_lift)
     with pytest.raises(LiftFailed, match="lifted contraction ended at"):
         armstrong_express(A, Q, basepoint, g)
+
+
+def test_lift_refuses_a_triangle_insert_with_no_apex(f1):
+    # f1's refined complex has no triangle, so no lift of the apex joins
+    # the lifted edge; LiftFailed, not an assert, so python -O keeps it
+    move = homotopy.Move(homotopy.TRI, 0, "a")
+    with pytest.raises(LiftFailed, match="no apex over 'a' joins 'a'-'m'"):
+        armstrong._lift_move(f1.action, f1.quotient, ("a", "m"), move, None)
+
+
+def test_lift_refuses_a_backtrack_no_pivot_stabilizer_closes(f2):
+    # the window's ends, an edge's and a triangle's barycenter, lie in
+    # different orbits, so no element fixing the pivot sends one to the other
+    A = f2.action
+    assert not A.group.transporters("1", "b(1,2,3)", "b(1,2)")
+    move = homotopy.Move(homotopy.BACK, 0)
+    with pytest.raises(LiftFailed, match=r"no pivot stabilizer sends 'b\(1,2,3\)' to 'b\(1,2\)'"):
+        armstrong._lift_move(A, f2.quotient, ("b(1,2)", "1", "b(1,2,3)"), move, None)

@@ -1128,11 +1128,12 @@ def test_group_products_fold_each_distinct_word_once(monkeypatch):
 
 
 def test_colimit_products(monkeypatch):
-    # a fresh f3 group: 708 for the orbit words (118 letters, 3 generators,
-    # two products each), 236 for the mult words of S_v . G_v, where the
-    # full tables took 602, and 164 to close each S_v's span coset by coset
-    # (Dimino), where multiplying the whole span by every chosen element
-    # took 340
+    # a fresh f3 group: 192 for the orbit words, read off the build's
+    # generator rows (3 generators, 32 distinct letter elements, two
+    # products each), where conjugating each of the 118 letters apart took
+    # 708; 236 for the mult words of S_v . G_v, where the full tables took
+    # 602; and 164 to close each S_v's span coset by coset (Dimino), where
+    # multiplying the whole span by every chosen element took 340
     A = refine_action(f3_octahedral())
     Q = build_quotient(A)
     calls = [0]
@@ -1144,7 +1145,7 @@ def test_colimit_products(monkeypatch):
 
     monkeypatch.setattr(PermGroup, "product", counted)
     colimit_H1(A, Q)
-    assert calls[0] == 708 + 236 + 164
+    assert calls[0] == 3 * 32 * 2 + 236 + 164
 
 
 # -- the generator-row paths against the full tables ---------------------
