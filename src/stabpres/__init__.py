@@ -58,7 +58,6 @@ from .complexes import (
     SimplicialComplex,
     barycenter_name,
     barycentric_subdivision,
-    boundary_matrices,
     complex_from_json_obj,
     faces,
     simplex,

@@ -18,7 +18,6 @@ from .errors import (
     NotAnEdge,
     SimplexNotInComplex,
 )
-from .linalg import IntegerSolver
 from .record import Record
 
 
@@ -98,18 +97,12 @@ class SimplicialComplex(Record):
 
     @cached_property
     def edge_index(self):
-        """edge -> its position in sorted_edges, the row of d1 and d2."""
+        """edge -> its position in sorted_edges, its row in `d2_rows`."""
         return {e: i for i, e in enumerate(self.sorted_edges)}
 
     @cached_property
-    def filling_solver(self):
-        """`IntegerSolver` for d2: the integral 2-chains bounding a 1-cycle,
-        from one Smith elimination shared by every loop in the complex."""
-        return IntegerSolver(_dense_d2(self))
-
-    @cached_property
     def fillings(self):
-        """Loop vertex tuple -> its solved filling, `homotopy._filling`'s memo."""
+        """Loop vertex tuple -> its filling or None, `homotopy._filling`'s memo."""
         return {}
 
     @cached_property
@@ -172,29 +165,6 @@ def d2_rows(K):
         rows.setdefault(e_index[a, c], {})[j] = -1
         rows.setdefault(e_index[a, b], {})[j] = 1
     return rows
-
-
-def _dense_d2(K):
-    """`d2_rows` filled in: the dense triangle->edge boundary map."""
-    d2 = [[0] * len(K.triangles) for _ in K.edges]
-    for i, row in d2_rows(K).items():
-        for j, a in row.items():
-            d2[i][j] = a
-    return d2
-
-
-def boundary_matrices(K):
-    """(d1, d2): the edge->vertex and triangle->edge boundary maps with
-    orientation signs from the sorted vertex order, dense; d2 is
-    `d2_rows` filled in."""
-    verts = K.sorted_vertices
-    edges = K.sorted_edges
-    v_index = {v: i for i, v in enumerate(verts)}
-    d1 = [[0] * len(edges) for _ in verts]
-    for j, (u, w) in enumerate(edges):
-        d1[v_index[u]][j] -= 1
-        d1[v_index[w]][j] += 1
-    return d1, _dense_d2(K)
 
 
 def validate_complex(vertices, edges=(), triangles=()):

@@ -17,11 +17,12 @@ constructed.  The search is pruned by the loop's integral 2-chain
 filling c (d2 c = the loop's 1-chain): when H2 = 0, as for the
 2-connected quotients of the theorem, c is unique and every insert
 changes one coefficient by 1, so at least |c|_1 inserts remain.  The
-filling comes from one Smith elimination of d2 per complex
-(`SimplicialComplex.filling_solver`), and each loop's is solved once per
-complex and memoized (`SimplicialComplex.fillings`): the memo grows by
-one entry per distinct filled loop that callers submit.  Canonical (seed
-0) moves are memoized beside them, one per distinct (loop, budget).
+filling is solved on the sparse unit-pivot pass that homology runs on
+d2 (`linalg.sparse_solve`), so no dense d2 is built, and each loop's
+is memoized per complex (`SimplicialComplex.fillings`): the memo grows
+by one entry per distinct filled loop that callers submit.  Canonical
+(seed 0) moves are memoized beside them, one per distinct (loop,
+budget).
 
 `collapse_disc` is the disc side of the same calculus: it collapses an
 explicit (possibly degenerate) disc to its basepoint and returns the
@@ -35,7 +36,7 @@ import random
 from collections import Counter
 from itertools import combinations
 
-from .complexes import EdgePath, SimplicialComplex, simplex, validate_path
+from .complexes import EdgePath, SimplicialComplex, d2_rows, simplex, validate_path
 from .errors import (
     BadSize,
     BudgetExhausted,
@@ -43,6 +44,7 @@ from .errors import (
     MalformedInput,
     NotCollapsible,
 )
+from .linalg import sparse_solve
 from .record import Record
 
 TRI = "tri"
@@ -169,25 +171,23 @@ def _filling(K, vertices, budget):
     none bounds the moves).  Raises BudgetExhausted when there is no
     filling: a loop that is not null-homologous over Z never contracts.
 
-    Each solved filling is memoized in `K.fillings` by the loop's vertex
-    tuple, once `solve` has checked it; a loop with no filling is not.
+    The loop's 1-chain is solved against `d2_rows` by `sparse_solve`,
+    the unit-pivot pass that homology runs, which checks the filling.
+    Each solved loop is memoized in `K.fillings` by its vertex tuple
+    (as None when d2 is not injective); a loop with no filling is not.
     So the memo holds one entry per distinct filled loop that callers
     submit for K."""
-    solver = K.filling_solver
-    c = K.fillings.get(vertices)
-    if c is None:
+    if vertices not in K.fillings:
         index = K.edge_index
-        chain = [0] * len(index)
+        chain = Counter()
         for a, b in zip(vertices, vertices[1:]):
-            if a < b:
-                chain[index[(a, b)]] += 1
-            else:
-                chain[index[(b, a)]] -= 1
-        c = solver.solve(chain)
+            chain[index[min(a, b), max(a, b)]] += 1 if a < b else -1
+        c, injective = sparse_solve(d2_rows(K), len(K.triangles), chain)
         if c is None:
             raise BudgetExhausted(budget, "the loop is not null-homologous, so no budget contracts it")
-        K.fillings[vertices] = c
-    return dict(zip(K.sorted_triangles, c)) if solver.injective else None
+        K.fillings[vertices] = c if injective else None
+    c = K.fillings[vertices]
+    return None if c is None else dict(zip(K.sorted_triangles, c))
 
 
 def search_contraction(K, loop, basepoint, budget=None, seed=0):

@@ -14,21 +14,24 @@ is examined again whenever it changes.  The dense `_smith` sees only
 the rest, which is empty for the boundary maps of Sd^2(f3) and Sd^3(f3)
 and a column of +-2 for d2 of RP^2.  `invariant_factors` reads a dense
 matrix into sparse rows once, at its entry.
-`smith_normal_form` and `IntegerSolver` track the transforms, which
-`_smith` reads off an augmented matrix, not by a second code path:
-`smith_normal_form` checks U*M*V == S and the diagonal divisibility
-chain on every call, and `IntegerSolver` keeps the transforms to solve
-M x = b over Z and checks each solution it returns.  U and V are
+`sparse_solve` solves M x = b over Z on the same pass: b rides along as
+one more column that is never a pivot, the tracked `_smith` solves the
+rest, and the pivot rows, read back in reverse, give the other
+coordinates; each solution is checked before it is returned.
+`smith_normal_form` tracks the transforms too, which `_smith` reads off
+an augmented matrix, not by a second code path, and checks U*M*V == S
+and the diagonal divisibility chain on every call.  U and V are
 unimodular by construction; `smith_normal_form` recomputes that by
 Bareiss for matrices small enough to keep it cheap.
 
 This module imports nothing from the package, so both the abelian side
-and the complexes (for loop fillings) can build on it.
+and the loop contraction (for fillings) can build on it.
 """
 
 from __future__ import annotations
 
 from itertools import compress
+from operator import mul
 
 
 def _eye(n):
@@ -211,12 +214,15 @@ def smith_normal_form(M):
     return A, U, V
 
 
-def _unit_pivots(rows):
+def _unit_pivots(rows, keep=None):
     """Sparse unit-pivot elimination (Dumas, Saunders and Villard 2001) of
     the matrix with the sparse rows {row index: {column: nonzero value}},
-    each row nonempty, which it consumes: returns (pivots, rest), where
-    the matrix is equivalent over Z to the identity of size pivots beside
-    the dense matrix rest, which holds no entry of absolute value 1.
+    each row nonempty, which it consumes, never pivoting on column keep.
+    Returns (pivots, columns, rest): pivots lists each pivot's column and
+    its row as taken, in order; rest is the dense matrix of the rows left
+    over the sorted `columns`, with no entry +-1 outside column keep.
+    Outside keep the matrix is equivalent over Z to the identity of size
+    len(pivots) beside rest.
 
     A column -> rows index runs beside the rows.  One worklist of row
     indices, seeded shortest row first, grows while it is walked: a
@@ -234,15 +240,15 @@ def _unit_pivots(rows):
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-    pivots = 0
+    pivots = []
     work = sorted(rows, key=lambda i: len(rows[i]))
     for i in work:  # grows while it is walked
         row = rows.get(i)  # None once the row was a pivot or became zero
-        units = [j for j, a in row.items() if a == 1 or a == -1] if row else ()
+        units = [j for j, a in row.items() if (a == 1 or a == -1) and j != keep] if row else ()
         if not units:
             continue
         j = min(units, key=lambda j: len(cols[j]))
-        pivots += 1
+        pivots.append((j, row))
         del rows[i]
         for jj in row:
             cols[jj].discard(i)
@@ -266,7 +272,7 @@ def _unit_pivots(rows):
             else:
                 del rows[k]
     live = sorted(j for j, s in cols.items() if s)
-    return pivots, [[row.get(j, 0) for j in live] for _, row in sorted(rows.items())]
+    return pivots, live, [[row.get(j, 0) for j in live] for _, row in sorted(rows.items())]
 
 
 def invariant_factors(M):
@@ -287,47 +293,52 @@ def sparse_invariant_factors(rows):
     index: {column: nonzero value}}, each row nonempty; the rows are
     consumed.  The unit pivots give the leading 1s and the dense
     elimination sees only the rest."""
-    pivots, rest = _unit_pivots(rows)
+    pivots, _, rest = _unit_pivots(rows)
     S = _smith(rest, track=False)[0]
-    return [1] * pivots + [row[i] for i, row in enumerate(S) if i < len(row) and row[i]]
+    return [1] * len(pivots) + [row[i] for i, row in enumerate(S) if i < len(row) and row[i]]
 
 
-class IntegerSolver:
-    """Integer solutions of M x = b from one Smith elimination of M.
+def sparse_solve(rows, columns, b):
+    """Integer solutions of M x = b, for M the matrix of `columns` columns
+    with the given sparse rows (kept intact) and b as {row index: value}.
+    Returns (x, injective): x is a list with M x == b, or None when b has
+    no integral preimage, and injective whether M is, so x is unique.
 
-    With U*M*V == S, U and V unimodular, M x = b holds exactly when
-    S y = U b for y = V^-1 x.  So b has an integral preimage iff each
-    (U b)_i is divisible by the i-th diagonal entry up to the rank and
-    vanishes past it; then x = V y, with the kernel coordinates of y set
-    to 0.  When M is injective that preimage is the only one.
+    b is one more column, never a pivot, so M x = b holds exactly when
+    each pivot row and the rest R hold.  With U*R*V == S, R y = c holds
+    for y = V z exactly when S z = U c: each (U c)_i must be divisible by
+    the i-th diagonal entry up to the rank and vanish past it, and the
+    kernel coordinates of z are 0, as is every column neither a pivot nor
+    in R.  A pivot row holds no earlier pivot's column, so the pivots
+    read in reverse give their columns.  M x == b is checked before
+    returning, raising AssertionError even under python -O.
     """
-
-    def __init__(self, M):
-        self.M = M
-        self.columns = len(M[0]) if M else 0
-        S, self.U, self.V = _smith(M, track=True)
-        # the elimination stops at the first zero pivot, so the nonzero
-        # diagonal entries come first
-        self.diag = [row[i] for i, row in enumerate(S) if i < self.columns and row[i]]
-
-    @property
-    def injective(self):
-        return len(self.diag) == self.columns
-
-    def solve(self, b):
-        """An integral x with M x == b, or None when there is none."""
-        support = [(j, c) for j, c in enumerate(b) if c]
-        y = []
-        for i, row in enumerate(self.U):
-            v = sum(row[j] * c for j, c in support)
-            if i < len(self.diag):
-                q, r = divmod(v, self.diag[i])
-                if r:
-                    return None
-                y.append(q)
-            elif v:
-                return None
-        x = [sum(row[i] * q for i, q in enumerate(y)) for row in self.V]
-        if [sum(a * c for a, c in zip(row, x)) for row in self.M] != list(b):
-            raise AssertionError("M x != b")
-        return x
+    b = {i: v for i, v in b.items() if v}
+    work = {i: dict(row) for i, row in rows.items()}
+    for i, v in b.items():
+        work.setdefault(i, {})[columns] = v
+    pivots, live, rest = _unit_pivots(work, keep=columns)
+    # b's column, when left, is the last; V has no row for it, so zip(live, V) skips it
+    target = [r.pop() if live[-1] == columns else 0 for r in rest]
+    S, U, V = _smith(rest, track=True)
+    diag = [row[i] for i, row in enumerate(S) if i < len(row) and row[i]]
+    injective = len(pivots) + len(diag) == columns
+    z = []
+    for i, row in enumerate(U):
+        v = sum(map(mul, row, target))
+        if i < len(diag):
+            q, r = divmod(v, diag[i])
+            if r:
+                return None, injective
+            z.append(q)
+        elif v:
+            return None, injective
+    x = dict(zip(live, (sum(map(mul, row, z)) for row in V)))
+    for j, row in reversed(pivots):
+        # x[j] is not set yet, so the pivot itself adds nothing to the sum
+        v = row.get(columns, 0) - sum(a * x.get(c, 0) for c, a in row.items() if c != columns)
+        x[j] = row[j] * v
+    x = [x.get(c, 0) for c in range(columns)]
+    if {i: v for i, row in rows.items() if (v := sum(a * x[c] for c, a in row.items()))} != b:
+        raise AssertionError("M x != b")
+    return x, injective

@@ -10,7 +10,9 @@ import pytest
 
 import stabpres as sp
 from stabpres.abelian import _contracted_relations
+from stabpres.complexes import d2_rows
 from stabpres.fixtures import f1_flip, f2_s3, f3_octahedral
+from stabpres.linalg import _smith
 
 Pipeline = namedtuple("Pipeline", "action quotient presentation table")
 
@@ -127,3 +129,76 @@ def product_built_rows():
 @pytest.fixture(scope="session")
 def full_table_colimit():
     return _full_table_colimit
+
+
+# -- dense references for the sparse elimination ---------------------------
+# The package eliminates d2 only as sparse rows (`d2_rows`, `_unit_pivots`);
+# these dense forms are what the sparse pass and `linalg.sparse_solve` must
+# agree with.
+
+
+def _boundary_matrices(K):
+    """(d1, d2): the edge->vertex and triangle->edge boundary maps with
+    orientation signs from the sorted vertex order, dense; d2 is
+    `d2_rows` filled in."""
+    v_index = {v: i for i, v in enumerate(K.sorted_vertices)}
+    d1 = [[0] * len(K.edges) for _ in K.vertices]
+    for j, (u, w) in enumerate(K.sorted_edges):
+        d1[v_index[u]][j] -= 1
+        d1[v_index[w]][j] += 1
+    d2 = [[0] * len(K.triangles) for _ in K.edges]
+    for i, row in d2_rows(K).items():
+        for j, a in row.items():
+            d2[i][j] = a
+    return d1, d2
+
+
+class _IntegerSolver:
+    """Integer solutions of M x = b from one tracked Smith elimination of
+    the whole dense M.
+
+    With U*M*V == S, U and V unimodular, M x = b holds exactly when
+    S y = U b for y = V^-1 x.  So b has an integral preimage iff each
+    (U b)_i is divisible by the i-th diagonal entry up to the rank and
+    vanishes past it; then x = V y, with the kernel coordinates of y set
+    to 0.  When M is injective that preimage is the only one.
+    """
+
+    def __init__(self, M):
+        self.M = M
+        self.columns = len(M[0]) if M else 0
+        S, self.U, self.V = _smith(M, track=True)
+        # the elimination stops at the first zero pivot, so the nonzero
+        # diagonal entries come first
+        self.diag = [row[i] for i, row in enumerate(S) if i < self.columns and row[i]]
+
+    @property
+    def injective(self):
+        return len(self.diag) == self.columns
+
+    def solve(self, b):
+        """An integral x with M x == b, or None when there is none."""
+        support = [(j, c) for j, c in enumerate(b) if c]
+        y = []
+        for i, row in enumerate(self.U):
+            v = sum(row[j] * c for j, c in support)
+            if i < len(self.diag):
+                q, r = divmod(v, self.diag[i])
+                if r:
+                    return None
+                y.append(q)
+            elif v:
+                return None
+        x = [sum(row[i] * q for i, q in enumerate(y)) for row in self.V]
+        assert [sum(a * c for a, c in zip(row, x)) for row in self.M] == list(b)
+        return x
+
+
+@pytest.fixture(scope="session")
+def boundary_matrices():
+    return _boundary_matrices
+
+
+@pytest.fixture(scope="session")
+def integer_solver():
+    return _IntegerSolver

@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from stabpres import abelian, complexes, linalg
+from stabpres import abelian, linalg
 from stabpres.abelian import (
     AbelianInvariants,
     AbelianizedWords,
@@ -33,7 +33,6 @@ from stabpres.armstrong import StabilizerLetter, StabilizerWord, armstrong_expre
 from stabpres.complexes import (
     SimplicialComplex,
     barycentric_subdivision,
-    boundary_matrices,
     d2_rows,
     validate_complex,
 )
@@ -115,37 +114,55 @@ def test_unit_pivot_pass_matches_snf_on_sparse_matrices():
         assert invariant_factors(M) == [S[i][i] for i in range(min(m, n)) if S[i][i]]
         # the pass is complete: no unit is left for the dense elimination
         rows = {i: {j: a for j, a in enumerate(r) if a} for i, r in enumerate(M) if any(r)}
-        _, rest = linalg._unit_pivots(rows)
+        _, _, rest = linalg._unit_pivots(rows)
         assert not any(a in (1, -1) for r in rest for a in r)
 
 
-def test_integer_solver_refuses_a_wrong_solution():
+def _wrong_transform(M, track, smith=linalg._smith):
+    """The tracked `_smith` of M with V's first row shifted, a unimodular
+    change that breaks U*M*V == S."""
+    S, U, V = smith(M, track)
+    V[0][1] += 1
+    return S, U, V
+
+
+def test_integer_solver_refuses_a_wrong_solution(monkeypatch):
     # a real exception, not an assert, so the check that memoized fillings
-    # rest on survives python -O
-    solver = linalg.IntegerSolver([[1, 0], [0, 1]])
-    assert solver.solve([2, 3]) == [2, 3]
-    solver.V = [[1, 1], [0, 1]]
+    # rest on survives python -O; 2I has no unit, so the dense rest is all
+    # of it, and a wrong V there gives a wrong x
+    rows = {0: {0: 2}, 1: {1: 2}}
+    assert linalg.sparse_solve(rows, 2, {0: 2, 1: 4}) == ([1, 2], True)
+    monkeypatch.setattr(linalg, "_smith", _wrong_transform)
     with pytest.raises(AssertionError, match="M x != b"):
-        solver.solve([2, 3])
+        linalg.sparse_solve(rows, 2, {0: 2, 1: 4})
 
 
-def test_smith_normal_form_refuses_a_wrong_transform(monkeypatch):
-    # a real exception, not an assert, so the check on the V that
-    # AbelianizedWords reads survives python -O; this V is unimodular
-    smith = linalg._smith
-
-    def wrong_v(M, track):
-        A, U, V = smith(M, track)
-        V[0][1] += 1
-        return A, U, V
-
-    assert linalg.smith_normal_form([[1, 0], [0, 1]])[2] == [[1, 0], [0, 1]]
-    monkeypatch.setattr(linalg, "_smith", wrong_v)
-    with pytest.raises(AssertionError, match=r"U\*M\*V != S"):
-        linalg.smith_normal_form([[1, 0], [0, 1]])
+def _as_is(M, track):
+    """M itself as S, with identity transforms."""
+    return M, [[1, 0], [0, 1]], [[1, 0], [0, 1]]
 
 
-def test_snf_triangle_boundary():
+@pytest.mark.parametrize(
+    "M, smith, message",
+    [
+        ([[1, 0], [0, 1]], _wrong_transform, r"U\*M\*V != S"),
+        ([[1, 1], [0, 1]], _as_is, "off-diagonal"),
+        ([[2, 0], [0, 3]], _as_is, "chain broken"),
+        ([[0]], lambda M, track: (M, [[2]], [[1]]), "U not unimodular"),
+        ([[0]], lambda M, track: (M, [[1]], [[2]]), "V not unimodular"),
+    ],
+    ids=["product", "off-diagonal", "chain", "U-unimodular", "V-unimodular"],
+)
+def test_smith_normal_form_refuses_a_wrong_transform(monkeypatch, M, smith, message):
+    # real exceptions, not asserts, so the checks on the V that
+    # AbelianizedWords reads survive python -O; each patched _smith breaks
+    # one postcondition and keeps the ones checked before it
+    monkeypatch.setattr(linalg, "_smith", smith)
+    with pytest.raises(AssertionError, match=message):
+        linalg.smith_normal_form(M)
+
+
+def test_snf_triangle_boundary(boundary_matrices):
     _, d2 = boundary_matrices(solid_triangle())
     assert d2 == [[1], [-1], [1]]
     assert invariant_factors(d2) == [1]
@@ -168,13 +185,14 @@ def test_snf_postconditions_random():
         assert invariant_factors(M) == [abs(d) for d in diag if d != 0]
 
 
-def test_smith_transform_digest():
+def test_smith_transform_digest(integer_solver):
     # one sha256 over S, U and V of smith_normal_form, the untracked S and
-    # IntegerSolver's solutions of a solvable and a random right-hand side,
-    # on seeded matrices of every shape up to 9x9 (an m x 0 matrix is m
-    # empty rows; 0 x n is []): the transforms themselves, which
-    # AbelianizedWords reads through V and the fillings through U and V,
-    # are pinned, not only their postconditions
+    # the dense reference solver's solutions of a solvable and a random
+    # right-hand side, on seeded matrices of every shape up to 9x9 (an
+    # m x 0 matrix is m empty rows; 0 x n is []): the transforms
+    # themselves, which AbelianizedWords reads through V and
+    # `sparse_solve` through U and V of its dense rest, are pinned, not
+    # only their postconditions
     rng = random.Random(31)
     values = (0, 0, 0, 0, 1, -1, 2, -2, 3, -4, 6, 9)
     digest = hashlib.sha256()
@@ -184,7 +202,7 @@ def test_smith_transform_digest():
                 scale = rng.choice((1, 1, 2, 3))
                 M = [[scale * rng.choice(values) for _ in range(n)] for _ in range(m)]
                 S, U, V = smith_normal_form(M)
-                solver = linalg.IntegerSolver(M)
+                solver = integer_solver(M)
                 x = [rng.randint(-3, 3) for _ in range(n)]
                 b = [sum(a * c for a, c in zip(row, x)) for row in M]
                 noise = [rng.randint(-5, 5) for _ in range(m)]
@@ -331,7 +349,7 @@ def _rank_corpus(dihedral_cone):
     return corpus + list(_SKELETA.values()) + [_EMPTY, _TWO_CIRCLES]
 
 
-def test_d1_rank_is_vertices_minus_components(dihedral_cone):
+def test_d1_rank_is_vertices_minus_components(dihedral_cone, boundary_matrices):
     # homology_invariants takes rank d1 from the component count; the Smith
     # diagonal of d1 is the independent oracle
     for K in _rank_corpus(dihedral_cone):
@@ -342,7 +360,7 @@ def test_d1_rank_is_vertices_minus_components(dihedral_cone):
     assert homology_invariants(_TWO_CIRCLES, 1) == AbelianInvariants(2, ())
 
 
-def test_unit_pivot_pass_matches_dense_smith_on_rank_corpus(dihedral_cone):
+def test_unit_pivot_pass_matches_dense_smith_on_rank_corpus(dihedral_cone, boundary_matrices):
     for K in _rank_corpus(dihedral_cone):
         for M in boundary_matrices(K):
             S = linalg._smith(M, track=False)[0]
@@ -350,14 +368,63 @@ def test_unit_pivot_pass_matches_dense_smith_on_rank_corpus(dihedral_cone):
             assert invariant_factors(M) == dense
 
 
+def _agrees_with_the_reference(rows, M, solver, rng):
+    """`sparse_solve` against the dense reference solver on M, given also
+    as sparse rows: for an image b = M c and for random noise, a solution
+    exists in both or in neither, the injective flags match, and the
+    solutions are equal when M is injective (else each solves M x = b)."""
+    n = len(M[0]) if M else 0
+    c = [rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n)]
+    for b in (
+        [sum(a * x for a, x in zip(row, c)) for row in M],
+        [rng.choice((0, 0, 0, 1, -1, 3)) for _ in M],
+    ):
+        x, injective = linalg.sparse_solve(rows, n, dict(enumerate(b)))
+        reference = solver.solve(b)
+        assert (x is None, injective) == (reference is None, solver.injective)
+        if x is not None:
+            assert [sum(a * v for a, v in zip(row, x)) for row in M] == b
+            assert x == reference or not injective
+
+
+def test_sparse_solve_matches_the_dense_reference_on_rank_corpus(
+    dihedral_cone, boundary_matrices, integer_solver
+):
+    rng = random.Random(37)
+    for K in _rank_corpus(dihedral_cone):
+        d2 = boundary_matrices(K)[1]
+        solver = integer_solver(d2)
+        for _ in range(3):
+            _agrees_with_the_reference(d2_rows(K), d2, solver, rng)
+
+
+def test_sparse_solve_matches_the_dense_reference_on_sparse_matrices(integer_solver):
+    # entries up to 3 in absolute value, so some rests are dense with
+    # torsion, and more columns than rows in some draws, so some M are
+    # not injective
+    rng = random.Random(38)
+    injective = set()
+    for _ in range(300):
+        m, n = rng.randint(1, 12), rng.randint(1, 12)
+        M = [[0] * n for _ in range(m)]
+        for j in range(n):
+            for i in rng.sample(range(m), min(m, rng.randint(1, 3))):
+                M[i][j] = rng.choice((-3, -2, -1, 1, 2, 3))
+        rows = {i: {j: a for j, a in enumerate(r) if a} for i, r in enumerate(M) if any(r)}
+        solver = integer_solver(M)
+        _agrees_with_the_reference(rows, M, solver, rng)
+        injective.add(solver.injective)
+    assert injective == {True, False}
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("called a path the code under test must not take")
 
 
-def test_homology_builds_d2_as_sparse_rows(dihedral_cone, monkeypatch):
+def test_homology_builds_d2_as_sparse_rows(dihedral_cone, boundary_matrices, monkeypatch):
     # the reference is all dense: both boundary matrices, the Smith
     # diagonal of d2 and the rank of d1 from their dense entry point;
-    # homology itself must neither build them nor densify anything
+    # homology itself must not densify anything
     corpus = _rank_corpus(dihedral_cone)
     expected = []
     for K in corpus:
@@ -368,7 +435,6 @@ def test_homology_builds_d2_as_sparse_rows(dihedral_cone, monkeypatch):
             len(K.edges) - len(invariant_factors(d1)) - len(diag), tuple(d for d in diag if d > 1)
         )
         expected.append((h1, AbelianInvariants(len(K.triangles) - len(diag), ())))
-    monkeypatch.setattr(complexes, "boundary_matrices", _refuse)
     monkeypatch.setattr(abelian, "invariant_factors", _refuse)
     monkeypatch.setattr(linalg, "invariant_factors", _refuse)
     assert [(homology_invariants(K, 1), homology_invariants(K, 2)) for K in corpus] == expected

@@ -42,6 +42,7 @@ def test_standard_simplex_valid():
     K = solid_triangle()
     assert K.counts() == (3, 3, 1)
     assert K.has_simplex(("1", "2", "3"))
+    assert not K.has_simplex(("1", "2", "3", "4"))  # no simplex has four vertices
 
 
 def test_missing_faces_all_reported():

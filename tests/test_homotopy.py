@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from stabpres import complexes, homotopy
+from stabpres import homotopy, linalg
 from stabpres.actions import build_quotient, refine_action
 from stabpres.armstrong import find_path
 from stabpres.complexes import EdgePath, barycentric_subdivision, validate_complex, validate_path
@@ -20,6 +20,7 @@ from stabpres.errors import (
 )
 from stabpres.fixtures import (
     cycle_complex,
+    f3_octahedral,
     f5_antipodal,
     interval_complex,
     octahedron_boundary,
@@ -41,7 +42,6 @@ from stabpres.homotopy import (
     search_contraction,
     verify_collapse,
 )
-from stabpres.linalg import IntegerSolver
 
 
 # -- elementary moves ---------------------------------------------------
@@ -392,29 +392,56 @@ def test_fillings_are_memoized_per_complex_and_copied_out():
     assert len(K.fillings) == 1
 
 
-def test_filling_solver_builds_d2_from_its_sparse_rows(monkeypatch):
-    # the solver's d2 comes from `d2_rows` alone, with no dense d1: its
-    # matrix, Smith transforms and diagonal, which fix every solution,
-    # equal those of a solver over `boundary_matrices`' d2
+def _refuse_dense(monkeypatch):
+    """Patch `linalg._smith` to refuse any matrix with a row or a column."""
+    smith = linalg._smith
+
+    def refuse(M, track):
+        if M:
+            raise AssertionError(f"_smith was handed a matrix of {len(M)} rows")
+        return smith(M, track)
+
+    monkeypatch.setattr(linalg, "_smith", refuse)
+
+
+def test_filling_solver_builds_d2_from_its_sparse_rows(
+    monkeypatch, boundary_matrices, integer_solver
+):
+    # the fillings come from `d2_rows` and the unit pivots alone, which
+    # leave no dense rest on these complexes, and they equal the fillings
+    # the dense reference solver reads off the whole of d2
     def corpus():
         discs = [random_nondegenerate_disc(n, seed) for n, seed in ((5, 0), (9, 3))]
         K = octahedron_boundary()  # H2 = Z, so d2 is not injective
         equator = validate_path(K, ["p1", "p2", "m1", "m2", "p1"])
         return [(d.complex, d.boundary) for d in discs] + [(K, equator)]
 
-    def state(solver):
-        return solver.M, solver.U, solver.V, solver.diag
-
-    reference = [state(IntegerSolver(complexes.boundary_matrices(K)[1])) for K, _ in corpus()]
-
-    def refuse(K):
-        raise AssertionError("boundary_matrices was called")
-
-    monkeypatch.setattr(complexes, "boundary_matrices", refuse)
-    cases = corpus()
-    assert [state(K.filling_solver) for K, _ in cases] == reference
-    fillings = [homotopy._filling(K, loop.vertices, None) for K, loop in cases]
+    reference = []
+    for K, loop in corpus():
+        chain = [0] * len(K.edges)
+        for a, b in zip(loop.vertices, loop.vertices[1:]):
+            chain[K.edge_index[min(a, b), max(a, b)]] += 1 if a < b else -1
+        solver = integer_solver(boundary_matrices(K)[1])
+        x = solver.solve(chain)
+        reference.append(dict(zip(K.sorted_triangles, x)) if solver.injective else None)
+    _refuse_dense(monkeypatch)
+    fillings = [homotopy._filling(K, loop.vertices, None) for K, loop in corpus()]
+    assert fillings == reference
     assert all(fillings[:2]) and fillings[2] is None
+
+
+def test_contract_a_triangle_loop_on_sd3_without_a_dense_elimination(monkeypatch):
+    # d2 of Sd^3(f3) is 2,592 x 1,728, and the unit pivots leave the
+    # loop's solve no dense rest: no dense elimination of d2 runs
+    K = f3_octahedral().complex
+    for _ in range(3):
+        K = barycentric_subdivision(K)[0]
+    assert (len(K.edges), len(K.triangles)) == (2592, 1728)
+    _refuse_dense(monkeypatch)
+    a, b, c = K.sorted_triangles[0]
+    log = contract_loop(K, validate_path(K, [a, b, c, a]), a)
+    assert log.move_counts() == (1, 2)
+    assert K.fillings == {(a, b, c, a): None}  # H2 = Z: no filling bounds the moves
 
 
 def test_a_loop_with_no_filling_is_not_memoized():
@@ -563,6 +590,13 @@ def test_verify_collapse_rejects_tampering():
     other = collapse_disc(random_nondegenerate_disc(6, 1)).boundary_log
     with pytest.raises(NotCollapsible, match="does not start at the disc's boundary"):
         verify_collapse(DiscCollapse(cert.initial, other))
+    # one backtrack removes the one edge and its far end from the doubled
+    # walk a-b-a-b-a, so the complex is collapsed, but the walk is a-b-a
+    K = validate_complex(["a", "b"], [["a", "b"]])
+    walk = validate_path(K, ["a", "b", "a", "b", "a"])
+    cert = DiscCollapse(DegenerateDisc(K, walk), MoveLog(walk, (Move(BACK, 0),)))
+    with pytest.raises(NotCollapsible, match="does not end at the constant loop"):
+        verify_collapse(cert)
 
 
 def test_verify_collapse_rejects_an_edge_removed_twice():
