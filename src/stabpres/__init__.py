@@ -32,7 +32,6 @@ from .actions import (
     build_quotient,
     check_without_rotations,
     close_under_product,
-    edge_stabilizer,
     load_action,
     mark_without_rotations,
     orbit_of_simplex,
@@ -41,7 +40,6 @@ from .actions import (
     refine_action,
     refine_action_tracked,
     rotation_string,
-    stabilizer,
     subdivide_action,
     validate_simplicial_action,
 )
@@ -51,7 +49,6 @@ from .armstrong import (
     armstrong_express,
     find_path,
     psi_evaluate,
-    word_from_json_obj,
 )
 from .complexes import (
     EdgePath,
@@ -59,9 +56,7 @@ from .complexes import (
     barycenter_name,
     barycentric_subdivision,
     complex_from_json_obj,
-    faces,
     simplex,
-    star,
     validate_complex,
     validate_path,
 )
@@ -84,7 +79,6 @@ from .errors import (
     OrbitCollision,
     PreconditionUnvalidated,
     RefinementFailed,
-    SimplexNotInComplex,
     StabpresError,
     UnknownSymbol,
     UnknownVertex,
@@ -98,7 +92,6 @@ from .homotopy import (
     collapse_disc,
     contract_loop,
     default_budget,
-    move_log_from_json_obj,
     random_nondegenerate_disc,
     verify_collapse,
 )

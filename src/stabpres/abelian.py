@@ -67,14 +67,6 @@ class AbelianInvariants(Record):
         diag = invariant_factors(rows)
         return cls(n_columns - len(diag), tuple(d for d in diag if d != 1))
 
-    def order(self):
-        if self.rank:
-            return None
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
-
     def __str__(self):
         parts = []
         if self.rank == 1:

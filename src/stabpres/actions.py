@@ -380,19 +380,6 @@ def orbit_of_simplex(A, s):
     return tuple(sorted({g.apply(s) for g in A.group.elements}))
 
 
-def stabilizer(A, v):
-    """All elements fixing the vertex, identity first, canonical order."""
-    if v not in A.complex.vertices:
-        raise UnknownVertex(v)
-    return A.group.stabilizers[v]
-
-
-def edge_stabilizer(A, e):
-    """Pointwise stabilizer of an edge (= setwise, when without rotations)."""
-    u, w = simplex(e)
-    return tuple(g for g in stabilizer(A, u) if g(w) == w)
-
-
 def all_transporters(subgroup, x, y):
     """The elements of the subgroup sending x to y, in the subgroup's order."""
     return tuple(g for g in subgroup if g(x) == y)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import random
 
-from .actions import Permutation
 from .complexes import EdgePath, _discoveries, simplex
 from .errors import (
     Disconnected,
@@ -89,21 +88,6 @@ class StabilizerWord(Record):
 
     def __str__(self):
         return " . ".join(l.name for l in self.letters) or "1"
-
-
-def word_from_json_obj(obj, A):
-    domain = A.complex.sorted_vertices
-    if not isinstance(obj, list):
-        raise MalformedInput("stabilizer word must be a list")
-    letters = []
-    for entry in obj:
-        try:
-            cycles = [[str(v) for v in c] for c in entry["element"]]
-            vertex = entry["vertex"]
-        except (KeyError, TypeError) as exc:
-            raise MalformedInput(f"bad word letter: {exc}") from exc
-        letters.append(StabilizerLetter(Permutation.from_cycles(domain, cycles), vertex))
-    return StabilizerWord(tuple(letters))
 
 
 def psi_evaluate(word, identity=None):

@@ -9,9 +9,10 @@ Subcommands:
   abelianize  compare colimit H1 against the brute-force abelianization
   homology    H1 or H2 of a complex (or of an action's complex)
 
-Exit codes: 0 success, 1 validation or certificate failure, 2 resource
-bound hit, 3 malformed input.  With --format json all reports (and
-errors, on stderr) are machine readable; identical inputs and seed give
+Exit codes: 0 success, 1 validation or certificate failure (or a closed
+stdout pipe, which writes nothing to stderr), 2 resource bound hit, 3
+malformed input.  With --format json all reports (and errors, on
+stderr) are machine readable; identical inputs and seed give
 byte-identical output.  STABPRES_MAX_COSETS and STABPRES_BUDGET set
 default resource bounds; a coset bound below 1 or a budget below 0 is
 malformed input.
@@ -190,9 +191,10 @@ def _cmd_quotient(args):
 def _cmd_present(args):
     A, _, Q = refine_action_tracked(load_action(args.action))
     P = build_presentation(A, Q)
-    report = P.to_json_obj()
-    report["subdivisions"] = A.subdivisions
-    _emit(report, args.format, [P.to_text()])
+    if args.format == "json":
+        _emit(dict(P.to_json_obj(), subdivisions=A.subdivisions), "json", ())
+    else:
+        _emit(None, "text", [P.to_text()])
     return EXIT_OK
 
 
@@ -372,8 +374,19 @@ def _report_error(fmt, kind, detail, code):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: quiet the interpreter's last flush, and
+        # exit 1 as Python does on EPIPE, with nothing on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(args):
     fmt = getattr(args, "format", "text")
     try:
         if hasattr(args, "max_cosets"):

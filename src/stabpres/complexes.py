@@ -8,35 +8,15 @@ opaque but must be mutually orderable; the shipped corpus uses strings.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 
-from .errors import (
-    EmptyPath,
-    InvalidComplex,
-    MalformedInput,
-    NotAnEdge,
-    SimplexNotInComplex,
-)
+from .errors import EmptyPath, InvalidComplex, MalformedInput, NotAnEdge
 from .record import Record
 
 
 def simplex(vertices):
     """Canonical (sorted tuple) form of a simplex given any iterable."""
     return tuple(sorted(vertices))
-
-
-def faces(s):
-    """All proper nonempty faces of a simplex, canonical form."""
-    out = []
-    n = len(s)
-    if n >= 2:
-        for i in range(n):
-            out.append(s[:i] + s[i + 1 :])
-    if n == 3:
-        for v in s:
-            out.append((v,))
-    return out
 
 
 def _discoveries(adjacency, u, parent, rng=None):
@@ -110,16 +90,6 @@ class SimplicialComplex(Record):
         """(loop vertex tuple, budget) -> its seed-0 moves, `search_contraction`'s memo."""
         return {}
 
-    def has_simplex(self, s):
-        s = tuple(s)
-        if len(s) == 1:
-            return s[0] in self.vertices
-        if len(s) == 2:
-            return s in self.edges
-        if len(s) == 3:
-            return s in self.triangles
-        return False
-
     def simplices(self):
         """All simplices as sorted tuples, vertices first, canonical order."""
         for v in self.sorted_vertices:
@@ -147,9 +117,6 @@ class SimplicialComplex(Record):
             "edges": [[str(u), str(w)] for u, w in self.sorted_edges],
             "triangles": [[str(u), str(w), str(x)] for u, w, x in self.sorted_triangles],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2)
 
 
 def d2_rows(K):
@@ -230,24 +197,6 @@ def complex_from_json_obj(obj):
         ):
             raise MalformedInput(f"complex {name} must be a list of lists of strings")
     return validate_complex(vertices, edges, triangles)
-
-
-def star(K, s):
-    """The closed star of a simplex: every simplex joinable to s, plus faces."""
-    s = simplex(s)
-    if not K.has_simplex(s):
-        raise SimplexNotInComplex(s)
-    cofaces = [t for t in K.simplices() if set(s) <= set(t)]
-    vs, es, ts = set(), set(), set()
-    for t in cofaces:
-        for f in [t] + faces(t):
-            if len(f) == 1:
-                vs.add(f[0])
-            elif len(f) == 2:
-                es.add(f)
-            else:
-                ts.add(f)
-    return SimplicialComplex(frozenset(vs), frozenset(es), frozenset(ts))
 
 
 def barycenter_name(s):

@@ -22,12 +22,6 @@ class InvalidComplex(StabpresError):
         super().__init__(f"invalid complex ({lines})")
 
 
-class SimplexNotInComplex(StabpresError):
-    def __init__(self, simplex):
-        self.simplex = simplex
-        super().__init__(f"simplex {simplex} not in complex")
-
-
 class NotAnEdge(StabpresError):
     """A path step is not an edge of the complex; carries the step index."""
 

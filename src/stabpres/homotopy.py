@@ -37,13 +37,7 @@ from collections import Counter
 from itertools import combinations
 
 from .complexes import EdgePath, SimplicialComplex, d2_rows, simplex, validate_path
-from .errors import (
-    BadSize,
-    BudgetExhausted,
-    IllegalMove,
-    MalformedInput,
-    NotCollapsible,
-)
+from .errors import BadSize, BudgetExhausted, IllegalMove, NotCollapsible
 from .linalg import sparse_solve
 from .record import Record
 
@@ -60,11 +54,6 @@ class Move(Record):
         self._set("kind", kind)
         self._set("pos", pos)
         self._set("apex", apex)
-
-    def to_json_obj(self):
-        if self.kind == TRI:
-            return {"kind": TRI, "pos": self.pos, "apex": str(self.apex)}
-        return {"kind": BACK, "pos": self.pos}
 
 
 class MoveLog(Record):
@@ -91,41 +80,6 @@ class MoveLog(Record):
         tri = sum(1 for m in self.moves if m.kind == TRI)
         back = len(self.moves) - tri
         return tri, back
-
-    def to_json_obj(self):
-        return {
-            "initial": [str(v) for v in self.initial.vertices],
-            "moves": [m.to_json_obj() for m in self.moves],
-        }
-
-
-def _position(m):
-    if type(m["pos"]) is not int:  # not int(): it truncates 2.5 and accepts true and "0"
-        raise MalformedInput(f"bad move log: position {m['pos']!r} is not an integer")
-    return m["pos"]
-
-
-def _apex(m, K):
-    apex = m["apex"]
-    if type(apex) in (list, dict) or apex not in K.vertices:  # a list or dict cannot be looked up
-        raise MalformedInput(f"bad move log: apex {apex!r} is not a vertex of the complex")
-    return apex
-
-
-def move_log_from_json_obj(obj, K):
-    try:
-        initial = validate_path(K, obj["initial"])
-        moves = []
-        for m in obj["moves"]:
-            if m["kind"] == TRI:
-                moves.append(Move(TRI, _position(m), _apex(m, K)))
-            elif m["kind"] == BACK:
-                moves.append(Move(BACK, _position(m)))
-            else:
-                raise MalformedInput(f"unknown move kind {m['kind']!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad move log: {exc}") from exc
-    return MoveLog(initial, tuple(moves))
 
 
 def apply_move(K, loop, move):

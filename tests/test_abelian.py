@@ -4,7 +4,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -229,10 +229,7 @@ def test_snf_preserves_determinant():
         if len(facs) < n:
             assert det == 0
         else:
-            prod = 1
-            for d in facs:
-                prod *= d
-            assert prod == abs(det)
+            assert prod(facs) == abs(det)
 
 
 def test_det_bareiss_examples():
@@ -251,8 +248,9 @@ def test_invariants_basics():
     assert str(AbelianInvariants(0, ())) == "0"
     assert str(AbelianInvariants(1, ())) == "Z"
     assert str(AbelianInvariants(2, (2, 6))) == "Z^2 + Z/2 + Z/6"
-    assert AbelianInvariants(0, (2, 2)).order() == 4
-    assert AbelianInvariants(1, ()).order() is None
+    finite = AbelianInvariants(0, (2, 2))
+    assert finite.rank == 0 and prod(finite.torsion) == 4
+    assert AbelianInvariants(1, ()).rank == 1
     assert AbelianInvariants(0, (2,)).to_json_obj() == {"rank": 0, "torsion": [2]}
     # a real exception, so the check holds under python -O too
     with pytest.raises(MalformedInput):

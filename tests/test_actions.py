@@ -17,14 +17,12 @@ from stabpres.actions import (
     build_quotient,
     check_without_rotations,
     close_under_product,
-    edge_stabilizer,
     mark_without_rotations,
     orbit_of_simplex,
     orbit_of_vertex,
     parse_cycles,
     refine_action,
     refine_action_tracked,
-    stabilizer,
     subdivide_action,
     validate_simplicial_action,
 )
@@ -250,12 +248,10 @@ def test_orbits_and_stabilizers_flip():
     assert orbit_of_vertex(A, "a") == ("a", "b")
     assert orbit_of_vertex(A, "m") == ("m",)
     assert orbit_of_simplex(A, ("a", "m")) == (("a", "m"), ("b", "m"))
-    stab = stabilizer(A, "m")
+    stab = A.group.stabilizers["m"]
     assert [g.cycle_string() for g in stab] == ["()", "(a b)"]
     assert stab[0].is_identity()  # identity first, canonical order
-    assert [g.cycle_string() for g in stabilizer(A, "a")] == ["()"]
-    with pytest.raises(UnknownVertex):
-        stabilizer(A, "zz")
+    assert [g.cycle_string() for g in A.group.stabilizers["a"]] == ["()"]
     with pytest.raises(UnknownVertex):
         orbit_of_vertex(A, "zz")
 
@@ -270,12 +266,14 @@ def test_transporter_flip():
 
 
 def test_edge_stabilizer_is_intersection():
+    # the edge words of `_local_words` read G_u ∩ G_w as the transporters
+    # in G_u sending w to w
     for build in (f2_s3, f3_octahedral):
         A = refine_action(build())
-        for e in A.complex.sorted_edges:
-            u, w = e
-            expect = [g for g in A.group.elements if g(u) == u and g(w) == w]
-            assert list(edge_stabilizer(A, e)) == expect
+        G = A.group
+        for u, w in A.complex.sorted_edges:
+            expect = [G.number[g] for g in G.elements if g(u) == u and g(w) == w]
+            assert list(G.transporters(u, w, w)) == expect
 
 
 _ORACLE_ACTIONS = [
@@ -288,13 +286,13 @@ _ORACLE_ACTIONS = [
 def test_stabilizers_match_scan_of_group(build, dihedral_cone):
     # brute-force oracle: filter all of G, which is in canonical order
     A = dihedral_cone(*build) if isinstance(build, tuple) else refine_action(build())
-    elems = A.group.elements
+    G = A.group
     for v in A.complex.sorted_vertices:
-        assert stabilizer(A, v) == tuple(g for g in elems if g(v) == v)
+        assert G.stabilizers[v] == tuple(g for g in G.elements if g(v) == v)
     for u, w in A.complex.sorted_edges:
-        expect = tuple(g for g in elems if g(u) == u and g(w) == w)
-        assert edge_stabilizer(A, (u, w)) == expect
-        assert edge_stabilizer(A, (w, u)) == expect
+        expect = tuple(G.number[g] for g in G.elements if g(u) == u and g(w) == w)
+        assert G.transporters(u, w, w) == expect
+        assert G.transporters(w, u, u) == expect
 
 
 @pytest.mark.parametrize("build", [f3_octahedral, (8, 1)], ids=["f3_octahedral", "D8-cone-seed1"])

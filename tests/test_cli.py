@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,8 +12,10 @@ import pytest
 from stabpres.abelian import AbelianInvariants
 from stabpres.cli import main
 from stabpres.fixtures import octahedron_boundary, write_fixtures
+from stabpres.presentation import Presentation
 
 COMMITTED_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -161,6 +166,31 @@ def test_present_s3_json(fixture_dir, capsys, clean_env):
     assert len(report["generators"]) == 11
     assert len(report["relators"]) == 136
     assert report["subdivisions"] == 1
+
+
+@pytest.mark.parametrize("fmt, unused", [("json", "to_text"), ("text", "to_json_obj")])
+def test_present_builds_only_the_requested_output(
+    fixture_dir, capsys, clean_env, monkeypatch, fmt, unused
+):
+    def refuse(self):
+        raise AssertionError(f"present --format {fmt} built {unused}")
+
+    monkeypatch.setattr(Presentation, unused, refuse)
+    code, out, err = run(capsys, "present", str(fixture_dir / "f2.json"), "--format", fmt)
+    assert code == 0 and err == "" and out
+
+
+def test_a_closed_stdout_pipe_exits_1_with_nothing_on_stderr(fixture_dir):
+    # f3's presentation is megabytes, more than a pipe holds, so the CLI is
+    # still writing when its reader goes away
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [sys.executable, "-m", "stabpres.cli", "present", str(fixture_dir / "f3.json")]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(100).startswith(b"< ")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 # -- express ------------------------------------------------------------

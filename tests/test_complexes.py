@@ -1,6 +1,7 @@
-"""Complex construction, validation, stars, subdivision, and paths."""
+"""Complex construction, validation, subdivision, and paths."""
 
 import json
+from itertools import combinations
 
 import pytest
 
@@ -9,12 +10,9 @@ from stabpres import (
     InvalidComplex,
     MalformedInput,
     NotAnEdge,
-    SimplexNotInComplex,
     barycentric_subdivision,
     complex_from_json_obj,
-    faces,
     simplex,
-    star,
     validate_complex,
     validate_path,
 )
@@ -25,11 +23,6 @@ from stabpres.fixtures import interval_complex, octahedron_boundary, solid_trian
 def test_simplex_canonicalizes():
     assert simplex(("c", "a", "b")) == ("a", "b", "c")
     assert simplex(["b", "a"]) == ("a", "b")
-    assert set(faces(("a", "b", "c"))) == {
-        ("a", "b"), ("a", "c"), ("b", "c"), ("a",), ("b",), ("c",)
-    }
-    assert set(faces(("a", "b"))) == {("a",), ("b",)}
-    assert faces(("a",)) == []
 
 
 def test_single_point_complex():
@@ -41,8 +34,7 @@ def test_single_point_complex():
 def test_standard_simplex_valid():
     K = solid_triangle()
     assert K.counts() == (3, 3, 1)
-    assert K.has_simplex(("1", "2", "3"))
-    assert not K.has_simplex(("1", "2", "3", "4"))  # no simplex has four vertices
+    assert K.triangles == {("1", "2", "3")}
 
 
 def test_missing_faces_all_reported():
@@ -72,7 +64,7 @@ def test_duplicate_and_degenerate_reported():
 
 def test_complex_json_round_trip():
     K = octahedron_boundary()
-    K2 = complex_from_json_obj(json.loads(K.to_json()))
+    K2 = complex_from_json_obj(json.loads(json.dumps(K.to_json_obj())))
     assert K2 == K
 
 
@@ -85,52 +77,6 @@ def test_complex_json_malformed():
         complex_from_json_obj({"vertices": ["a"], "edges": "nope"})
     with pytest.raises(MalformedInput, match="missing key: 'vertices'"):
         complex_from_json_obj({"edges": []})
-
-
-def _star_oracle(K, s):
-    """Brute force: all simplices sharing a cofacet with s, face-closed."""
-    s = simplex(s)
-    keep = set()
-    for t in K.simplices():
-        tset = set(t)
-        if set(s) <= tset:
-            keep.add(t)
-            stack = [t]
-            while stack:
-                cur = stack.pop()
-                for f in faces(cur):
-                    if f not in keep:
-                        keep.add(f)
-                        stack.append(f)
-    return keep
-
-
-def test_star_of_corner_in_subdivided_triangle():
-    K, _ = barycentric_subdivision(solid_triangle())
-    st = star(K, ("1",))
-    expected = _star_oracle(K, ("1",))
-    got = set(st.simplices())
-    assert got == expected
-    assert len(st.triangles) == 2  # the two subdivision triangles at the corner
-
-
-def test_star_whole_complex_and_isolated():
-    K = solid_triangle()
-    st = star(K, ("1",))
-    assert set(st.simplices()) == set(K.simplices())
-    P = validate_complex(["a", "z"], [])
-    assert set(star(P, ("a",)).simplices()) == {("a",)}
-
-
-def test_star_requires_membership():
-    with pytest.raises(SimplexNotInComplex):
-        star(solid_triangle(), ("1", "4"))
-
-
-def test_star_matches_oracle_on_octahedron():
-    K = octahedron_boundary()
-    for s in [("p1",), simplex(("p1", "p2")), simplex(("p1", "p2", "p3"))]:
-        assert set(star(K, s).simplices()) == _star_oracle(K, s)
 
 
 def test_subdivision_point_and_edge():
@@ -161,14 +107,9 @@ def test_subdivision_triangle_counts():
 def test_subdivision_face_closed():
     sd, _ = barycentric_subdivision(octahedron_boundary())
     for t in sd.triangles:
-        for f in faces(t):
-            if len(f) == 2:
-                assert f in sd.edges
-            else:
-                assert f[0] in sd.vertices
+        assert set(combinations(t, 2)) <= sd.edges
     for e in sd.edges:
-        for (v,) in faces(e):
-            assert v in sd.vertices
+        assert set(e) <= sd.vertices
 
 
 def test_validate_path_basics():
